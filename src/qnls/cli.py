@@ -55,7 +55,6 @@ class RunConfig:
     scaling_nus: tuple[float, ...] = (0.005, 0.01, 0.02)
     scaling_grow_factor: float = 10.0
     out: str = "."
-    jobs: int = 1
     preset: str | None = None
 
     @property
@@ -138,7 +137,7 @@ def _apply_strings(cfg: RunConfig, kv: dict) -> RunConfig:
         elif f.name in ("m", "band", "bound") and raw.lower() != "none":
             converted[f.name] = int(raw)
         elif f.name in ("p", "q", "k_max", "grid_resolution", "K", "N", "seed",
-                        "sample_every", "jobs"):
+                        "sample_every"):
             converted[f.name] = int(raw)
         elif f.name in ("nu", "dt", "mass_tol", "grow_factor",
                         "scaling_grow_factor", "seed_amp_scale"):
@@ -352,7 +351,6 @@ def main(argv=None) -> int:
                        default=None)
         p.add_argument("--mass-tol", dest="mass_tol", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--preset", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--print-config", action="store_true")

@@ -5,6 +5,13 @@ exponential-growth-rate fitting for torus stability experiments.
 Normalization: mass = sum |a_j|^2, momentum = sum j |a_j|^2,
 energy = sum j^2 |a_j|^2 + (1/3) * mean_x |u|^6, so a single mode a_j = c has
 mass |c|^2 and energy j^2 |c|^2 + |c|^6 / 3.
+
+Layout: ``FourierState.a`` stores the band |j| <= K with mode j at position
+j + K.  ``step`` and ``evolve`` share one kernel that keeps the spectrum as an
+N-point array in FFT order (mode j at index j mod N, which numpy's negative
+indexing gives as ``spec[j]``) and reuses preallocated buffers.  Its linear
+phase factors vanish outside the band, so the multiplication that applies
+them is also the band projection.  ``conserved`` reads the same layout.
 """
 
 from __future__ import annotations
@@ -109,27 +116,54 @@ class GrowthFit:
 
 # ---------------------------------------------------------------------------
 
-def _to_physical(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    A = np.zeros(grid.N, dtype=complex)
-    K = grid.K
-    A[:K + 1] = a[K:]          # j = 0..K
-    A[-K:] = a[:K]             # j = -K..-1
-    return np.fft.ifft(A) * grid.N
+class _SplitStep:
+    """Strang split-step workspace for one grid, started from the band
+    coefficients ``a``: the spectrum in FFT order, the band-masked linear
+    phases and every buffer a step needs, so stepping allocates no arrays.
+    """
 
+    def __init__(self, grid: GridSpec, a: np.ndarray):
+        self.dt = grid.dt
+        self.modes = j = grid.modes
+        self.half = np.zeros(grid.N, dtype=complex)
+        self.half[j] = np.exp(-1j * j * j * (grid.dt / 2.0))
+        self.full = self.half * self.half
+        self.spec = np.zeros(grid.N, dtype=complex)
+        self.spec[j] = a
+        self.u = np.empty(grid.N, dtype=complex)
+        self.phase = np.empty(grid.N, dtype=complex)
+        self.w = np.empty(grid.N)
+        self.w2 = np.empty(grid.N)
 
-def _to_spectral(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    A = np.fft.fft(u) / grid.N
-    K = grid.K
-    a = np.empty(2 * K + 1, dtype=complex)
-    a[K:] = A[:K + 1]
-    a[:K] = A[-K:]
-    return a
+    def coefficients(self) -> np.ndarray:
+        """Band coefficients, mode j at position j + K (a new array)."""
+        return self.spec[self.modes]
+
+    def run(self, n: int) -> None:
+        """n steps, with the linear half phases of adjacent steps fused."""
+        spec, u, phase, w, w2 = self.spec, self.u, self.phase, self.w, self.w2
+        ur, ui, pr, pi = u.real, u.imag, phase.real, phase.imag
+        spec *= self.half
+        for i in range(n):
+            np.fft.ifft(spec, norm="forward", out=u)
+            np.multiply(ur, ur, out=w)
+            np.multiply(ui, ui, out=w2)
+            w += w2
+            np.multiply(w, w, out=w)
+            w *= -self.dt
+            np.cos(w, out=pr)
+            np.sin(w, out=pi)
+            u *= phase
+            np.fft.fft(u, norm="forward", out=spec)
+            spec *= self.full if i < n - 1 else self.half
 
 
 def conserved(state: FourierState, grid: GridSpec) -> ConservedSnapshot:
     mags = np.abs(state.a) ** 2
     j = grid.modes
-    u = _to_physical(state.a, grid)
+    spec = np.zeros(grid.N, dtype=complex)
+    spec[j] = state.a
+    u = np.fft.ifft(spec, norm="forward")
     sextic = float(np.mean(np.abs(u) ** 6))
     return ConservedSnapshot(
         float(mags.sum()),
@@ -141,13 +175,9 @@ def conserved(state: FourierState, grid: GridSpec) -> ConservedSnapshot:
 def step(state: FourierState, grid: GridSpec) -> FourierState:
     """One Strang split step: exact linear half phase, exact nonlinear phase
     in physical space, linear half phase; band truncation dealiases."""
-    j = grid.modes
-    half = np.exp(-1j * j * j * (grid.dt / 2.0))
-    a = state.a * half
-    u = _to_physical(a, grid)
-    u = u * np.exp(-1j * np.abs(u) ** 4 * grid.dt)
-    a = _to_spectral(u, grid) * half
-    return FourierState(a, state.t + grid.dt)
+    kernel = _SplitStep(grid, state.a)
+    kernel.run(1)
+    return FourierState(kernel.coefficients(), state.t + grid.dt)
 
 
 def prepare_torus_state(spec: TorusSpec, seed_modes: Sequence[int],
@@ -189,10 +219,7 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     n_steps = int(round(t_end / grid.dt))
     if n_steps < 1:
         raise ValueError("t_end shorter than one step")
-    j = grid.modes
     K = grid.K
-    half = np.exp(-1j * j * j * (grid.dt / 2.0))
-    full = half * half
     iidx = np.array([m + K for m in internal], dtype=int)
     mask_ext = np.ones(2 * K + 1, dtype=bool)
     mask_ext[iidx] = False
@@ -214,20 +241,14 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
 
     snap0, _ = record(state)
     mass0 = snap0.mass
-    a = state.a.copy()
-    t = state.t
+    kernel = _SplitStep(grid, state.a)
     done = 0
     while done < n_steps:
         chunk = min(sample_every, n_steps - done)
-        a = a * half
-        for i in range(chunk):
-            u = _to_physical(a, grid)
-            u *= np.exp(-1j * np.abs(u) ** 4 * grid.dt)
-            a = _to_spectral(u, grid)
-            a *= full if i < chunk - 1 else half
+        kernel.run(chunk)
         done += chunk
         t = state.t + done * grid.dt
-        snap, ext = record(FourierState(a, t))
+        snap, ext = record(FourierState(kernel.coefficients(), t))
         if mass0 > 0 and abs(snap.mass - mass0) > mass_tol * mass0:
             raise BlowUp(
                 f"relative mass drift {abs(snap.mass - mass0) / mass0:.3e} "

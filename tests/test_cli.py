@@ -17,20 +17,33 @@ _SCRATCH = tempfile.mkdtemp(prefix="qnls-cli-")
 _PKG_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(*args):
+def run_python(*args):
     # run in a scratch directory so default --out artifacts stay out of the repo;
     # put the tested package first on the child's path, as an absolute entry,
     # so it runs this code whether or not another qnls is installed
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "qnls.cli", *args],
-                          capture_output=True, text=True, cwd=_SCRATCH,
-                          env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=_SCRATCH, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "qnls.cli", *args)
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.fft alone adds ~27 MB of resident memory
+    res = run_python("-c", "import sys, qnls; qnls.cli; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_resonances_flagship_golden():
     res = run_cli("resonances", "-p", "-3", "-q", "10", "-m", "-6")
     assert res.returncode == 0
+    # the package must not import qnls.cli before runpy executes it
+    assert "RuntimeWarning" not in res.stderr
     data = json.loads(res.stdout)
     assert data["A"] == [[-14, 18]]
     assert data["B"] == [[1, 9]]

@@ -132,6 +132,49 @@ def test_galilean_index_shift():
 
 
 # ---------------------------------------------------------------------------
+# reference oracle: the split step in its textbook band layout
+
+def oracle_step(a, grid):
+    """One Strang step on the 2K+1 band coefficients: half phase, pad to N
+    points, ifft, exp(-i|u|^4 dt), fft, unpad to the band, half phase."""
+    K, N = grid.K, grid.N
+    half = np.exp(-1j * grid.modes**2 * (grid.dt / 2.0))
+    b = a * half
+    A = np.zeros(N, dtype=complex)
+    A[:K + 1] = b[K:]
+    A[-K:] = b[:K]
+    u = np.fft.ifft(A) * N
+    u = u * np.exp(-1j * np.abs(u) ** 4 * grid.dt)
+    B = np.fft.fft(u) / N
+    return np.concatenate((B[-K:], B[:K + 1])) * half
+
+
+# the thm3-unstable and thm2-stable grids, a backward step, and the
+# aliasing grid of test_evolve_mass_tolerance_guard (N < 6K+1)
+@pytest.mark.parametrize("K,N,dt", [(32, 256, 5e-3), (16, 128, 0.05),
+                                    (16, 128, -0.01), (7, 32, 0.05)])
+def test_kernel_matches_oracle(K, N, dt):
+    grid = sim.GridSpec(K, N, dt)
+    # the whole band is occupied, so the truncation discards mass every step
+    state = band_state(grid, support=K)
+    n_steps, every = 1000, 7
+    a, stepped = state.a, state
+    oracle_mags = [np.abs(a) ** 2]
+    for n in range(1, n_steps + 1):
+        a = oracle_step(a, grid)
+        stepped = sim.step(stepped, grid)
+        if n % every == 0 or n == n_steps:
+            oracle_mags.append(np.abs(a) ** 2)
+    assert np.abs(stepped.a - a).max() < 1e-13
+    if dt > 0:  # a Trajectory needs increasing sample times
+        # fused half phases between samples, and a short last chunk
+        traj = sim.evolve(state, grid, n_steps * dt, sample_every=every,
+                          mass_tol=1.0)
+        assert traj.times[-1] == pytest.approx(n_steps * dt)
+        assert np.abs(traj.mags - np.array(oracle_mags)).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
 # evolve / trajectory bookkeeping
 
 def test_evolve_long_run_drift():
