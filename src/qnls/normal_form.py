@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .resonance import ExternalPair, ResonanceCatalog, b_witnesses
+from .resonance import ExternalPair, ResonanceCatalog
 
 
 class DegenerateBlock(Exception):
@@ -110,18 +110,6 @@ def omega(spec: TorusSpec) -> Frequencies:
         m * m + nu2 * float(omega_coefficient(spec.rho, i))
         for i, m in enumerate(spec.internal)
     ))
-
-
-def omega_two_mode(spec: TorusSpec) -> Frequencies:
-    if len(spec.internal) != 2:
-        raise ValueError("expected a 2-mode spec")
-    return omega(spec)
-
-
-def omega_three_mode(spec: TorusSpec) -> Frequencies:
-    if len(spec.internal) != 3:
-        raise ValueError("expected a 3-mode spec")
-    return omega(spec)
 
 
 def lambda_external(j: int, spec: TorusSpec) -> float:

@@ -214,8 +214,12 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     Linear half phases of adjacent steps are fused between samples (exact
     phase algebra).  Aborts with BlowUp when the relative mass drift exceeds
     ``mass_tol``; stops early once the external mass passes
-    ``stop_ext_mass`` (saturation cut for growth runs).
+    ``stop_ext_mass`` (saturation cut for growth runs).  Integrates forward
+    only: a grid with dt < 0 is refused before the first step (``step``
+    accepts it).
     """
+    if grid.dt < 0:
+        raise ValueError("evolve integrates forward in time: dt must be positive")
     n_steps = int(round(t_end / grid.dt))
     if n_steps < 1:
         raise ValueError("t_end shorter than one step")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,34 +38,58 @@ class DivisorExpression:
     block: str | None = None  # label when Lambda entries come from a coupled block
 
 
+VERDICTS = (FILTERED, LOWER_BOUNDED, TRANSVERSAL, VIOLATED)
+INTERVAL = "interval certificate"
+
+
 @dataclass
 class HypothesisReport:
+    """A2 verdicts over a DivisorTable: ``codes`` indexes VERDICTS per row,
+    ``witnesses`` holds the witness of every row the interval certificate
+    left open (the others have None when filtered, else the certificate)."""
+
     delta: float
     k_max: int
-    verdicts: list  # (DivisorExpression, verdict, witness)
+    table: DivisorTable
+    codes: np.ndarray
+    witnesses: dict[int, object]
     tail_note: str = ""
 
+    def verdict(self, i: int) -> tuple[str, object]:
+        v = VERDICTS[self.codes[i]]
+        return v, self.witnesses.get(i, INTERVAL if v == LOWER_BOUNDED else None)
+
+    @property
+    def verdicts(self) -> list:
+        """(DivisorExpression, verdict, witness) per row, in enumeration order."""
+        return [(self.table.expression(i), *self.verdict(i)) for i in range(len(self.table))]
+
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, v, _ in self.verdicts:
-            out[v] = out.get(v, 0) + 1
-        return out
+        """Verdict counts, keyed in order of first appearance."""
+        codes, first, counts = np.unique(self.codes, return_index=True, return_counts=True)
+        return {VERDICTS[codes[o]]: int(counts[o]) for o in np.argsort(first)}
 
     def violated(self) -> list:
-        return [(e, w) for e, v, w in self.verdicts if v == VIOLATED]
+        return [(self.table.expression(i), w) for i, w in self.witnesses.items()
+                if VERDICTS[self.codes[i]] == VIOLATED]
 
     def to_json_lines(self) -> str:
-        lines = []
-        for expr, verdict, witness in self.verdicts:
-            lines.append(json.dumps({
-                "kind": expr.kind,
-                "k": list(expr.k),
-                "modes": list(expr.modes),
-                "block": expr.block,
-                "verdict": verdict,
-                "witness": witness if not isinstance(witness, np.ndarray) else list(map(float, witness)),
-            }))
-        return "\n".join(lines)
+        """One JSON object per row.  Rows alike but for k share one line dumped
+        with k = null and split there; each judged row has its own."""
+        t = self.table
+        fmt = "[" + ", ".join(["%d"] * t.lattice.shape[1]) + "]"
+        ks = [fmt % tuple(k) for k in t.lattice.tolist()]
+        own = np.zeros(len(t), dtype=np.int64)
+        own[list(self.witnesses)] = np.arange(1, len(self.witnesses) + 1)
+        cols = np.column_stack([t.kind, t.modes, t.n_modes, t.block, self.codes, own])
+        cols -= cols.min(axis=0, initial=0)
+        key = np.ravel_multi_index(cols.T, cols.max(axis=0, initial=0) + 1)
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        parts = [json.dumps({"kind": e.kind, "k": None, "modes": list(e.modes), "block": e.block,
+                             "verdict": v, "witness": w}).split("null", 1)
+                 for e, (v, w) in ((t.expression(i), self.verdict(i)) for i in first.tolist())]
+        return "\n".join([parts[u][0] + ks[l] + parts[u][1]
+                          for u, l in zip(inv.ravel().tolist(), t.lat.tolist())])
 
     def summary_json(self) -> str:
         return json.dumps({
@@ -80,13 +103,9 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 # quadratic forms in rho (the nu^-2 coefficients of all divisor expressions)
 
-def _sym(n: int) -> np.ndarray:
-    return np.zeros((n, n))
-
-
 def omega_form(n: int, i: int) -> np.ndarray:
     """Quadratic form Q with rho.Q.rho = nu^-2 frequency shift of internal mode i."""
-    Q = _sym(n)
+    Q = np.zeros((n, n))
     Q[i, i] = 3.0
     others = [j for j in range(n) if j != i]
     for j in others:
@@ -410,20 +429,70 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None,
 # ---------------------------------------------------------------------------
 # Hypothesis A2
 
+KINDS = (OMEGA_K, OMEGA_K_PLUS_LAMBDA, OMEGA_K_PLUS_PLUS, OMEGA_K_PLUS_MINUS)
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Upper-triangle index pairs in ``_interval``'s order."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _coef(Q: np.ndarray) -> np.ndarray:
+    """The coefficients ``_interval`` multiplies: Q_ii, and Q_ij + Q_ji for i < j."""
+    return np.array([Q[i, j] + (Q[j, i] if j != i else 0.0) for i, j in _pairs(len(Q))])
+
+
 @dataclass
-class _Expr:
-    meta: DivisorExpression
-    int_part: int
-    Q: np.ndarray | None  # nu^-2 quadratic form; None for filtered entries
-    pad: float = 0.0  # uniform bound on terms not captured by Q (block roots)
-    extra: Callable[[np.ndarray], np.ndarray] | None = None
-    filtered: bool = False
+class DivisorTable:
+    """Every A2 divisor expression as one row of parallel arrays.
 
+    Row r is Omega.k + (Lambda terms) with k = lattice[lat[r]]: exact
+    integer part int_part[r], nu^-2 quadratic form in rho given by coef[r]
+    (see ``_coef``) and a uniform pad for block eigenvalue terms the form
+    does not capture.  Filtered rows carry no form.
+    """
 
-def _lattice(n: int, k_max: int):
-    for k in product(range(-k_max, k_max + 1), repeat=n):
-        if any(k):
-            yield k
+    lattice: np.ndarray  # (L, n) every nonzero k with |k|_inf <= k_max
+    lat: np.ndarray  # row -> lattice index
+    kind: np.ndarray  # row -> index into KINDS
+    modes: np.ndarray  # (rows, 2); the first n_modes entries are used
+    n_modes: np.ndarray
+    block: np.ndarray  # row -> index into labels, -1 for scalar families
+    labels: tuple[str, ...]
+    int_part: np.ndarray
+    coef: np.ndarray
+    pad: np.ndarray
+    filtered: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lat)
+
+    def expression(self, r: int) -> DivisorExpression:
+        block = self.block[r]
+        return DivisorExpression(KINDS[self.kind[r]], tuple(self.lattice[self.lat[r]].tolist()),
+                                 tuple(self.modes[r, :self.n_modes[r]].tolist()),
+                                 self.labels[block] if block >= 0 else None)
+
+    def form(self, r: int) -> np.ndarray:
+        """The symmetric quadratic form Q of row r."""
+        n = self.lattice.shape[1]
+        Q = np.zeros((n, n))
+        for c, (i, j) in zip(self.coef[r], _pairs(n)):
+            Q[i, j] = Q[j, i] = c if i == j else c / 2
+        return Q
+
+    def bounds(self, spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Interval enclosure of every divisor over the rho domain: ``_interval``
+        on all rows at once, accumulated in its order, so each bound is
+        bit-identical to the scalar one."""
+        box, nu2 = spec.domain, spec.nu**2
+        lo, hi = np.zeros((2, len(self)))
+        for c, (i, j) in zip(self.coef.T, _pairs(len(box))):
+            small = box[i][0] * box[j][0]
+            big = box[i][1] * box[j][1]
+            lo += np.where(c > 0, c * small, c * big)
+            hi += np.where(c > 0, c * big, c * small)
+        return self.int_part + nu2 * lo - self.pad, self.int_part + nu2 * hi + self.pad
 
 
 def _candidate_directions(n: int, k: tuple[int, ...]) -> list[np.ndarray]:
@@ -447,54 +516,27 @@ def _candidate_directions(n: int, k: tuple[int, ...]) -> list[np.ndarray]:
     return cands
 
 
-def _directional_derivative(Q: np.ndarray, extra, z: np.ndarray,
-                            grid: np.ndarray, nu2: float) -> np.ndarray:
-    vals = 2.0 * nu2 * (grid @ Q @ z)
-    if extra is not None:
-        h = 1e-6
-        vals = vals + (extra(grid + h * z) - extra(grid - h * z)) / (2 * h)
-    return vals
-
-
-def _judge(expr: _Expr, spec: TorusSpec, delta: float, grid: np.ndarray):
-    """Returns (verdict, witness)."""
-    if expr.filtered:
-        return FILTERED, None
+def _judge(k: tuple[int, ...], int_part: int, Q: np.ndarray, spec: TorusSpec,
+           delta: float, grid: np.ndarray):
+    """(verdict, witness) of an expression the interval certificate left
+    open: grid minimum first, then transversality along candidate directions."""
     nu2 = spec.nu**2
-    lo, hi = _interval(expr.Q, spec.domain)
-    lo = expr.int_part + nu2 * lo - expr.pad
-    hi = expr.int_part + nu2 * hi + expr.pad
-    if lo >= delta or hi <= -delta:
-        return LOWER_BOUNDED, "interval certificate"
-    vals = expr.int_part + nu2 * _quad(expr.Q, grid)
-    if expr.extra is not None:
-        vals = vals + expr.extra(grid)
+    vals = int_part + nu2 * _quad(Q, grid)
     avals = np.abs(vals)
     if float(avals.min()) >= delta:
         return LOWER_BOUNDED, "grid minimum"
     imin = int(np.argmin(avals))
-    k = expr.meta.k
     cands = _candidate_directions(len(spec.internal), k)
-    g = 2.0 * nu2 * (expr.Q @ grid[imin])
+    g = 2.0 * nu2 * (Q @ grid[imin])
     ng = np.linalg.norm(g)
     if ng > 0:
         cands.append(g / ng)
         cands.append(-g / ng)
     for z in cands:
-        d = _directional_derivative(expr.Q, expr.extra, z, grid, nu2)
+        d = 2.0 * nu2 * (grid @ Q @ z)
         if float(np.min(d)) >= delta:
             return TRANSVERSAL, [float(x) for x in z]
     return VIOLATED, [float(x) for x in grid[imin]]
-
-
-def _block_im_on_grid(spec: TorusSpec, grid: np.ndarray) -> np.ndarray:
-    """|Im Lambda| of the pair-creation block over the grid (witness order)."""
-    nu2 = spec.nu**2
-    n = len(spec.internal)
-    a = nu2 * (_quad(lambda_form(n), grid) - _quad(b_lambda_s_form(), grid)) / 2.0
-    c = 18.0 * nu2 * grid[:, 0] * np.sqrt(grid[:, 1] * grid[:, 2])
-    disc = a * a - c * c
-    return np.sqrt(np.maximum(0.0, -disc))
 
 
 def resonant_k(internal: Sequence[int], blk) -> tuple[int, ...] | None:
@@ -519,192 +561,152 @@ def resonant_k(internal: Sequence[int], blk) -> tuple[int, ...] | None:
 
 
 def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
-                             mode_max: int | None = None) -> list[_Expr]:
+                             mode_max: int | None = None) -> DivisorTable:
+    """Every divisor family in one pass over the lattice.
+
+    The lattice with its mass sum(k), momentum, integer part and Omega form
+    is built once as arrays.  Each family is a mask over it, combined with
+    spectral atoms: scalar Lambda_j (integer part j^2, ``lambda_form``, no
+    pad) or a coupled block's eigenvalue branches (role, form, pad).  Rows
+    are sorted into nested-loop order: base families interleaved per k, then
+    each block's families in ``eff.blocks`` order; j ascends in a family.
+    """
     spec = eff.spec
     internal = spec.internal
     n = len(internal)
-    sq = [m * m for m in internal]
     if mode_max is None:
         mode_max = 4 * max(abs(m) for m in internal) + 8
-    omega_forms = [omega_form(n, i) for i in range(n)]
     lam = lambda_form(n)
-    iset = set(internal)
-    blocked = {m for blk in eff.blocks for m in blk.modes}
-    skip = iset | blocked
-    exprs: list[_Expr] = []
+    none = np.zeros((n, n))
+    iset = list(set(internal))
+    blocked = list({m for blk in eff.blocks for m in blk.modes})
+    skip = iset + blocked
 
-    def omega_Q(k):
-        Q = np.zeros((n, n))
-        for i, ki in enumerate(k):
-            if ki:
-                Q = Q + ki * omega_forms[i]
-        return Q
+    # every nonzero k with |k|_inf <= k_max, in itertools.product order
+    lattice = np.indices((max(2 * k_max + 1, 0),) * n).reshape(n, -1).T - k_max
+    lattice = lattice[lattice.any(axis=1)]
+    L = len(lattice)
+    mass = lattice.sum(axis=1)
+    mom = lattice @ np.array(internal)
+    I0 = lattice @ np.array([m * m for m in internal])
+    # the Omega forms are integral, so this product is exact
+    kC = lattice @ np.array([_coef(omega_form(n, i)) for i in range(n)])
+    chunks = []
 
-    for k in _lattice(n, k_max):
-        kQ = omega_Q(k)
-        I0 = sum(s * ki for s, ki in zip(sq, k))
-        mom = sum(m * ki for m, ki in zip(internal, k))
-        exprs.append(_Expr(DivisorExpression(OMEGA_K, k), I0, kQ))
+    def emit(idx, kind, modes, int_part=None, Q=None, pad=0.0, slot=0, sub=0, block=-1):
+        """Rows over lattice indices ``idx``; int_part None marks them filtered."""
+        rows = len(idx)
+        m = np.zeros((rows, 2), dtype=np.int64)
+        for c, v in enumerate(modes):
+            m[:, c] = v
+        filtered = int_part is None
+        chunks.append(dict(
+            key=(((block + 1) * L + idx) * 8 + slot) * (2 * mode_max + 1) + sub, lat=idx,
+            kind=np.full(rows, KINDS.index(kind), dtype=np.int8), modes=m,
+            n_modes=np.full(rows, len(modes), dtype=np.int8), block=np.full(rows, block),
+            int_part=np.zeros(rows, dtype=np.int64) if filtered else int_part,
+            coef=np.zeros((rows, kC.shape[1])) if filtered else kC[idx] + _coef(Q),
+            pad=np.full(rows, pad), filtered=np.full(rows, filtered)))
 
-        # Omega.k + Lambda_j : a single eta factor, mass forces sum(k) = -1
-        # and momentum then pins j.
-        if sum(k) == -1:
-            j = -mom
-            if j in iset:
-                exprs.append(_Expr(DivisorExpression(OMEGA_K_PLUS_LAMBDA, k, (j,)),
-                                   0, None, filtered=True))
-            elif j not in blocked:
-                exprs.append(_Expr(DivisorExpression(OMEGA_K_PLUS_LAMBDA, k, (j,)),
-                                   I0 + j * j, kQ + lam))
-        else:
-            exprs.append(_Expr(DivisorExpression(OMEGA_K_PLUS_LAMBDA, k),
-                               0, None, filtered=True))
+    def emit_with_scalar(idx, j, kind, lead, int_part, Q, pad, slot, block=-1):
+        """Rows ending in scalar Lambda_j: filtered if j is internal, absent if blocked."""
+        inner = np.isin(j, iset)
+        emit(idx[inner], kind, (*lead, j[inner]), slot=slot, block=block)
+        keep = ~np.isin(j, skip)
+        emit(idx[keep], kind, (*lead, j[keep]), int_part[keep], Q, pad, slot, block=block)
 
-        # Omega.k + Lambda_j + Lambda_l : two eta factors on the momentum line
-        if sum(k) == -2:
-            S = -mom
-            for j in range(-mode_max, mode_max + 1):
-                l = S - j
-                if j > l or abs(l) > mode_max:
-                    continue
-                if j in skip or l in skip:
-                    continue
-                exprs.append(_Expr(
-                    DivisorExpression(OMEGA_K_PLUS_PLUS, k, (j, l)),
-                    I0 + j * j + l * l, kQ + 2 * lam))
+    # slots order the families of one k: OmegaK 0, single 1 (block branches
+    # 0-1 by role), pairs 2, differences 3, block branch +- Lambda_j 4-7
+    every = np.arange(L)
+    emit(every, OMEGA_K, (), I0, none)
 
-        # Omega.k + Lambda_j - Lambda_l : one eta, one zeta; the scalar
-        # shifts cancel exactly, and same-|mode| pairs share a cluster.
-        if sum(k) == 0:
-            D = -mom
-            if D != 0:
-                for j in range(-mode_max, mode_max + 1):
-                    l = j - D
-                    if abs(l) > mode_max or abs(j) == abs(l):
-                        continue
-                    if j in skip or l in skip:
-                        continue
-                    exprs.append(_Expr(
-                        DivisorExpression(OMEGA_K_PLUS_MINUS, k, (j, l)),
-                        I0 + j * j - l * l, kQ))
+    # Omega.k + Lambda_j : a single eta factor, mass forces sum(k) = -1
+    # and momentum then pins j.
+    one = every[mass == -1]
+    emit(every[mass != -1], OMEGA_K_PLUS_LAMBDA, (), slot=1)
+    j = -mom[one]
+    emit_with_scalar(one, j, OMEGA_K_PLUS_LAMBDA, (), I0[one] + j * j, lam, 0.0, slot=1)
+
+    # Omega.k + Lambda_j + Lambda_l : two eta factors on the momentum line;
+    # Omega.k + Lambda_j - Lambda_l : one eta, one zeta; the scalar shifts
+    # cancel exactly, and same-|mode| pairs share a cluster.
+    jj = np.arange(-mode_max, mode_max + 1)
+    for sgn, mask, kind, Q, slot in ((1, mass == -2, OMEGA_K_PLUS_PLUS, 2 * lam, 2),
+                                     (-1, (mass == 0) & (mom != 0), OMEGA_K_PLUS_MINUS, none, 3)):
+        idx = every[mask]
+        ll = -sgn * (mom[idx, None] + jj)  # momentum: mom + j + sgn * l = 0
+        ok = (jj <= ll) if sgn > 0 else (np.abs(jj) != np.abs(ll))
+        ok &= (np.abs(ll) <= mode_max) & ~np.isin(jj, skip) & ~np.isin(ll, skip)
+        r, c = np.nonzero(ok)
+        j, l = jj[c], ll[r, c]
+        emit(idx[r], kind, (j, l), I0[idx[r]] + j * j + sgn * l * l, Q, slot=slot, sub=c)
 
     # coupled-block divisor families
-    for blk in eff.blocks:
-        label = f"{blk.kind}{blk.modes}"
+    for b, blk in enumerate(eff.blocks):
         kres = resonant_k(internal, blk)
-        resident = {kres, tuple(-x for x in kres)} if kres else set()
+        resident = np.zeros(L, dtype=bool) if not kres else (
+            (lattice == kres).all(axis=1) | (lattice == [-x for x in kres]).all(axis=1))
+
+        def pair(mask, kind, modes, int_part, Q, pad, slot):
+            """A block's own pair family; its defining monomial is filtered."""
+            emit(every[mask & resident], kind, modes, slot=slot, block=b)
+            idx = every[mask & ~resident]
+            emit(idx, kind, modes, I0[idx] + int_part, Q, pad, slot, block=b)
+
+        if len(blk.modes) == 2:
+            s_role, t_role = _block_roles(blk)
+        else:
+            s_role = t_role = blk.modes[0]
+        roles = list({s_role, t_role})
         if blk.kind == "B":
-            s, t = blk.modes
-            bQ = (lam + b_lambda_s_form()) / 2.0
-            sumQ = lam + b_lambda_s_form()
             pad1 = _pad_b_root(spec)
             # slack for the frame ambiguity of chart-dependent nu^2 shifts
             slack = spec.nu**2 * max(abs(v) for v in _interval(lam - b_lambda_s_form(), spec.domain))
-            for k in _lattice(n, k_max):
-                kQ = omega_Q(k)
-                I0 = sum(sqi * ki for sqi, ki in zip(sq, k))
-                mom = sum(m * ki for m, ki in zip(internal, k))
-                # single eigenvalue branches, one family per momentum content
-                if sum(k) == -1:
-                    for role in {s, t}:
-                        if mom + role == 0:
-                            exprs.append(_Expr(
-                                DivisorExpression(OMEGA_K_PLUS_LAMBDA, k, (role,), label),
-                                I0 + role * role, kQ + bQ, pad=pad1 + slack))
-                # eigenvalue pair sum: trace of the block, creation pair
-                if sum(k) == -2 and mom + s + t == 0:
-                    if k in resident:
-                        exprs.append(_Expr(
-                            DivisorExpression(OMEGA_K_PLUS_PLUS, k, (s, t), label),
-                            0, None, filtered=True))
-                    else:
-                        exprs.append(_Expr(
-                            DivisorExpression(OMEGA_K_PLUS_PLUS, k, (s, t), label),
-                            I0 + s * s + t * t, kQ + sumQ, pad=slack))
-                # eigenvalue pair difference: >= 2|Im| when hyperbolic
-                if sum(k) == 0 and mom == 0:
-                    exprs.append(_Expr(
-                        DivisorExpression(OMEGA_K_PLUS_MINUS, k, (s, t), label),
-                        I0, kQ, pad=2 * pad1))
-                # mixed: eigenvalue branch +- scalar Lambda_j
-                for sgn in (1, -1):
-                    kind = OMEGA_K_PLUS_PLUS if sgn > 0 else OMEGA_K_PLUS_MINUS
-                    if sum(k) != -1 - sgn:
-                        continue
-                    for role in {s, t}:
-                        j = -sgn * (mom + role)
-                        if j in iset:
-                            exprs.append(_Expr(DivisorExpression(kind, k, (role, j), label),
-                                               0, None, filtered=True))
-                        elif j not in blocked:
-                            exprs.append(_Expr(
-                                DivisorExpression(kind, k, (role, j), label),
-                                I0 + role * role + sgn * j * j,
-                                kQ + bQ + sgn * lam, pad=pad1 + slack))
+            branch_Q, branch_pad = (lam + b_lambda_s_form()) / 2.0, pad1 + slack
+            # eigenvalue pair sum: trace of the block, creation pair
+            pair((mass == -2) & (mom + s_role + t_role == 0), OMEGA_K_PLUS_PLUS, blk.modes,
+                 s_role**2 + t_role**2, lam + b_lambda_s_form(), slack, 2)
+            # eigenvalue pair difference: >= 2|Im| when hyperbolic
+            pair((mass == 0) & (mom == 0), OMEGA_K_PLUS_MINUS, blk.modes, 0, none, 2 * pad1, 3)
         else:
             # energy-conserving blocks (elliptic couplings): eigenvalue pairs
             # perturb (s_role^2, t_role^2); pad covers the rotation of the
             # block eigenvalues away from the scalar shifts.
-            if len(blk.modes) == 2:
-                s_role, t_role = _block_roles(blk)
-            else:
-                s_role = t_role = blk.modes[0]
-            pad = abs(blk.eigenvalues[-1].real - blk.eigenvalues[0].real) + 2 * abs(blk.coupling)
-            for k in _lattice(n, k_max):
-                kQ = omega_Q(k)
-                I0 = sum(sqi * ki for sqi, ki in zip(sq, k))
-                mom = sum(m * ki for m, ki in zip(internal, k))
-                # single branches, one family per momentum content (for the
-                # even-gap two-mode torus these force half-integer lattice
-                # components, removing the families entirely)
-                if sum(k) == -1:
-                    for role in {s_role, t_role}:
-                        if mom + role == 0:
-                            exprs.append(_Expr(
-                                DivisorExpression(OMEGA_K_PLUS_LAMBDA, k, (role,), label),
-                                I0 + role * role, kQ + lam, pad=pad))
-                if blk.kind == "E":
-                    # creation pair (s, s): divisor 2 Lambda_s + Omega.k
-                    if sum(k) == -2 and mom + 2 * s_role == 0:
-                        if k in resident:
-                            exprs.append(_Expr(
-                                DivisorExpression(OMEGA_K_PLUS_PLUS, k, (s_role, s_role), label),
-                                0, None, filtered=True))
-                        else:
-                            exprs.append(_Expr(
-                                DivisorExpression(OMEGA_K_PLUS_PLUS, k, (s_role, s_role), label),
-                                I0 + 2 * s_role * s_role, kQ + 2 * lam, pad=pad))
-                elif s_role != t_role:
-                    # zeta_s eta_t pair difference within the block
-                    if sum(k) == 0 and mom - s_role + t_role == 0:
-                        if k in resident:
-                            exprs.append(_Expr(
-                                DivisorExpression(OMEGA_K_PLUS_MINUS, k, (s_role, t_role), label),
-                                0, None, filtered=True))
-                        else:
-                            exprs.append(_Expr(
-                                DivisorExpression(OMEGA_K_PLUS_MINUS, k, (s_role, t_role), label),
-                                I0 - s_role * s_role + t_role * t_role, kQ, pad=2 * pad))
-                # mixed: eigenvalue branch +- scalar Lambda_j
-                for sgn in (1, -1):
-                    kind = OMEGA_K_PLUS_PLUS if sgn > 0 else OMEGA_K_PLUS_MINUS
-                    if sum(k) != -1 - sgn:
-                        continue
-                    for role in {s_role, t_role}:
-                        j = -sgn * (mom + role)
-                        if j in iset:
-                            exprs.append(_Expr(DivisorExpression(kind, k, (role, j), label),
-                                               0, None, filtered=True))
-                        elif j not in blocked:
-                            exprs.append(_Expr(
-                                DivisorExpression(kind, k, (role, j), label),
-                                I0 + role * role + sgn * j * j,
-                                kQ + lam + sgn * lam, pad=pad))
-    return exprs
+            branch_Q, branch_pad = lam, (abs(blk.eigenvalues[-1].real - blk.eigenvalues[0].real)
+                                         + 2 * abs(blk.coupling))
+            if blk.kind == "E":
+                # creation pair (s, s): divisor 2 Lambda_s + Omega.k
+                pair((mass == -2) & (mom + 2 * s_role == 0), OMEGA_K_PLUS_PLUS,
+                     (s_role, s_role), 2 * s_role * s_role, 2 * lam, branch_pad, 2)
+            elif s_role != t_role:
+                # zeta_s eta_t pair difference within the block
+                pair((mass == 0) & (mom - s_role + t_role == 0), OMEGA_K_PLUS_MINUS,
+                     (s_role, t_role), t_role * t_role - s_role * s_role, none, 2 * branch_pad, 3)
+
+        for r, role in enumerate(roles):
+            # single branches, one family per momentum content (for the
+            # even-gap two-mode torus these force half-integer lattice
+            # components, removing the families entirely)
+            idx = every[(mass == -1) & (mom + role == 0)]
+            emit(idx, OMEGA_K_PLUS_LAMBDA, (role,), I0[idx] + role * role, branch_Q,
+                 branch_pad, r, block=b)
+            # mixed: eigenvalue branch +- scalar Lambda_j
+            for slot, sgn in ((4 + r, 1), (6 + r, -1)):
+                idx = every[mass == -1 - sgn]
+                j = -sgn * (mom[idx] + role)
+                emit_with_scalar(idx, j, OMEGA_K_PLUS_PLUS if sgn > 0 else OMEGA_K_PLUS_MINUS,
+                                 (role,), I0[idx] + role * role + sgn * j * j,
+                                 branch_Q + sgn * lam, branch_pad, slot, block=b)
+
+    order = np.argsort(np.concatenate([c["key"] for c in chunks]), kind="stable")
+    cols = {name: np.concatenate([c[name] for c in chunks])[order]
+            for name in chunks[0] if name != "key"}
+    labels = tuple(f"{blk.kind}{blk.modes}" for blk in eff.blocks)
+    return DivisorTable(lattice, labels=labels, **cols)
 
 
 def _block_roles(blk) -> tuple[int, int]:
-    """(s_role, t_role) of a two-external energy-conserving block."""
+    """(s_role, t_role) of a two-external block; (s, t) for pair creation."""
     s, t = blk.modes
     w = blk.witness
     if blk.kind == "A":
@@ -742,23 +744,27 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
              grid_resolution: int = 16, mode_max: int | None = None) -> HypothesisReport:
     """Verdict for every admissible divisor with |k|_inf <= k_max.
 
-    Integer parts are exact; an interval bound certifies expressions whose
-    integer part dominates; grid evaluation and transversality (paper
-    candidate directions first, then coordinate and gradient directions)
-    handle the rest.
+    Integer parts are exact; an interval bound, evaluated for all rows at
+    once, certifies expressions whose integer part dominates; grid
+    evaluation and transversality (paper candidate directions first, then
+    coordinate and gradient directions) handle the rest.
     """
     spec = eff.spec
     if delta is None:
         delta = spec.nu**2
     if grid is None:
         grid = _domain_grid(spec, grid_resolution)
-    verdicts = []
-    for expr in enumerate_A2_expressions(eff, k_max, mode_max):
-        verdict, witness = _judge(expr, spec, delta, grid)
-        verdicts.append((expr.meta, verdict, witness))
+    table = enumerate_A2_expressions(eff, k_max, mode_max)
+    lo, hi = table.bounds(spec)
+    codes = np.where(table.filtered, 0, 1).astype(np.int8)  # FILTERED, LOWER_BOUNDED
+    witnesses = {}
+    for r in np.flatnonzero(~(table.filtered | (lo >= delta) | (hi <= -delta))).tolist():
+        verdict, witnesses[r] = _judge(table.expression(r).k, int(table.int_part[r]),
+                                       table.form(r), spec, delta, grid)
+        codes[r] = VERDICTS.index(verdict)
     tail = ("beyond k_max the transversality polynomials grow linearly in |k| "
             "while integer parts dominate; certified analytically, not scanned")
-    return HypothesisReport(delta, k_max, verdicts, tail)
+    return HypothesisReport(delta, k_max, table, codes, witnesses, tail)
 
 
 def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
@@ -773,18 +779,11 @@ def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
         delta = spec.nu**2
     grid = _domain_grid(spec, grid_resolution)
     nu2 = spec.nu**2
+    table = enumerate_A2_expressions(eff, k_max, mode_max)
+    lo, hi = table.bounds(spec)
     excluded = np.zeros(grid.shape[0], dtype=bool)
-    for expr in enumerate_A2_expressions(eff, k_max, mode_max):
-        if expr.filtered:
-            continue
-        lo, hi = _interval(expr.Q, spec.domain)
-        lo = expr.int_part + nu2 * lo - expr.pad
-        hi = expr.int_part + nu2 * hi + expr.pad
-        if lo > delta or hi < -delta:
-            continue
-        vals = expr.int_part + nu2 * _quad(expr.Q, grid)
-        if expr.extra is not None:
-            vals = vals + expr.extra(grid)
+    for r in np.flatnonzero(~(table.filtered | (lo > delta) | (hi < -delta))):
+        vals = int(table.int_part[r]) + nu2 * _quad(table.form(r), grid)
         if delta == 0:
             excluded |= (vals == 0)
         else:

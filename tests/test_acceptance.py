@@ -245,6 +245,7 @@ def test_criterion_08_hypothesis_scans():
 PREDICTED_RATE = 18 * 0.01**2 * 2.0 * math.sqrt(1.0 * 9.0)  # 1.08e-2
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason="measured rate sits at one third of the stated constant; the "
@@ -256,6 +257,7 @@ def test_criterion_09a_unstable_rate_vs_stated_constant(unstable_run):
     report("9a", ok, f"rate {fit.rate:.3e} vs stated {PREDICTED_RATE:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_09b_unstable_rate_consistent_constant(unstable_run):
     fit, elapsed = unstable_run
     consistent = PREDICTED_RATE / 3  # 6 nu^2 rho1 sqrt(rho2 rho3)
@@ -265,6 +267,7 @@ def test_criterion_09b_unstable_rate_consistent_constant(unstable_run):
                      f"dominant {fit.dominant_modes}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09c_nu_scaling(unstable_run, scaling_run):
     slope, fits, t_scal = scaling_run
     _, t_sim = unstable_run
@@ -273,6 +276,7 @@ def test_criterion_09c_nu_scaling(unstable_run, scaling_run):
     report("9c", ok, f"slope {slope:.3f}, total dynamics {total:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_stable_no_growth(stable_run):
     traj, fit, elapsed = stable_run
     drift = abs(traj.mass[-1] - traj.mass[0]) / traj.mass[0]
@@ -280,6 +284,7 @@ def test_criterion_10_stable_no_growth(stable_run):
     report(10, ok, f"flag={fit.flag}, mass drift {drift:.1e}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_11_integrator_properties():
     grid = sim.GridSpec(16, 128, 0.01)
     rng = np.random.default_rng(2)

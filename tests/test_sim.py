@@ -207,6 +207,14 @@ def test_evolve_mass_tolerance_guard():
                    sample_every=10, mass_tol=1e-12)
 
 
+def test_evolve_rejects_backward_integration():
+    # step runs backward (test_time_reversibility); evolve refuses up front
+    # instead of failing on decreasing sample times after every step
+    back = sim.GridSpec(16, 128, -0.01)
+    with pytest.raises(ValueError, match="forward"):
+        sim.evolve(band_state(back), back, t_end=-10.0)
+
+
 def test_trajectory_csv():
     grid = sim.GridSpec(8, 64, 0.01)
     traj = sim.evolve(single_mode(grid, 1, 0.1), grid, t_end=0.05,

@@ -1,5 +1,6 @@
 """Nonresonance hypotheses, exact Diophantine certificates, conic search."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -196,16 +197,22 @@ def test_a2_refinement_stable():
     assert by_key[16] == by_key[32]
 
 
-def test_a2_case2_single_family_filtered_out():
-    # even-gap two-mode torus: momentum content of the coupled branch forces
-    # a half-integer lattice component, so no single-branch family entries
+def two_mode_case2_eff():
+    """Even-gap two-mode torus with its coupled TwoMode block."""
     cat = rs.enumerate_sets((0, 2))
     spec = nf.TorusSpec((0, 2), (1.3, 0.7), 0.05,
                         domain=((1.0, 2.0), (0.5, 1.0)))
     eff, _ = nf.classify_torus(spec, cat, band=10)
-    exprs = sd.enumerate_A2_expressions(eff, k_max=8)
+    return eff
+
+
+def test_a2_case2_single_family_filtered_out():
+    # even-gap two-mode torus: momentum content of the coupled branch forces
+    # a half-integer lattice component, so no single-branch family entries
+    table = sd.enumerate_A2_expressions(two_mode_case2_eff(), k_max=8)
+    exprs = [table.expression(r) for r in range(len(table))]
     blocked_singles = [e for e in exprs
-                       if e.meta.block and e.meta.kind == sd.OMEGA_K_PLUS_LAMBDA]
+                       if e.block and e.kind == sd.OMEGA_K_PLUS_LAMBDA]
     assert blocked_singles == []
 
 
@@ -223,6 +230,62 @@ def test_a2_json_lines():
     assert len(lines) == len(rep.verdicts)
     row = json.loads(lines[0])
     assert set(row) == {"kind", "k", "modes", "block", "verdict", "witness"}
+
+
+# Byte-identity goldens, recorded on the per-expression enumeration (one
+# Python loop per family and block) that the table-driven pass replaced: the
+# sha256 of every a2_verdicts line and the exact measure_scan fractions.
+
+A2_LINES_SHA256 = {
+    "D2": ("57ebd1037a36443fc16f5711a1824745bb9f74938962c276f55d2166c7647ada", 6),
+    "D1": ("2b84f9d26d961fe5f14362e0a2f922ef01c29a2e3c06fbbbf621889b619c4749", 6),
+    "case2": ("d8e754df1d8300f54cee6d96e54c36cdc5c4445b488f97eefdcd86050a08e9ff", 8),
+    # three A blocks, a C and an E block: the families the flagship lacks
+    "ACE": ("627b012756f9b02a94f3532f285e59d2da3981ed5c4af9c1b680e511b5ba53fd", 4),
+}
+
+
+def golden_eff(name):
+    if name == "case2":
+        return two_mode_case2_eff()
+    if name == "ACE":
+        internal = (-5, -3, 3)
+        spec = nf.TorusSpec(internal, (1.5, 1.25, 1.75), 0.01,
+                            domain=((1.0, 2.0), (1.0, 1.5), (1.5, 2.0)))
+        eff, _ = nf.classify_torus(spec, rs.enumerate_sets(internal), band=12)
+        assert sorted({b.kind for b in eff.blocks}) == ["A", "C", "E"]
+        return eff
+    return flagship_eff(domain=name)
+
+
+@pytest.mark.parametrize("name", sorted(A2_LINES_SHA256))
+def test_a2_json_lines_golden(name):
+    digest, k_max = A2_LINES_SHA256[name]
+    lines = sd.check_A2(golden_eff(name), k_max=k_max).to_json_lines()
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,fraction", [("D1", 0.1796875), ("D2", 0.0)])
+def test_measure_scan_golden(name, fraction):
+    assert sd.measure_scan(golden_eff(name), k_max=6) == fraction
+
+
+@pytest.mark.parametrize("name", ["D1", "D2"])
+def test_table_bounds_match_scalar_interval(name):
+    # the vectorised certificate equals the scalar one bit for bit
+    eff = flagship_eff(domain=name)
+    spec = eff.spec
+    table = sd.enumerate_A2_expressions(eff, k_max=4)
+    rows = np.flatnonzero(~table.filtered)
+    assert len(rows) > 1000
+    lo, hi = table.bounds(spec)
+    want_lo, want_hi = [], []
+    for r in rows:
+        qlo, qhi = sd._interval(table.form(r), spec.domain)
+        want_lo.append(int(table.int_part[r]) + spec.nu**2 * qlo - float(table.pad[r]))
+        want_hi.append(int(table.int_part[r]) + spec.nu**2 * qhi + float(table.pad[r]))
+    assert lo[rows].tobytes() == np.array(want_lo).tobytes()
+    assert hi[rows].tobytes() == np.array(want_hi).tobytes()
 
 
 # ---------------------------------------------------------------------------
