@@ -13,6 +13,7 @@ import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -85,12 +86,29 @@ PRESETS = {
 }
 
 
-def _parse_rho(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _parser(tp):
+    """Parser of one config value of type ``tp``: the type itself for int,
+    float and str, comma-separated items for a tuple (empty text is ()), and
+    ``none`` in any case for None when ``tp`` is ``X | None``.  Inverts
+    ``RunConfig.print_config`` field by field."""
+    args = get_args(tp)
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        parse = _parser(inner)
+
+        def optional(text: str):
+            return None if text.lower() == "none" else parse(text)
+        return optional
+    if get_origin(tp) is tuple:
+        item = args[0]
+
+        def items(text: str) -> tuple:
+            return tuple(item(x) for x in text.split(",")) if text else ()
+        return items
+    return tp
 
 
-def _parse_modes(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",")) if text else ()
+PARSERS = {name: _parser(tp) for name, tp in get_type_hints(RunConfig).items()}
 
 
 def load_config(path: str) -> dict:
@@ -121,32 +139,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _apply_strings(cfg: RunConfig, kv: dict) -> RunConfig:
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(kv) - known)
+    unknown = sorted(set(kv) - set(PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    converted = {}
-    for f in fields(RunConfig):
-        if f.name not in kv:
-            continue
-        raw = kv[f.name]
-        if f.name in ("rho", "scaling_nus"):
-            converted[f.name] = tuple(float(x) for x in raw.split(","))
-        elif f.name == "seed_modes":
-            converted[f.name] = _parse_modes(raw)
-        elif f.name in ("m", "band", "bound") and raw.lower() != "none":
-            converted[f.name] = int(raw)
-        elif f.name in ("p", "q", "k_max", "grid_resolution", "K", "N", "seed",
-                        "sample_every"):
-            converted[f.name] = int(raw)
-        elif f.name in ("nu", "dt", "mass_tol", "grow_factor",
-                        "scaling_grow_factor", "seed_amp_scale"):
-            converted[f.name] = float(raw)
-        elif f.name in ("delta", "t_end") and raw.lower() != "none":
-            converted[f.name] = float(raw)
-        elif f.name in ("domain", "out", "preset"):
-            converted[f.name] = raw
-    return replace(cfg, **converted)
+    return replace(cfg, **{name: PARSERS[name](raw) for name, raw in kv.items()})
 
 
 def _spec(cfg: RunConfig, domain=None) -> nf.TorusSpec:
@@ -161,10 +157,14 @@ def _domain(cfg: RunConfig):
     return None
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> Path:
+def _target(cfg: RunConfig, name: str) -> Path:
     path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
-    target = path / name
+    return path / name
+
+
+def _write(cfg: RunConfig, name: str, text: str) -> Path:
+    target = _target(cfg, name)
     target.write_text(text)
     return target
 
@@ -206,7 +206,8 @@ def cmd_hypotheses(cfg: RunConfig) -> int:
     a1 = sd.check_A1(eff, delta=cfg.delta)
     rep = sd.check_A2(eff, delta=cfg.delta, k_max=cfg.k_max,
                       grid_resolution=cfg.grid_resolution)
-    _write(cfg, "a2_verdicts.jsonl", rep.to_json_lines() + "\n")
+    with _target(cfg, "a2_verdicts.jsonl").open("w") as f:
+        rep.write_json_lines(f)
     summary = {
         "A0": {"passed": a0.passed, "supremum": a0.supremum, "bound": a0.bound},
         "A1": [{"name": v.name, "passed": v.passed, "margin": v.margin} for v in a1],
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
         p.add_argument("-p", type=int, default=None)
         p.add_argument("-q", type=int, default=None)
         p.add_argument("-m", type=int, default=None)
-        p.add_argument("--rho", type=_parse_rho, default=None)
+        p.add_argument("--rho", type=PARSERS["rho"], default=None)
         p.add_argument("--nu", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--kmax", dest="k_max", type=int, default=None)
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
         p.add_argument("--dt", type=float, default=None)
         p.add_argument("--t-end", dest="t_end", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--seed-modes", dest="seed_modes", type=_parse_modes,
+        p.add_argument("--seed-modes", dest="seed_modes", type=PARSERS["seed_modes"],
                        default=None)
         p.add_argument("--sample-every", dest="sample_every", type=int,
                        default=None)

@@ -39,8 +39,10 @@ class GridSpec:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be positive")
-        if self.N < 4 * self.K + 4 or self.N & (self.N - 1):
-            raise ValueError("N must be a power of two >= 4K+4")
+        # |u|^4 u of a band |j| <= K reaches |j| <= 5K; N >= 6K+1 keeps its
+        # aliases outside the band
+        if self.N < 6 * self.K + 1 or self.N & (self.N - 1):
+            raise ValueError("N must be a power of two >= 6K+1")
         if self.dt == 0.0:
             raise ValueError("dt must be nonzero")
 

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -40,6 +40,7 @@ class DivisorExpression:
 
 VERDICTS = (FILTERED, LOWER_BOUNDED, TRANSVERSAL, VIOLATED)
 INTERVAL = "interval certificate"
+_CHUNK_ROWS = 1 << 14  # A2 lines per write, ~2 MB of text
 
 
 @dataclass
@@ -74,22 +75,52 @@ class HypothesisReport:
                 if VERDICTS[self.codes[i]] == VIOLATED]
 
     def to_json_lines(self) -> str:
-        """One JSON object per row.  Rows alike but for k share one line dumped
-        with k = null and split there; each judged row has its own."""
+        """One JSON object per row, newline-separated, no trailing newline."""
+        return "\n".join(self._line_chunks())
+
+    def write_json_lines(self, f: TextIO) -> None:
+        """Write ``to_json_lines() + "\\n"`` to the text file ``f`` chunk by
+        chunk, so the whole text is never held at once."""
+        sep = ""
+        for chunk in self._line_chunks():
+            f.write(sep)
+            f.write(chunk)
+            sep = "\n"
+        f.write("\n")
+
+    def _line_chunks(self) -> Iterator[str]:
+        """The JSON lines, ``_CHUNK_ROWS`` at a time, each chunk newline-joined.
+
+        Line r is head[kind] + k + tail: the k text is built once per lattice
+        point, and rows with the same modes, block and verdict share one
+        tail; each judged row has its own, holding its witness."""
         t = self.table
-        fmt = "[" + ", ".join(["%d"] * t.lattice.shape[1]) + "]"
-        ks = [fmt % tuple(k) for k in t.lattice.tolist()]
         own = np.zeros(len(t), dtype=np.int64)
         own[list(self.witnesses)] = np.arange(1, len(self.witnesses) + 1)
-        cols = np.column_stack([t.kind, t.modes, t.n_modes, t.block, self.codes, own])
+        cols = np.column_stack([t.modes, t.n_modes, t.block, self.codes, own])
         cols -= cols.min(axis=0, initial=0)
         key = np.ravel_multi_index(cols.T, cols.max(axis=0, initial=0) + 1)
-        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        parts = [json.dumps({"kind": e.kind, "k": None, "modes": list(e.modes), "block": e.block,
-                             "verdict": v, "witness": w}).split("null", 1)
-                 for e, (v, w) in ((t.expression(i), self.verdict(i)) for i in first.tolist())]
-        return "\n".join([parts[u][0] + ks[l] + parts[u][1]
-                          for u, l in zip(inv.ravel().tolist(), t.lat.tolist())])
+        del cols
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        del key
+
+        blocks = [json.dumps(label) for label in t.labels] + ["null"]  # block -1 -> null
+        verdicts = [json.dumps(v) for v in VERDICTS]
+        plain = [json.dumps(INTERVAL if v == LOWER_BOUNDED else None) for v in VERDICTS]
+        modes = ["[]", "[%d]", "[%d, %d]"]
+        tails = [', "modes": %s, "block": %s, "verdict": %s, "witness": %s}' % (
+            modes[n] % tuple(m[:n]), blocks[b], verdicts[c],
+            json.dumps(self.witnesses[i]) if i in self.witnesses else plain[c])
+            for i, m, n, b, c in zip(first.tolist(), t.modes[first].tolist(),
+                                     t.n_modes[first].tolist(), t.block[first].tolist(),
+                                     self.codes[first].tolist())]
+        heads = ['{"kind": %s, "k": ' % json.dumps(kind) for kind in KINDS]
+        fmt = "[" + ", ".join(["%d"] * t.lattice.shape[1]) + "]"
+        ks = [fmt % tuple(k) for k in t.lattice.tolist()]
+        for a in range(0, len(t), _CHUNK_ROWS):
+            b = a + _CHUNK_ROWS
+            yield "\n".join([heads[h] + ks[l] + tails[g] for h, l, g in zip(
+                t.kind[a:b].tolist(), t.lat[a:b].tolist(), group[a:b].tolist())])
 
     def summary_json(self) -> str:
         return json.dumps({

@@ -1,15 +1,18 @@
 """Command-line interface: golden outputs, exit codes, config handling."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from qnls import cli
+from test_small_divisors import A2_LINES_SHA256
 
 _SCRATCH = tempfile.mkdtemp(prefix="qnls-cli-")
 
@@ -106,6 +109,21 @@ def test_hypotheses_flagship_pass():
     assert report["A0"]["passed"] and all(v["passed"] for v in report["A1"])
 
 
+def test_hypotheses_streamed_lines_golden(tmp_path):
+    # the file is to_json_lines() + "\n", and "\n" alone for an empty table
+    flagship_d2 = ("hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9",
+                   "--nu", "0.01", "--domain", "D2", "--band", "20")
+    digest, k_max = A2_LINES_SHA256["D2"]
+    res = run_cli(*flagship_d2, "--kmax", str(k_max), "--out", str(tmp_path / "d2"))
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    data = (tmp_path / "d2" / "a2_verdicts.jsonl").read_bytes()
+    assert data.endswith(b"}\n")
+    assert hashlib.sha256(data[:-1]).hexdigest() == digest
+    res = run_cli(*flagship_d2, "--kmax", "0", "--out", str(tmp_path / "empty"))
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    assert (tmp_path / "empty" / "a2_verdicts.jsonl").read_bytes() == b"\n"
+
+
 def parse_kv(text):
     return dict(line.split("=", 1) for line in text.splitlines() if line)
 
@@ -116,6 +134,19 @@ def test_print_config():
     cfg = parse_kv(res.stdout)
     assert cfg["p"] == "-3" and cfg["q"] == "10" and cfg["m"] == "-6"
     assert cfg["rho"] == "2.0,1.0,9.0"
+
+
+@pytest.mark.parametrize("preset", [None, *cli.PRESETS])
+def test_print_config_round_trip(preset, tmp_path, capsys):
+    # --print-config fed back through --config reproduces the config
+    want = cli.RunConfig()
+    if preset is not None:
+        want = replace(want, preset=preset, **cli.PRESETS[preset])
+    path = tmp_path / "run.cfg"
+    path.write_text(want.print_config())
+    assert cli._apply_strings(cli.RunConfig(), cli.load_config(str(path))) == want
+    assert cli.main(["classify", "--config", str(path), "--print-config"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == want.print_config()
 
 
 def test_reruns_byte_identical():

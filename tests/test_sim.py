@@ -149,10 +149,10 @@ def oracle_step(a, grid):
     return np.concatenate((B[-K:], B[:K + 1])) * half
 
 
-# the thm3-unstable and thm2-stable grids, a backward step, and the
-# aliasing grid of test_evolve_mass_tolerance_guard (N < 6K+1)
+# the thm3-unstable and thm2-stable grids, a backward step, and the tightest
+# dealiased grid of test_evolve_mass_tolerance_guard (N = 32 >= 6K+1 = 31)
 @pytest.mark.parametrize("K,N,dt", [(32, 256, 5e-3), (16, 128, 0.05),
-                                    (16, 128, -0.01), (7, 32, 0.05)])
+                                    (16, 128, -0.01), (5, 32, 0.05)])
 def test_kernel_matches_oracle(K, N, dt):
     grid = sim.GridSpec(K, N, dt)
     # the whole band is occupied, so the truncation discards mass every step
@@ -198,10 +198,11 @@ def test_evolve_records_initial_sample():
 
 
 def test_evolve_mass_tolerance_guard():
-    # an aliasing-heavy state loses mass through truncation; the guard trips
-    grid = sim.GridSpec(7, 32, 0.05)
+    # a strong band-filling state loses mass through truncation; the guard
+    # trips (N = 32 is the smallest dealiased grid for K = 5)
+    grid = sim.GridSpec(5, 32, 0.05)
     rng = np.random.default_rng(0)
-    a = 0.9 * (rng.standard_normal(15) + 1j * rng.standard_normal(15))
+    a = 0.9 * (rng.standard_normal(11) + 1j * rng.standard_normal(11))
     with pytest.raises(sim.BlowUp):
         sim.evolve(sim.FourierState(a, 0.0), grid, t_end=50.0,
                    sample_every=10, mass_tol=1e-12)
@@ -253,6 +254,9 @@ def test_grid_validation():
         sim.GridSpec(16, 60, 0.01)  # not a power of two
     with pytest.raises(ValueError):
         sim.GridSpec(16, 32, 0.01)  # too small for the band
+    with pytest.raises(ValueError):
+        sim.GridSpec(11, 64, 0.01)  # 4K+4 but not 6K+1: aliases the quintic term
+    sim.GridSpec(10, 64, 0.01)  # N = 6K+4
     with pytest.raises(ValueError):
         sim.GridSpec(16, 128, 0.0)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,22 @@ def test_a2_json_lines_golden(name):
     digest, k_max = A2_LINES_SHA256[name]
     lines = sd.check_A2(golden_eff(name), k_max=k_max).to_json_lines()
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+def test_a2_lines_stream_in_less_memory_than_the_file(tmp_path):
+    # D1 at k_max 20 writes 178,471 lines (~24 MB); the streamed writer never
+    # holds the whole text, so its traced peak stays below the file size
+    rep = sd.check_A2(flagship_eff(domain="D1"), k_max=20)
+    path = tmp_path / "a2_verdicts.jsonl"
+    tracemalloc.start()
+    try:
+        with path.open("w") as f:
+            rep.write_json_lines(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.table) == 178471
+    assert peak < path.stat().st_size
 
 
 @pytest.mark.parametrize("name,fraction", [("D1", 0.1796875), ("D2", 0.0)])
