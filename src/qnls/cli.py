@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -112,9 +113,11 @@ PARSERS = {name: _parser(tp) for name, tp in get_type_hints(RunConfig).items()}
 
 
 def load_config(path: str) -> dict:
+    """key = value lines; a comment is a line starting with '#' or the text
+    from a whitespace-preceded '#' on, so values such as runs/#3 survive."""
     out = {}
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", raw, count=1).strip()
         if not line:
             continue
         key, _, val = line.partition("=")

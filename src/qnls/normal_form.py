@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
@@ -32,10 +32,6 @@ class DegenerateBlock(Exception):
 
 class PreconditionViolated(Exception):
     """Catalog fails the disjointness / no-one-mode-resonance requirements."""
-
-
-def _exactable(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,12 @@ class TorusSpec:
             raise ValueError("rho must be strictly positive")
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
-        dom = self.domain or tuple((float(r), float(r)) for r in self.rho)
-        object.__setattr__(self, "domain", tuple((float(a), float(b)) for a, b in dom))
-        for r, (lo, hi) in zip(self.rho, self.domain):
-            if not lo <= r <= hi:
-                raise ValueError("domain must contain rho")
+        # the default point box is float(rho) itself; only a caller's box is
+        # checked, against the exact rho
+        dom = tuple((float(a), float(b)) for a, b in self.domain or ())
+        if any(not lo <= r <= hi for r, (lo, hi) in zip(self.rho, dom)):
+            raise ValueError("domain must contain rho")
+        object.__setattr__(self, "domain", dom or tuple((float(r), float(r)) for r in self.rho))
 
 
 def domain_D1() -> tuple:
@@ -112,10 +109,15 @@ def omega(spec: TorusSpec) -> Frequencies:
     ))
 
 
+def _lambda_shift(spec: TorusSpec) -> float:
+    """nu^2 * lambda(rho): the shift shared by every uncoupled external mode."""
+    return spec.nu**2 * float(lambda_coefficient(spec.rho))
+
+
 def lambda_external(j: int, spec: TorusSpec) -> float:
     if j in spec.internal:
         raise ValueError(f"mode {j} is internal")
-    return j * j + spec.nu**2 * float(lambda_coefficient(spec.rho))
+    return j * j + _lambda_shift(spec)
 
 
 def z6_internal_coefficients(spec: TorusSpec) -> dict[tuple[int, ...], int]:
@@ -125,11 +127,9 @@ def z6_internal_coefficients(spec: TorusSpec) -> dict[tuple[int, ...], int]:
     Computed by counting ordered index selections on both sides of the
     resonance (the oracle); the result is the 1 / 9 / 36 pattern.
     """
-    from itertools import product as _product
-
     n = len(spec.internal)
     per_multiset: dict[tuple[int, ...], int] = {}
-    for sel in _product(range(n), repeat=3):
+    for sel in product(range(n), repeat=3):
         key = tuple(sorted(sel))
         per_multiset[key] = per_multiset.get(key, 0) + 1
     counts: dict[tuple[int, ...], int] = {}
@@ -274,32 +274,19 @@ def _ordered_count(j_side: Sequence[int], l_side: Sequence[int]) -> int:
     return len(set(permutations(j_side))) * len(set(permutations(l_side)))
 
 
-def _hermitian_pair_coeff(lam_s: float, lam_t: float, c: float) -> np.ndarray:
-    """Real Hessian of lam_s|z_s|^2 + lam_t|z_t|^2 + c*2Re(z_s conj(z_t))."""
+def _pair_coeff(lam_s: float, lam_t: float, c: float, sign: int) -> np.ndarray:
+    """Real Hessian of lam_s|z_s|^2 + lam_t|z_t|^2 + c*2Re(z_s w), with
+    w = conj(z_t) for sign +1 (Hermitian) and w = z_t for sign -1 (creation)."""
     return np.array([
         [lam_s, c, 0.0, 0.0],
         [c, lam_t, 0.0, 0.0],
-        [0.0, 0.0, lam_s, c],
-        [0.0, 0.0, c, lam_t],
-    ])
-
-
-def _creation_pair_coeff(lam_s: float, lam_t: float, c: float) -> np.ndarray:
-    """Real Hessian of lam_s|z_s|^2 + lam_t|z_t|^2 + c*2Re(z_s z_t)."""
-    return np.array([
-        [lam_s, c, 0.0, 0.0],
-        [c, lam_t, 0.0, 0.0],
-        [0.0, 0.0, lam_s, -c],
-        [0.0, 0.0, -c, lam_t],
+        [0.0, 0.0, lam_s, sign * c],
+        [0.0, 0.0, sign * c, lam_t],
     ])
 
 
 def _rho_of(spec: TorusSpec, mode: int):
     return spec.rho[spec.internal.index(mode)]
-
-
-def _omega_of(spec: TorusSpec, mode: int) -> float:
-    return omega(spec).omega[spec.internal.index(mode)]
 
 
 def _zeta_eta_block(spec: TorusSpec, kind: str, role_s: int, role_t: int,
@@ -311,9 +298,10 @@ def _zeta_eta_block(spec: TorusSpec, kind: str, role_s: int, role_t: int,
     the diagonal entry of role_s.  Such blocks are Hermitian 2x2 forms and
     always have real spectra.
     """
-    lam_t = lambda_external(role_t, spec)
-    lam_s = lambda_external(role_s, spec) + frame_shift
-    coeff = _hermitian_pair_coeff(lam_s, lam_t, coupling)
+    ext = _lambda_shift(spec)
+    lam_t = role_t * role_t + ext
+    lam_s = role_s * role_s + ext + frame_shift
+    coeff = _pair_coeff(lam_s, lam_t, coupling, 1)
     eig = generic_block_spectrum(coeff)
     mean, a = (lam_s + lam_t) / 2, (lam_t - lam_s) / 2
     shift = math.hypot(a, coupling)
@@ -368,7 +356,8 @@ def block_set_A(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
         role_s, role_t = pair.s, pair.t
     else:
         role_s, role_t = pair.t, pair.s
-    frame_shift = 2 * _omega_of(spec, j3) - 2 * _omega_of(spec, j4)
+    w = dict(zip(spec.internal, omega(spec).omega))
+    frame_shift = 2 * w[j3] - 2 * w[j4]
     coupling = _ordered_count((j3, j3, role_s), (j4, j4, role_t)) * spec.nu**2 * float(
         _rho_of(spec, j3) * _rho_of(spec, j4))
     return _zeta_eta_block(spec, "A", role_s, role_t, frame_shift, coupling,
@@ -383,7 +372,8 @@ def block_set_C(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
         role_s, role_t = pair.s, pair.t
     else:
         role_s, role_t = pair.t, pair.s
-    frame_shift = 2 * _omega_of(spec, a) - _omega_of(spec, b) - _omega_of(spec, c)
+    w = dict(zip(spec.internal, omega(spec).omega))
+    frame_shift = 2 * w[a] - w[b] - w[c]
     count = _ordered_count((a, a, role_s), (b, c, role_t))
     coupling = count * spec.nu**2 * float(_rho_of(spec, a)) * math.sqrt(
         float(_rho_of(spec, b) * _rho_of(spec, c)))
@@ -391,14 +381,18 @@ def block_set_C(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
                            (a, b, c), {"ordered_count": count})
 
 
+def _b_poly(rho: Sequence):
+    """B = -rho1^2 + rho2^2 + 5 rho3^2 - 6 rho1 rho2 + 12 rho2 rho3 + 6 rho3 rho1,
+    the nu^-2/3 coefficient of the pair-creation block's Lambda_s - t^2."""
+    r1, r2, r3 = rho
+    return -r1 * r1 + r2 * r2 + 5 * r3 * r3 - 6 * r1 * r2 + 12 * r2 * r3 + 6 * r3 * r1
+
+
 def b_gap_coefficient(rho: Sequence):
     """Exact nu^-2 coefficient of a = (Lambda_t - Lambda_s)/2 for the
-    pair-creation block: (9*A - 3*B)/2 with A the external-shift polynomial
-    and B = -rho1^2 + rho2^2 + 5 rho3^2 - 6 rho1 rho2 + 12 rho2 rho3 + 6 rho3 rho1."""
-    r1, r2, r3 = rho
-    nineA = lambda_coefficient(rho)
-    B = -r1 * r1 + r2 * r2 + 5 * r3 * r3 - 6 * r1 * r2 + 12 * r2 * r3 + 6 * r3 * r1
-    val = nineA - 3 * B
+    pair-creation block: (9*A - 3*B)/2 with 9*A the external-shift
+    polynomial and B from ``_b_poly``."""
+    val = lambda_coefficient(rho) - 3 * _b_poly(rho)
     return Fraction(val, 2) if isinstance(val, int) else val / 2
 
 
@@ -416,18 +410,14 @@ def block_set_B(spec: TorusSpec, pair: ExternalPair,
     """
     if witness is None:
         witness = pair.internal_witness
-    j5, j6, j7 = witness
-    r1 = _rho_of(spec, j5)
-    r2 = _rho_of(spec, j6)
-    r3 = _rho_of(spec, j7)
+    r1, r2, r3 = (_rho_of(spec, m) for m in witness)
     nu2 = spec.nu**2
     s, t = pair.s, pair.t
     lam_t = lambda_external(t, spec)
-    B_poly = -r1 * r1 + r2 * r2 + 5 * r3 * r3 - 6 * r1 * r2 + 12 * r2 * r3 + 6 * r3 * r1
-    lam_s = t * t + 3 * nu2 * float(B_poly)
+    lam_s = t * t + 3 * nu2 * float(_b_poly((r1, r2, r3)))
     a = (lam_t - lam_s) / 2
     b = (lam_t + lam_s) / 2
-    if _exactable(r1) and _exactable(r2) and _exactable(r3):
+    if all(isinstance(r, (int, Fraction)) for r in (r1, r2, r3)):
         a_exact = b_gap_coefficient((Fraction(r1), Fraction(r2), Fraction(r3)))
         if a_exact == 0:
             a = 0.0
@@ -441,11 +431,9 @@ def block_set_B(spec: TorusSpec, pair: ExternalPair,
     closed = [b - root, b + root]
     # real 4x4: the s-role action flips sign in the chart where the
     # pair-creation coupling is autonomous.
-    coeff = _creation_pair_coeff(-lam_s, lam_t, coupling)
+    coeff = _pair_coeff(-lam_s, lam_t, coupling, -1)
     eig = generic_block_spectrum(coeff)
-    cls = DEGENERATE if disc == 0.0 else _classify(eig, spec.nu)
-    if disc == 0.0 and coupling == 0.0:
-        cls = _classify(eig, spec.nu)
+    cls = DEGENERATE if disc == 0.0 and coupling != 0.0 else _classify(eig, spec.nu)
     transform = {
         "a": a,
         "b": b,
@@ -494,17 +482,28 @@ def block_set_E(spec: TorusSpec, s: int,
 
 @dataclass
 class EffectiveHamiltonian:
+    """Uncoupled external modes |j| <= band share one shift, ``lambda_shift``."""
+
     spec: TorusSpec
     constant: float
     freqs: Frequencies
-    scalar_lambdas: dict[int, float]
+    lambda_shift: float
+    band: int
     blocks: list[SpectralBlock]
+
+    @property
+    def scalar_lambdas(self) -> dict[int, float]:
+        """Lambda_j = j^2 + lambda_shift of each band mode neither internal
+        nor in a block, in increasing j."""
+        taken = set(self.spec.internal).union(*(b.modes for b in self.blocks))
+        return {j: j * j + self.lambda_shift
+                for j in range(-self.band, self.band + 1) if j not in taken}
 
     def to_json(self) -> str:
         obj = {
             "constant": self.constant,
             "omega": list(self.freqs.omega),
-            "scalar_lambdas": {str(j): self.scalar_lambdas[j] for j in sorted(self.scalar_lambdas)},
+            "scalar_lambdas": {str(j): lam for j, lam in self.scalar_lambdas.items()},
             "blocks": [
                 {
                     "modes": list(b.modes),
@@ -561,15 +560,10 @@ def classify_torus(spec: TorusSpec, catalog: ResonanceCatalog,
         for pair in catalog.set_E:
             blocks.append(block_set_E(spec, pair.s, pair.internal_witness))
 
-    blocked = {m for b in blocks for m in b.modes}
     if band is None:
         band = catalog.bound
-    scalar = {
-        j: lambda_external(j, spec)
-        for j in range(-band, band + 1)
-        if j not in spec.internal and j not in blocked
-    }
-    eff = EffectiveHamiltonian(spec, constant_metadata(spec), omega(spec), scalar, blocks)
+    eff = EffectiveHamiltonian(spec, constant_metadata(spec), omega(spec),
+                               _lambda_shift(spec), band, blocks)
     hyp = sorted({m for b in blocks if b.hyperbolic for m in b.modes})
     max_im = max((b.max_im for b in blocks), default=0.0)
     if not hyp:

@@ -136,12 +136,17 @@ def test_print_config():
     assert cfg["rho"] == "2.0,1.0,9.0"
 
 
-@pytest.mark.parametrize("preset", [None, *cli.PRESETS])
-def test_print_config_round_trip(preset, tmp_path, capsys):
+ROUND_TRIP = {
+    None: cli.RunConfig(),
+    **{name: replace(cli.RunConfig(), preset=name, **kw) for name, kw in cli.PRESETS.items()},
+    "hash-in-out": cli.RunConfig(out="runs/#3"),  # '#' inside a value is no comment
+}
+
+
+@pytest.mark.parametrize("case", list(ROUND_TRIP))
+def test_print_config_round_trip(case, tmp_path, capsys):
     # --print-config fed back through --config reproduces the config
-    want = cli.RunConfig()
-    if preset is not None:
-        want = replace(want, preset=preset, **cli.PRESETS[preset])
+    want = ROUND_TRIP[case]
     path = tmp_path / "run.cfg"
     path.write_text(want.print_config())
     assert cli._apply_strings(cli.RunConfig(), cli.load_config(str(path))) == want

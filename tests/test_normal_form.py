@@ -1,5 +1,6 @@
 """Effective-Hamiltonian frequency shifts, block spectra, classification."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,29 @@ def test_omega_matches_coefficients():
 def test_rho_must_be_positive():
     with pytest.raises(ValueError):
         nf.TorusSpec((0, 1), (1.0, 0.0), 0.1)
+
+
+def test_domain_given_must_contain_exact_rho():
+    rho = (Fraction(7, 3), Fraction(1), Fraction(9))
+    with pytest.raises(ValueError, match="domain must contain rho"):
+        nf.TorusSpec(FLAGSHIP, rho, 0.01, domain=((2.0, 2.3), (1.0, 1.0), (9.0, 9.0)))
+    spec = nf.TorusSpec(FLAGSHIP, rho, 0.01, domain=((2.0, 2.5), (1.0, 1.0), (9.0, 9.0)))
+    assert spec.domain == ((2.0, 2.5), (1.0, 1.0), (9.0, 9.0))
+
+
+def test_non_dyadic_exact_rho_classifies():
+    # the default point box is float(rho); it no longer has to contain the
+    # exact 7/3, which no float equals
+    rho = (Fraction(7, 3), Fraction(1), Fraction(9))
+    spec = nf.TorusSpec(FLAGSHIP, rho, Fraction(1, 100))
+    assert spec.domain == tuple((float(r), float(r)) for r in rho)
+    eff, cls = nf.classify_torus(spec, rs.enumerate_sets(FLAGSHIP))
+    blk = next(b for b in eff.blocks if b.kind == "B")
+    r1, r2, r3 = (rho[FLAGSHIP.index(m)] for m in blk.witness)
+    gap = nf.b_gap_coefficient((r1, r2, r3))
+    hyperbolic = 324 * r1 * r1 * r2 * r3 > gap * gap
+    assert blk.classification == (nf.HYPERBOLIC if hyperbolic else nf.ELLIPTIC)
+    assert cls.verdict == ("Unstable" if hyperbolic else "Stable")
 
 
 def test_omega_coefficient_exact_rational():
@@ -186,6 +210,37 @@ def test_precondition_internal_mismatch():
     spec = nf.TorusSpec((0, 1, 2), (1.0, 1.0, 1.0), 0.01)
     with pytest.raises(nf.PreconditionViolated):
         nf.classify_torus(spec, cat)
+
+
+@pytest.mark.parametrize("rho", [(2.0, 1.0, 9.0), (Fraction(7, 3), Fraction(5, 4), Fraction(9))],
+                         ids=["float", "fraction"])
+def test_scalar_lambdas_view_is_lambda_external(rho):
+    # the stored shift reproduces the oracle on every uncoupled band mode,
+    # in increasing j
+    eff, _ = flagship_eff(rho=rho)
+    spec = eff.spec
+    taken = set(FLAGSHIP) | {m for b in eff.blocks for m in b.modes}
+    want = [(j, nf.lambda_external(j, spec)) for j in range(-20, 21) if j not in taken]
+    assert list(eff.scalar_lambdas.items()) == want
+    assert "scalar_lambdas" not in vars(eff)
+
+
+# sha256 of EffectiveHamiltonian.to_json() for the flagship at rho=(2,1,9),
+# nu=0.01, band 20, and the (0, 2) torus at rho=(1.3, 0.7), nu=0.05, band 10
+EFF_JSON_SHA256 = {
+    "flagship": "65e8c0ec60ff1c113169e30a506c7a9718ec1acd70607ae631dc7459bd9c1338",
+    "two-mode": "72c8a1e437d2e4e6259b06c6a04194f1e54d0629155a89f450cd4fe7069e5e21",
+}
+
+
+@pytest.mark.parametrize("case", list(EFF_JSON_SHA256))
+def test_effective_hamiltonian_json_golden(case):
+    if case == "flagship":
+        eff, _ = flagship_eff()
+    else:
+        spec = nf.TorusSpec((0, 2), (1.3, 0.7), 0.05)
+        eff, _ = nf.classify_torus(spec, rs.enumerate_sets((0, 2)), band=10)
+    assert hashlib.sha256(eff.to_json().encode()).hexdigest() == EFF_JSON_SHA256[case]
 
 
 def test_effective_hamiltonian_json_shape():
