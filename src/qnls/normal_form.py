@@ -57,6 +57,8 @@ class TorusSpec:
         # the default point box is float(rho) itself; only a caller's box is
         # checked, against the exact rho
         dom = tuple((float(a), float(b)) for a, b in self.domain or ())
+        if dom and len(dom) != n:
+            raise ValueError("domain length must match internal modes")
         if any(not lo <= r <= hi for r, (lo, hi) in zip(self.rho, dom)):
             raise ValueError("domain must contain rho")
         object.__setattr__(self, "domain", dom or tuple((float(r), float(r)) for r in self.rho))

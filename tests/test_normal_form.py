@@ -44,6 +44,15 @@ def test_domain_given_must_contain_exact_rho():
     assert spec.domain == ((2.0, 2.5), (1.0, 1.0), (9.0, 9.0))
 
 
+def test_domain_given_needs_one_box_per_mode():
+    # a short domain used to pass, since rho is zipped with it, and then
+    # failed later with an IndexError in check_A2
+    with pytest.raises(ValueError, match="domain length"):
+        nf.TorusSpec(FLAGSHIP, (2.0, 1.0, 9.0), 0.01, domain=((1.0, 3.0),))
+    with pytest.raises(ValueError, match="domain length"):
+        nf.TorusSpec((0, 1), (1.0, 1.0), 0.01, domain=nf.domain_D1())
+
+
 def test_non_dyadic_exact_rho_classifies():
     # the default point box is float(rho); it no longer has to contain the
     # exact 7/3, which no float equals

@@ -1,5 +1,7 @@
 """Split-step integrator: conservation, convergence, symmetry, growth fits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,41 @@ def test_kernel_matches_oracle(K, N, dt):
         assert np.abs(traj.mags - np.array(oracle_mags)).max() < 1e-13
 
 
+@pytest.mark.parametrize("N", [32, 128, 256])
+def test_fft_binding_matches_numpy_fft(N):
+    # the kernel calls the gufuncs behind np.fft with the factors that
+    # norm="forward" passes them, so its transforms are np.fft's, bit for bit
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    fwd = sim._pfu.fft(x, 1.0 / N, out=np.empty_like(x))
+    inv = sim._pfu.ifft(x, 1.0, out=np.empty_like(x))
+    assert np.array_equal(fwd, np.fft.fft(x, norm="forward"))
+    assert np.array_equal(inv, np.fft.ifft(x, norm="forward"))
+
+
+# sha256 of Trajectory.to_csv() for 2,000 steps of the growth-unstable and
+# horizon-stable benchmark tori (seed amplitude 1e-3 sqrt(nu), phases from
+# seed 0), recorded with the kernel that called np.fft.fft/ifft(norm=
+# "forward"); numpy 2.4.6 on x86-64.  Any change to the arithmetic of a step
+# or of conserved() moves them.
+@pytest.mark.parametrize("internal,rho,nu,grid_args,seed_modes,every,tol,digest", [
+    ((-3, 10, -6), (2.0, 1.0, 9.0), 0.02, (32, 256, 5e-3), (1, 9), 40, 1e-3,
+     "9820d6b310ae0f24de7dfb2581457ac6cb55f2ab8a99893d6f8130b4bc811740"),
+    ((0, 1), (1.0, 1.0), 0.01, (16, 128, 0.05), (2, -1), 100, 1e-6,
+     "ab311c34e178cd91b7f7b7fdf9e9c42d87b92b0b426919cab75c0338867e26a0"),
+], ids=["growth-unstable", "horizon-stable"])
+def test_trajectory_csv_golden(internal, rho, nu, grid_args, seed_modes, every,
+                               tol, digest):
+    grid = sim.GridSpec(*grid_args)
+    spec = nf.TorusSpec(internal, rho, nu)
+    state = sim.prepare_torus_state(spec, seed_modes, 1e-3 * np.sqrt(nu), grid,
+                                    seed=0)
+    traj = sim.evolve(state, grid, 2000 * grid.dt, every, internal=internal,
+                      watch=seed_modes, mass_tol=tol)
+    assert len(traj.times) == 2000 // every + 1
+    assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # evolve / trajectory bookkeeping
 
@@ -257,8 +294,9 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         sim.GridSpec(11, 64, 0.01)  # 4K+4 but not 6K+1: aliases the quintic term
     sim.GridSpec(10, 64, 0.01)  # N = 6K+4
-    with pytest.raises(ValueError):
-        sim.GridSpec(16, 128, 0.0)
+    for dt in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="dt"):
+            sim.GridSpec(16, 128, dt)
 
 
 # ---------------------------------------------------------------------------
