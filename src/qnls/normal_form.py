@@ -8,7 +8,8 @@ linearized flow acts as the oracle for every closed form), and classifies
 the torus as elliptic or hyperbolic.
 
 All rho-polynomial coefficients are assembled in exact rational arithmetic
-when the actions are rational; floats appear only at eigensolve time.
+when the actions are rational, once per torus (see ``TorusSpec``); floats
+appear only at eigensolve time.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
-from typing import Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,15 +37,28 @@ class PreconditionViolated(Exception):
     """Catalog fails the disjointness / no-one-mode-resonance requirements."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusSpec:
     """A 2- or 3-mode torus: internal modes, actions rho (|a_{m_i}|^2 = nu*rho_i),
-    small parameter nu, and the rho-domain box the actions range over."""
+    small parameter nu, and the rho-domain box the actions range over.
+
+    The exact rho-polynomials that every block builder needs (the internal
+    frequencies and the external shift) are evaluated once, when the spec
+    is made, and live as long as it does."""
 
     internal: tuple[int, ...]
     rho: tuple
     nu: float
     domain: tuple[tuple[float, float], ...] = ()
+    rho_float: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # internal frequencies m_i^2 + nu^2 * omega_coefficient(rho, i)
+    freqs: Frequencies = field(init=False, repr=False, compare=False)
+    # nu^2 * lambda(rho): the shift shared by every uncoupled external mode
+    lambda_shift: float = field(init=False, repr=False, compare=False)
+    # rho_i = _rho_num[i] / _rho_den when every rho_i is an int or a Fraction,
+    # else _rho_num is None
+    _rho_num: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _rho_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.internal)
@@ -61,7 +77,35 @@ class TorusSpec:
             raise ValueError("domain length must match internal modes")
         if any(not lo <= r <= hi for r, (lo, hi) in zip(self.rho, dom)):
             raise ValueError("domain must contain rho")
-        object.__setattr__(self, "domain", dom or tuple((float(r), float(r)) for r in self.rho))
+        put = object.__setattr__
+        rho_float = tuple(float(r) for r in self.rho)
+        put(self, "rho_float", rho_float)
+        put(self, "domain", dom or tuple((r, r) for r in rho_float))
+        num, den = None, 1
+        if all(isinstance(r, (int, Fraction)) for r in self.rho):
+            den = math.lcm(*(r.denominator for r in self.rho))
+            num = tuple(r.numerator * (den // r.denominator) for r in self.rho)
+        put(self, "_rho_num", num)
+        put(self, "_rho_den", den)
+        nu2 = self.nu**2
+        put(self, "freqs", Frequencies(tuple(
+            m * m + nu2 * self.float_of(lambda r, i=i: omega_coefficient(r, i))
+            for i, m in enumerate(self.internal)
+        )))
+        put(self, "lambda_shift", nu2 * self.float_of(lambda_coefficient))
+
+    def float_of(self, poly: Callable[[Sequence], object]) -> float:
+        """float(poly(rho)) for a homogeneous quadratic ``poly``.
+
+        For exact rho, poly is evaluated on the integers n_i with
+        rho_i = n_i / d: poly(n) / d^2 is the same rational as poly(rho), and
+        int / int rounds it correctly, as Fraction.__float__ does, so the
+        float is the same bit for bit.  Otherwise poly runs in the arithmetic
+        of rho, as float(poly(rho)).
+        """
+        if self._rho_num is None:
+            return float(poly(self.rho))
+        return poly(self._rho_num) / (self._rho_den * self._rho_den)
 
 
 def domain_D1() -> tuple:
@@ -72,7 +116,7 @@ def domain_D2(eps: float = 1e-2) -> tuple:
     return ((2 - eps, 2 + eps), (1 - eps, 1 + eps), (9 - eps, 9 + eps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frequencies:
     omega: tuple
 
@@ -104,32 +148,29 @@ def lambda_coefficient(rho: Sequence):
 
 
 def omega(spec: TorusSpec) -> Frequencies:
-    nu2 = spec.nu**2
-    return Frequencies(tuple(
-        m * m + nu2 * float(omega_coefficient(spec.rho, i))
-        for i, m in enumerate(spec.internal)
-    ))
-
-
-def _lambda_shift(spec: TorusSpec) -> float:
-    """nu^2 * lambda(rho): the shift shared by every uncoupled external mode."""
-    return spec.nu**2 * float(lambda_coefficient(spec.rho))
+    return spec.freqs
 
 
 def lambda_external(j: int, spec: TorusSpec) -> float:
     if j in spec.internal:
         raise ValueError(f"mode {j} is internal")
-    return j * j + _lambda_shift(spec)
+    return j * j + spec.lambda_shift
 
 
-def z6_internal_coefficients(spec: TorusSpec) -> dict[tuple[int, ...], int]:
+def z6_internal_coefficients(spec: TorusSpec) -> Mapping[tuple[int, ...], int]:
     """Multinomial coefficient of each internal action monomial in the
     resonant sextic part, keyed by the exponent vector over internal modes.
 
     Computed by counting ordered index selections on both sides of the
-    resonance (the oracle); the result is the 1 / 9 / 36 pattern.
+    resonance (the oracle); the result is the 1 / 9 / 36 pattern.  It
+    depends only on the mode count, so it is counted once per count and
+    returned read-only.
     """
-    n = len(spec.internal)
+    return _z6_counts(len(spec.internal))
+
+
+@lru_cache(maxsize=2)
+def _z6_counts(n: int) -> Mapping[tuple[int, ...], int]:
     per_multiset: dict[tuple[int, ...], int] = {}
     for sel in product(range(n), repeat=3):
         key = tuple(sorted(sel))
@@ -140,22 +181,23 @@ def z6_internal_coefficients(spec: TorusSpec) -> dict[tuple[int, ...], int]:
         for i in key:
             expo[i] += 1
         counts[tuple(expo)] = cnt * cnt  # ordered j-side times ordered l-side
-    return counts
+    return MappingProxyType(counts)
 
 
 def constant_metadata(spec: TorusSpec) -> float:
     """The additive constant split off by the normal form; metadata only
     (constants never affect spectra)."""
     nu = spec.nu
-    rho = [float(r) for r in spec.rho]
+    rho = spec.rho_float
     if len(rho) == 2:
         r1, r2 = rho
         p, q = spec.internal
         return nu**3 * (r1**3 + r2**3 + 9 * r1**2 * r2 + 9 * r2**2 * r1) + 9 * (
             nu * p * p * r1 + nu * q * q * r2
         )
+    nu_rho = [nu * r for r in rho]
     z06 = sum(
-        c * math.prod((nu * r) ** e for r, e in zip(rho, expo))
+        c * math.prod(x ** e for x, e in zip(nu_rho, expo))
         for expo, c in z6_internal_coefficients(spec).items()
     )
     return z06 + sum(m * m * nu * r for m, r in zip(spec.internal, rho))
@@ -229,26 +271,54 @@ def generic_block_spectrum(coeff: np.ndarray, form: np.ndarray | None = None) ->
 ELLIPTIC = "Elliptic"
 HYPERBOLIC = "Hyperbolic"
 DEGENERATE = "Degenerate"
+# kinds whose zeta_s eta_t coupling conserves energy: Hermitian 2x2 forms
+_ENERGY_CONSERVING = ("A", "C", "TwoMode")
 
 
-@dataclass
+@dataclass(slots=True)
 class SpectralBlock:
     """A coupled group of external modes with its quadratic form and spectrum.
 
     ``diag`` holds the uncoupled Lambda entries entering the matrix (trace
-    check), ``coupling`` the off-diagonal strength; ``transform`` records
-    closed-form diagonalization parameters and any discrepancy notes.
+    check), ``coupling`` the off-diagonal strength; together with ``kind``
+    they fix the matrix and, for an energy-conserving block, its closed-form
+    spectrum, so both are derived on access rather than held by every block.
+    ``transform`` records closed-form diagonalization parameters and any
+    discrepancy notes.
     """
 
     kind: str
     modes: tuple[int, ...]
-    coeff: np.ndarray
     eigenvalues: tuple[complex, ...]
     classification: str
     diag: tuple[float, ...]
     coupling: float
-    transform: dict = field(default_factory=dict)
+    # what the builder recorded for ``transform``; derived from the fields
+    # above, so it takes no part in comparisons
+    params: dict | None = field(default=None, compare=False)
     witness: tuple[int, ...] = ()
+
+    @property
+    def coeff(self) -> np.ndarray:
+        """The real Hessian of the block's quadratic form (``block_hessian``)."""
+        return block_hessian(self.kind, self.diag, self.coupling)
+
+    @property
+    def transform(self) -> dict:
+        """Closed-form diagonalization parameters and discrepancy notes.
+
+        An energy-conserving block's closed-form eigenvalues,
+        mean -+ hypot((lam_t - lam_s)/2, coupling), are added to ``params``
+        the first time they are asked for.
+        """
+        if self.params is None:
+            self.params = {}
+        if self.kind in _ENERGY_CONSERVING and "closed_form" not in self.params:
+            lam_s, lam_t = self.diag
+            mean, a = (lam_s + lam_t) / 2, (lam_t - lam_s) / 2
+            shift = math.hypot(a, self.coupling)
+            self.params["closed_form"] = [mean - shift, mean + shift]
+        return self.params
 
     @property
     def hyperbolic(self) -> bool:
@@ -287,31 +357,52 @@ def _pair_coeff(lam_s: float, lam_t: float, c: float, sign: int) -> np.ndarray:
     ])
 
 
-def _rho_of(spec: TorusSpec, mode: int):
-    return spec.rho[spec.internal.index(mode)]
+def block_hessian(kind: str, diag: tuple[float, ...], coupling: float) -> np.ndarray:
+    """Real Hessian of a block's quadratic form from its diagonal Lambda
+    entries and its coupling.
+
+    Energy-conserving pairs (A, C, TwoMode) are Hermitian.  For pair
+    creation (B) the s-role action flips sign in the chart where the
+    coupling is autonomous.  The self-coupled E block, with coupling 2c, is
+    H = lam_s |z|^2 + c (z^2 + eta^2) = (lam_s/2 + c) x^2 + (lam_s/2 - c) y^2,
+    whose Hessian is diag(lam_s + 2c, lam_s - 2c).
+    """
+    if kind == "E":
+        (lam_s,) = diag
+        return np.array([[lam_s + coupling, 0.0], [0.0, lam_s - coupling]])
+    lam_s, lam_t = diag
+    if kind == "B":
+        return _pair_coeff(-lam_s, lam_t, coupling, -1)
+    return _pair_coeff(lam_s, lam_t, coupling, 1)
+
+
+def _rho_float(spec: TorusSpec, mode: int) -> float:
+    """float(rho) of internal mode ``mode``."""
+    return spec.rho_float[spec.internal.index(mode)]
+
+
+def _rho_product(spec: TorusSpec, a: int, b: int) -> float:
+    """float(rho_a * rho_b) of internal modes a and b."""
+    i, j = spec.internal.index(a), spec.internal.index(b)
+    return spec.float_of(lambda r: r[i] * r[j])
 
 
 def _zeta_eta_block(spec: TorusSpec, kind: str, role_s: int, role_t: int,
                     frame_shift: float, coupling: float,
-                    witness: tuple[int, ...], transform: dict) -> SpectralBlock:
+                    witness: tuple[int, ...], params: dict | None) -> SpectralBlock:
     """Common builder for energy-conserving (zeta_s eta_t) couplings.
 
     ``frame_shift`` is the rotation making the coupling autonomous; it moves
     the diagonal entry of role_s.  Such blocks are Hermitian 2x2 forms and
     always have real spectra.
     """
-    ext = _lambda_shift(spec)
+    ext = spec.lambda_shift
     lam_t = role_t * role_t + ext
     lam_s = role_s * role_s + ext + frame_shift
-    coeff = _pair_coeff(lam_s, lam_t, coupling, 1)
-    eig = generic_block_spectrum(coeff)
-    mean, a = (lam_s + lam_t) / 2, (lam_t - lam_s) / 2
-    shift = math.hypot(a, coupling)
-    transform = dict(transform)
-    transform["closed_form"] = [mean - shift, mean + shift]
+    eig = generic_block_spectrum(block_hessian(kind, (lam_s, lam_t), coupling))
     cls = _classify(eig, spec.nu)
-    return SpectralBlock(kind, (role_s, role_t), coeff, tuple(eig), cls,
-                         (lam_s, lam_t), coupling, transform, witness)
+    return SpectralBlock(kind, (role_s, role_t), tuple(eig), cls,
+                         (lam_s, lam_t), coupling, params, witness)
 
 
 def block_two_mode_case2(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
@@ -325,12 +416,12 @@ def block_two_mode_case2(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
     p, q = spec.internal
     n = (q - p) // 2
     role_s, role_t = p + 3 * n, p - n
-    r1, r2 = (float(r) for r in spec.rho)
+    r1, r2 = spec.rho_float
     nu2 = spec.nu**2
     # rotating frame of the coupling phase, which advances with
     # 2*Omega_p - 2*Omega_q; the energy identity 2p^2 + s^2 = 2q^2 + t^2
     # makes the shifted diagonal entry t^2 + O(nu^2).
-    w = omega(spec).omega
+    w = spec.freqs.omega
     frame_shift = 2 * (w[0] - w[1])
     # closed form of the same shifted entry:
     lam_s_closed = role_t**2 + nu2 * (21 * r2 * r2 - 3 * r1 * r1 + 36 * r1 * r2)
@@ -345,7 +436,7 @@ def block_two_mode_case2(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
         "notes": ["alpha closed forms disagree; generic spectrum governs"],
     }
     blk = _zeta_eta_block(spec, "TwoMode", role_s, role_t, frame_shift,
-                          coupling, (p, q), transform)
+                          coupling, spec.internal, transform)
     blk.transform["lambda_s_closed"] = lam_s_closed
     return blk
 
@@ -358,12 +449,12 @@ def block_set_A(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
         role_s, role_t = pair.s, pair.t
     else:
         role_s, role_t = pair.t, pair.s
-    w = dict(zip(spec.internal, omega(spec).omega))
+    w = dict(zip(spec.internal, spec.freqs.omega))
     frame_shift = 2 * w[j3] - 2 * w[j4]
-    coupling = _ordered_count((j3, j3, role_s), (j4, j4, role_t)) * spec.nu**2 * float(
-        _rho_of(spec, j3) * _rho_of(spec, j4))
+    coupling = _ordered_count((j3, j3, role_s), (j4, j4, role_t)) * spec.nu**2 * _rho_product(
+        spec, j3, j4)
     return _zeta_eta_block(spec, "A", role_s, role_t, frame_shift, coupling,
-                           (j3, j4), {})
+                           pair.internal_witness, None)
 
 
 def block_set_C(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
@@ -374,13 +465,12 @@ def block_set_C(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
         role_s, role_t = pair.s, pair.t
     else:
         role_s, role_t = pair.t, pair.s
-    w = dict(zip(spec.internal, omega(spec).omega))
+    w = dict(zip(spec.internal, spec.freqs.omega))
     frame_shift = 2 * w[a] - w[b] - w[c]
     count = _ordered_count((a, a, role_s), (b, c, role_t))
-    coupling = count * spec.nu**2 * float(_rho_of(spec, a)) * math.sqrt(
-        float(_rho_of(spec, b) * _rho_of(spec, c)))
+    coupling = count * spec.nu**2 * _rho_float(spec, a) * math.sqrt(_rho_product(spec, b, c))
     return _zeta_eta_block(spec, "C", role_s, role_t, frame_shift, coupling,
-                           (a, b, c), {"ordered_count": count})
+                           pair.internal_witness, {"ordered_count": count})
 
 
 def _b_poly(rho: Sequence):
@@ -412,18 +502,22 @@ def block_set_B(spec: TorusSpec, pair: ExternalPair,
     """
     if witness is None:
         witness = pair.internal_witness
-    r1, r2, r3 = (_rho_of(spec, m) for m in witness)
+    idx = [spec.internal.index(m) for m in witness]
+
+    def by_witness(rho):
+        return [rho[k] for k in idx]
+
     nu2 = spec.nu**2
     s, t = pair.s, pair.t
     lam_t = lambda_external(t, spec)
-    lam_s = t * t + 3 * nu2 * float(_b_poly((r1, r2, r3)))
+    lam_s = t * t + 3 * nu2 * spec.float_of(lambda r: _b_poly(by_witness(r)))
     a = (lam_t - lam_s) / 2
     b = (lam_t + lam_s) / 2
-    if all(isinstance(r, (int, Fraction)) for r in (r1, r2, r3)):
-        a_exact = b_gap_coefficient((Fraction(r1), Fraction(r2), Fraction(r3)))
-        if a_exact == 0:
-            a = 0.0
-    coupling = 18 * nu2 * float(r1) * math.sqrt(float(r2 * r3))
+    # for exact rho the gap is decided exactly, over the integers n_i
+    if spec._rho_num is not None and b_gap_coefficient(by_witness(spec._rho_num)) == 0:
+        a = 0.0
+    coupling = 18 * nu2 * _rho_float(spec, witness[0]) * math.sqrt(
+        _rho_product(spec, witness[1], witness[2]))
     disc = a * a - coupling * coupling  # = a^2 - 324 nu^4 rho1^2 rho2 rho3
     scale = max(a * a, coupling * coupling, (1e-3 * nu2) ** 2)
     if disc != 0.0 and abs(disc) < 1e-12 * scale:
@@ -431,10 +525,7 @@ def block_set_B(spec: TorusSpec, pair: ExternalPair,
             f"set-B discriminant {disc} within tolerance of zero for pair {pair.modes}")
     root = cmath.sqrt(complex(disc, 0.0))
     closed = [b - root, b + root]
-    # real 4x4: the s-role action flips sign in the chart where the
-    # pair-creation coupling is autonomous.
-    coeff = _pair_coeff(-lam_s, lam_t, coupling, -1)
-    eig = generic_block_spectrum(coeff)
+    eig = generic_block_spectrum(block_hessian("B", (lam_s, lam_t), coupling))
     cls = DEGENERATE if disc == 0.0 and coupling != 0.0 else _classify(eig, spec.nu)
     transform = {
         "a": a,
@@ -442,7 +533,7 @@ def block_set_B(spec: TorusSpec, pair: ExternalPair,
         "discriminant": disc,
         "closed_form": [[z.real, z.imag] for z in sorted(closed, key=lambda z: (z.real, z.imag))],
     }
-    return SpectralBlock("B", (s, t), coeff, tuple(eig), cls,
+    return SpectralBlock("B", (s, t), tuple(eig), cls,
                          (lam_s, lam_t), coupling, transform, witness)
 
 
@@ -457,14 +548,11 @@ def block_set_E(spec: TorusSpec, s: int,
     """
     if witness is None:
         witness = spec.internal
-    r = [float(_rho_of(spec, m)) for m in witness]
+    r = [_rho_float(spec, m) for m in witness]
     nu2 = spec.nu**2
     lam_s = 3 * nu2 * (2 * r[0] ** 2 + r[1] ** 2 - r[2] ** 2 + 9 * r[0] * r[1] + 3 * r[2] * r[0])
     c = nu2 * r[0] * math.sqrt(r[1] * r[2])
-    # H = lam_s |z|^2 + c (z^2 + eta^2) = (lam_s/2 + c) x^2 + (lam_s/2 - c) y^2,
-    # whose Hessian is diag(lam_s + 2c, lam_s - 2c).
-    coeff = np.array([[lam_s + 2 * c, 0.0], [0.0, lam_s - 2 * c]])
-    eig = generic_block_spectrum(coeff)
+    eig = generic_block_spectrum(block_hessian("E", (lam_s,), 2 * c))
     disc = lam_s * lam_s - 4 * c * c
     scale = max(lam_s * lam_s, 4 * c * c, (1e-3 * nu2) ** 2)
     if disc != 0.0 and abs(disc) < 1e-12 * scale:
@@ -478,7 +566,7 @@ def block_set_E(spec: TorusSpec, s: int,
         rad = math.sqrt(lam_s * lam_s + 4 * c * c)
         transform["beta"] = (-lam_s + rad) / (2 * c)
     cls = DEGENERATE if disc == 0.0 and (lam_s, c) != (0.0, 0.0) else _classify(eig, spec.nu)
-    return SpectralBlock("E", (s,), coeff, tuple(eig), cls,
+    return SpectralBlock("E", (s,), tuple(eig), cls,
                          (lam_s,), 2 * c, transform, tuple(witness))
 
 
@@ -519,7 +607,7 @@ class EffectiveHamiltonian:
         return json.dumps(obj, indent=2)
 
 
-@dataclass
+@dataclass(slots=True)
 class Classification:
     verdict: str  # "Stable" | "Unstable"
     hyperbolic_modes: list[int]
@@ -564,8 +652,8 @@ def classify_torus(spec: TorusSpec, catalog: ResonanceCatalog,
 
     if band is None:
         band = catalog.bound
-    eff = EffectiveHamiltonian(spec, constant_metadata(spec), omega(spec),
-                               _lambda_shift(spec), band, blocks)
+    eff = EffectiveHamiltonian(spec, constant_metadata(spec), spec.freqs,
+                               spec.lambda_shift, band, blocks)
     hyp = sorted({m for b in blocks if b.hyperbolic for m in b.modes})
     max_im = max((b.max_im for b in blocks), default=0.0)
     if not hyp:

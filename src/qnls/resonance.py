@@ -46,7 +46,7 @@ def enumerate_R(K: int) -> list[tuple[tuple[int, int, int], tuple[int, int, int]
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExternalPair:
     """A pair of external modes resonantly coupled to the internal set.
 
@@ -124,7 +124,7 @@ def _solve_diff_diffsq(D: int, E: int) -> tuple[int, int] | None:
     return (s, s - D)
 
 
-@dataclass
+@dataclass(slots=True)
 class ResonanceCatalog:
     """External pairs of each sextic resonance family for an internal set."""
 

@@ -91,19 +91,21 @@ class HypothesisReport:
     def _line_chunks(self) -> Iterator[str]:
         """The JSON lines, ``_CHUNK_ROWS`` at a time, each chunk newline-joined.
 
-        Line r is head[kind] + k + tail: the k text is built once per lattice
-        point, and rows with the same modes, block and verdict share one
-        tail; each judged row has its own, holding its witness."""
+        Line r is head + k + tail: the k text is built once per lattice
+        point, and rows with the same family, modes and verdict share one
+        head and tail; each judged row has its own, holding its witness."""
         t = self.table
         own = np.zeros(len(t), dtype=np.int64)
         own[list(self.witnesses)] = np.arange(1, len(self.witnesses) + 1)
-        cols = np.column_stack([t.modes, t.n_modes, t.block, self.codes, own])
-        cols -= cols.min(axis=0, initial=0)
-        key = np.ravel_multi_index(cols.T, cols.max(axis=0, initial=0) + 1)
+        # the family fixes kind, mode count and block
+        cols = [t.family, t.modes[:, 0], t.modes[:, 1], self.codes, own]
+        cols = [c - c.min(initial=0) for c in cols]
+        key = np.ravel_multi_index(cols, [int(c.max(initial=0)) + 1 for c in cols])
         del cols
         _, first, group = np.unique(key, return_index=True, return_inverse=True)
         del key
 
+        fam = t.family[first]
         blocks = [json.dumps(label) for label in t.labels] + ["null"]  # block -1 -> null
         verdicts = [json.dumps(v) for v in VERDICTS]
         plain = [json.dumps(INTERVAL if v == LOWER_BOUNDED else None) for v in VERDICTS]
@@ -112,15 +114,17 @@ class HypothesisReport:
             modes[n] % tuple(m[:n]), blocks[b], verdicts[c],
             json.dumps(self.witnesses[i]) if i in self.witnesses else plain[c])
             for i, m, n, b, c in zip(first.tolist(), t.modes[first].tolist(),
-                                     t.n_modes[first].tolist(), t.block[first].tolist(),
+                                     t.fam_n_modes[fam].tolist(), t.fam_block[fam].tolist(),
                                      self.codes[first].tolist())]
-        heads = ['{"kind": %s, "k": ' % json.dumps(kind) for kind in KINDS]
+        kinds = ['{"kind": %s, "k": ' % json.dumps(kind) for kind in KINDS]
+        heads = [kinds[h] for h in t.fam_kind[fam].tolist()]
+        del first, fam
         fmt = "[" + ", ".join(["%d"] * t.lattice.shape[1]) + "]"
         ks = [fmt % tuple(k) for k in t.lattice.tolist()]
         for a in range(0, len(t), _CHUNK_ROWS):
             b = a + _CHUNK_ROWS
-            yield "\n".join([heads[h] + ks[l] + tails[g] for h, l, g in zip(
-                t.kind[a:b].tolist(), t.lat[a:b].tolist(), group[a:b].tolist())])
+            yield "\n".join([heads[g] + ks[l] + tails[g] for l, g in zip(
+                t.lat[a:b].tolist(), group[a:b].tolist())])
 
     def summary_json(self) -> str:
         return json.dumps({
@@ -477,38 +481,59 @@ def _coef(Q: np.ndarray) -> np.ndarray:
 class DivisorTable:
     """Every A2 divisor expression as one row of parallel arrays.
 
-    Row r is Omega.k + (Lambda terms) with k = lattice[lat[r]]: exact
-    integer part int_part[r], nu^-2 quadratic form in rho given by coef[r]
-    (see ``_coef``) and a uniform pad for block eigenvalue terms the form
-    does not capture.  Filtered rows carry no form.
+    Row r is Omega.k + (Lambda terms) with k = lattice[lat[r]], exact
+    integer part int_part[r] and external modes modes[r].  Rows are emitted
+    in families (one divisor family of one block or of the scalar shifts);
+    what a family fixes is stored once per family and reached through
+    family[r]: the kind, mode count and block, a uniform pad for block
+    eigenvalue terms the form does not capture, whether its rows are
+    filtered, and the Lambda part of the nu^-2 quadratic form in rho.  The
+    form's coefficients (see ``_coef``) are omega_coef weighted by k plus
+    that Lambda part; filtered rows carry no form.
     """
 
     lattice: np.ndarray  # (L, n) every nonzero k with |k|_inf <= k_max
     lat: np.ndarray  # row -> lattice index
-    kind: np.ndarray  # row -> index into KINDS
+    family: np.ndarray  # row -> family index
     modes: np.ndarray  # (rows, 2); the first n_modes entries are used
-    n_modes: np.ndarray
-    block: np.ndarray  # row -> index into labels, -1 for scalar families
-    labels: tuple[str, ...]
     int_part: np.ndarray
-    coef: np.ndarray
-    pad: np.ndarray
-    filtered: np.ndarray
+    labels: tuple[str, ...]
+    omega_coef: np.ndarray  # (n, coefficients) Omega form of each k_i
+    fam_kind: np.ndarray  # family -> index into KINDS
+    fam_n_modes: np.ndarray
+    fam_block: np.ndarray  # family -> index into labels, -1 for scalar families
+    fam_pad: np.ndarray
+    fam_filtered: np.ndarray
+    fam_coef: np.ndarray  # (families, coefficients) Lambda part of the form
 
     def __len__(self) -> int:
         return len(self.lat)
 
+    @property
+    def pad(self) -> np.ndarray:
+        return self.fam_pad[self.family]
+
+    @property
+    def filtered(self) -> np.ndarray:
+        return self.fam_filtered[self.family]
+
     def expression(self, r: int) -> DivisorExpression:
-        block = self.block[r]
-        return DivisorExpression(KINDS[self.kind[r]], tuple(self.lattice[self.lat[r]].tolist()),
-                                 tuple(self.modes[r, :self.n_modes[r]].tolist()),
+        f = self.family[r]
+        block = self.fam_block[f]
+        return DivisorExpression(KINDS[self.fam_kind[f]], tuple(self.lattice[self.lat[r]].tolist()),
+                                 tuple(self.modes[r, :self.fam_n_modes[f]].tolist()),
                                  self.labels[block] if block >= 0 else None)
 
     def form(self, r: int) -> np.ndarray:
         """The symmetric quadratic form Q of row r."""
         n = self.lattice.shape[1]
         Q = np.zeros((n, n))
-        for c, (i, j) in zip(self.coef[r], _pairs(n)):
+        f = self.family[r]
+        if self.fam_filtered[f]:
+            return Q
+        # integral Omega coefficients: the product is exact in any order
+        coef = self.lattice[self.lat[r]] @ self.omega_coef + self.fam_coef[f]
+        for c, (i, j) in zip(coef, _pairs(n)):
             Q[i, j] = Q[j, i] = c if i == j else c / 2
         return Q
 
@@ -517,13 +542,18 @@ class DivisorTable:
         on all rows at once, accumulated in its order, so each bound is
         bit-identical to the scalar one."""
         box, nu2 = spec.domain, spec.nu**2
+        kC = self.lattice @ self.omega_coef
+        filtered = self.filtered
         lo, hi = np.zeros((2, len(self)))
-        for c, (i, j) in zip(self.coef.T, _pairs(len(box))):
+        for p, (i, j) in enumerate(_pairs(len(box))):
+            c = kC[self.lat, p] + self.fam_coef[self.family, p]
+            c[filtered] = 0.0
             small = box[i][0] * box[j][0]
             big = box[i][1] * box[j][1]
             lo += np.where(c > 0, c * small, c * big)
             hi += np.where(c > 0, c * big, c * small)
-        return self.int_part + nu2 * lo - self.pad, self.int_part + nu2 * hi + self.pad
+        pad = self.pad
+        return self.int_part + nu2 * lo - pad, self.int_part + nu2 * hi + pad
 
 
 def _candidate_directions(n: int, k: tuple[int, ...]) -> list[np.ndarray]:
@@ -620,12 +650,13 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
     mass = lattice.sum(axis=1)
     mom = lattice @ np.array(internal)
     I0 = lattice @ np.array([m * m for m in internal])
-    # the Omega forms are integral, so this product is exact
-    kC = lattice @ np.array([_coef(omega_form(n, i)) for i in range(n)])
+    omega_coef = np.array([_coef(omega_form(n, i)) for i in range(n)])
+    families = []  # (kind, n_modes, block, pad, filtered, Lambda coefficients)
     chunks = []
 
     def emit(idx, kind, modes, int_part=None, Q=None, pad=0.0, slot=0, sub=0, block=-1):
-        """Rows over lattice indices ``idx``; int_part None marks them filtered."""
+        """A family of rows over lattice indices ``idx``; int_part None
+        marks them filtered."""
         rows = len(idx)
         m = np.zeros((rows, 2), dtype=np.int64)
         for c, v in enumerate(modes):
@@ -633,11 +664,10 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
         filtered = int_part is None
         chunks.append(dict(
             key=(((block + 1) * L + idx) * 8 + slot) * (2 * mode_max + 1) + sub, lat=idx,
-            kind=np.full(rows, KINDS.index(kind), dtype=np.int8), modes=m,
-            n_modes=np.full(rows, len(modes), dtype=np.int8), block=np.full(rows, block),
-            int_part=np.zeros(rows, dtype=np.int64) if filtered else int_part,
-            coef=np.zeros((rows, kC.shape[1])) if filtered else kC[idx] + _coef(Q),
-            pad=np.full(rows, pad), filtered=np.full(rows, filtered)))
+            family=np.full(rows, len(families), dtype=np.int32), modes=m,
+            int_part=np.zeros(rows, dtype=np.int64) if filtered else int_part))
+        families.append((KINDS.index(kind), len(modes), block, pad, filtered,
+                         np.zeros(omega_coef.shape[1]) if filtered else _coef(Q)))
 
     def emit_with_scalar(idx, j, kind, lead, int_part, Q, pad, slot, block=-1):
         """Rows ending in scalar Lambda_j: filtered if j is internal, absent if blocked."""
@@ -729,11 +759,17 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
                                  (role,), I0[idx] + role * role + sgn * j * j,
                                  branch_Q + sgn * lam, branch_pad, slot, block=b)
 
-    order = np.argsort(np.concatenate([c["key"] for c in chunks]), kind="stable")
-    cols = {name: np.concatenate([c[name] for c in chunks])[order]
-            for name in chunks[0] if name != "key"}
-    labels = tuple(f"{blk.kind}{blk.modes}" for blk in eff.blocks)
-    return DivisorTable(lattice, labels=labels, **cols)
+    order = np.argsort(np.concatenate([c.pop("key") for c in chunks]), kind="stable")
+    # each column is gathered once, releasing its per-family pieces as it goes
+    cols = {name: np.concatenate([c.pop(name) for c in chunks])[order]
+            for name in ("lat", "family", "modes", "int_part")}
+    kind, n_modes, block, pad, filtered, coef = zip(*families)
+    return DivisorTable(
+        lattice, labels=tuple(f"{blk.kind}{blk.modes}" for blk in eff.blocks),
+        omega_coef=omega_coef, fam_kind=np.array(kind, dtype=np.int8),
+        fam_n_modes=np.array(n_modes, dtype=np.int8), fam_block=np.array(block),
+        fam_pad=np.array(pad, dtype=float), fam_filtered=np.array(filtered),
+        fam_coef=np.array(coef), **cols)
 
 
 def _block_roles(blk) -> tuple[int, int]:

@@ -88,6 +88,22 @@ def test_z6_internal_coefficient_pattern():
     assert coeffs[(1, 1, 1)] == 36
 
 
+def test_z6_internal_coefficients_cannot_be_corrupted():
+    # the pattern is counted once per mode count; a caller's edit of the
+    # returned mapping must not reach the next call
+    spec = nf.TorusSpec(FLAGSHIP, (2.0, 1.0, 9.0), 0.01)
+    coeffs = nf.z6_internal_coefficients(spec)
+    try:
+        coeffs[(3, 0, 0)] = 99
+    except TypeError:
+        pass
+    again = nf.z6_internal_coefficients(nf.TorusSpec((1, 4, -2), (1.0, 1.0, 1.0), 0.02))
+    assert (again[(3, 0, 0)], again[(2, 1, 0)], again[(1, 1, 1)]) == (1, 9, 36)
+    assert sorted(again.values()) == [1] * 3 + [9] * 6 + [36]
+    two = nf.z6_internal_coefficients(nf.TorusSpec((0, 1), (1.0, 1.0), 0.01))
+    assert dict(two) == {(3, 0): 1, (2, 1): 9, (1, 2): 9, (0, 3): 1}
+
+
 def test_constant_metadata_two_mode():
     nu, r1, r2 = 0.1, 2.0, 3.0
     spec = nf.TorusSpec((0, 1), (r1, r2), nu)
@@ -167,6 +183,26 @@ def test_case2_block_elliptic():
     # rotated diagonal matches the recorded closed form
     assert blk.coeff[0, 0] == pytest.approx(blk.transform["lambda_s_closed"],
                                             rel=1e-12)
+
+
+def test_blocks_derive_matrix_and_closed_form_from_diag_and_coupling():
+    # the builders solve block_hessian(kind, diag, coupling); the stored
+    # fields must rebuild that matrix bit for bit, and an energy-conserving
+    # block holds its closed-form spectrum only once it is asked for
+    internal = (-5, -3, 3)
+    spec = nf.TorusSpec(internal, (1.5, 1.25, 1.75), 0.01)
+    blocks = [*nf.classify_torus(spec, rs.enumerate_sets(internal), band=12)[0].blocks,
+              *flagship_eff(rho=(2.0, 1.0, 9.0))[0].blocks,
+              *nf.classify_torus(nf.TorusSpec((0, 2), (1.3, 0.7), 0.05),
+                                 rs.enumerate_sets((0, 2)), band=10)[0].blocks]
+    assert {b.kind for b in blocks} == {"A", "B", "C", "E", "TwoMode"}
+    for blk in blocks:
+        assert tuple(nf.generic_block_spectrum(blk.coeff)) == blk.eigenvalues
+        if blk.kind in ("A", "C"):
+            assert "closed_form" not in (blk.params or {})
+            lo, hi = blk.transform["closed_form"]
+            assert (lo, hi) == pytest.approx([l.real for l in blk.eigenvalues], rel=1e-12)
+            assert blk.params is blk.transform
 
 
 def test_case2_alpha_forms_both_recorded():
@@ -291,3 +327,131 @@ def test_hyperbolicity_criterion_matches_discriminant(r1, r2, r3):
         assert blk.classification == nf.HYPERBOLIC
     elif a * a - c2 > 1e-3 * nu**2:
         assert blk.classification == nf.ELLIPTIC
+
+
+# ---------------------------------------------------------------------------
+# exact-rho golden
+
+def _exact_rho_sweep_digest() -> str:
+    """sha256 over every sorted 2- and 3-mode set with |m| <= 6, classified
+    at non-dyadic Fraction rho drawn from a fixed seed, nu = 1/100."""
+    import random
+    from itertools import combinations
+
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    for n in (2, 3):
+        for internal in combinations(range(-6, 7), n):
+            rho = []
+            for _ in range(n):
+                d = rng.choice((3, 5, 7, 11, 13))
+                rho.append(Fraction(d * rng.randint(1, 2) + rng.randint(1, d - 1), d))
+            h.update(f"{internal}|{rho}\n".encode())
+            try:
+                spec = nf.TorusSpec(internal, tuple(rho), Fraction(1, 100))
+                eff, cls = nf.classify_torus(spec, rs.enumerate_sets(internal))
+            except (rs.BoundTooSmall, nf.PreconditionViolated, nf.DegenerateBlock) as exc:
+                h.update(f"refused {type(exc).__name__}\n".encode())
+                continue
+            h.update(eff.to_json().encode())
+            h.update(cls.to_json().encode())
+            for b in eff.blocks:
+                h.update(repr((b.kind, b.modes, b.witness, b.diag, b.coupling,
+                               b.transform, b.eigenvalues)).encode())
+    return h.hexdigest()
+
+
+# recorded before the per-torus exact evaluation of the rho-polynomials; the
+# Fraction path must keep every float, eigenvalue and verdict bit for bit
+EXACT_RHO_SWEEP_SHA256 = "536eda31fc20114eee18f2766ccb7fd14c75e92cecf753e567362eca65962384"
+
+
+def test_exact_rho_sweep_golden():
+    assert _exact_rho_sweep_digest() == EXACT_RHO_SWEEP_SHA256
+
+
+# ---------------------------------------------------------------------------
+# rho-polynomial oracle: plain-Fraction copies of the coefficient formulas
+
+def _omega_ref(rho, i):
+    rho = [Fraction(r) for r in rho]
+    others = rho[:i] + rho[i + 1:]
+    val = rho[i] ** 2 + sum(3 * r * r + 6 * rho[i] * r for r in others)
+    if len(others) == 2:
+        val += 12 * others[0] * others[1]
+    return 3 * val
+
+
+def _lambda_ref(rho):
+    rho = [Fraction(r) for r in rho]
+    cross = sum(rho[i] * rho[j] for i in range(len(rho)) for j in range(i + 1, len(rho)))
+    return 9 * (sum(r * r for r in rho) + 4 * cross)
+
+
+def _b_gap_ref(rho):
+    r1, r2, r3 = (Fraction(r) for r in rho)
+    b = -r1 * r1 + r2 * r2 + 5 * r3 * r3 - 6 * r1 * r2 + 12 * r2 * r3 + 6 * r3 * r1
+    return (_lambda_ref(rho) - 3 * b) / 2
+
+
+_PRIMES = (3, 5, 7, 11, 13, 1_000_003)
+
+
+@st.composite
+def _rho(draw, kinds=(int, Fraction, float)):
+    """(kind, rho) for 2 or 3 modes; Fractions have odd prime denominators
+    and are never whole, so none is dyadic."""
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(kinds))
+    rho = []
+    for _ in range(n):
+        if kind is int:
+            rho.append(draw(st.integers(1, 10**9)))
+        elif kind is Fraction:
+            d = draw(st.sampled_from(_PRIMES))
+            rho.append(Fraction(d * draw(st.integers(0, 10**6)) + draw(st.integers(1, d - 1)), d))
+        else:
+            rho.append(draw(st.floats(1e-3, 1e3)))
+    return kind, tuple(rho)
+
+
+def _same(got, want, rho):
+    if isinstance(got, float):
+        # float rho: the formula runs in floats; within rounding of its terms
+        return abs(got - float(want)) <= 1e-12 * 100 * max(rho) ** 2
+    return got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rho())
+def test_rho_polynomials_match_fraction_oracle(case):
+    kind, rho = case
+    for i in range(len(rho)):
+        got = nf.omega_coefficient(rho, i)
+        assert type(got) is kind
+        assert _same(got, _omega_ref(rho, i), rho)
+    got = nf.lambda_coefficient(rho)
+    assert type(got) is kind
+    assert _same(got, _lambda_ref(rho), rho)
+    if len(rho) == 3:
+        got = nf.b_gap_coefficient(rho)
+        assert type(got) is (float if kind is float else Fraction)
+        assert _same(got, _b_gap_ref(rho), rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rho(kinds=(int, Fraction)), st.sampled_from((Fraction(1, 100), 0.013)))
+def test_exact_rho_floats_bit_for_bit(case, nu):
+    # the per-torus evaluation over integers n_i / d gives the floats of the
+    # exact rationals, as float(poly(rho)) did
+    _, rho = case
+    internal = tuple(range(len(rho)))
+    spec = nf.TorusSpec(internal, rho, nu)
+    assert spec.freqs.omega == tuple(m * m + nu**2 * float(nf.omega_coefficient(rho, i))
+                                     for i, m in enumerate(internal))
+    assert spec.lambda_shift == nu**2 * float(nf.lambda_coefficient(rho))
+    for i in internal:
+        for j in internal:
+            assert spec.float_of(lambda r: r[i] * r[j]) == float(rho[i] * rho[j])
+    if len(rho) == 3:
+        assert spec.float_of(nf._b_poly) == float(nf._b_poly(rho))

@@ -1,5 +1,6 @@
 """Nonresonance hypotheses, exact Diophantine certificates, conic search."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -280,6 +281,24 @@ def test_a2_lines_stream_in_less_memory_than_the_file(tmp_path):
         tracemalloc.stop()
     assert len(rep.table) == 178471
     assert peak < path.stat().st_size
+
+
+def test_a2_table_holds_family_constants_once():
+    # per row the table keeps lattice index, family, modes and integer part;
+    # kind, block, pad, filtering and the Lambda part of the form live per
+    # family, and building it takes about twice what it keeps
+    eff = flagship_eff(domain="D1")
+    tracemalloc.start()
+    try:
+        table = sd.enumerate_A2_expressions(eff, k_max=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table)
+               if isinstance(getattr(table, f.name), np.ndarray))
+    assert len(table) == 178471 and len(table.fam_kind) < 100
+    assert held < 48 * len(table)
+    assert peak < 2.5 * held
 
 
 @pytest.mark.parametrize("name,fraction", [("D1", 0.1796875), ("D2", 0.0)])
