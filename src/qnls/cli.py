@@ -8,10 +8,10 @@ verdicts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -211,17 +211,17 @@ def cmd_hypotheses(cfg: RunConfig) -> int:
                       grid_resolution=cfg.grid_resolution)
     with _target(cfg, "a2_verdicts.jsonl").open("w") as f:
         rep.write_json_lines(f)
+    violated = rep.violated()
     summary = {
         "A0": {"passed": a0.passed, "supremum": a0.supremum, "bound": a0.bound},
         "A1": [{"name": v.name, "passed": v.passed, "margin": v.margin} for v in a1],
         "A2": {**json.loads(rep.summary_json()),
-               "violated": [{"kind": e.kind, "k": list(e.k)}
-                            for e, _ in rep.violated()]},
+               "violated": [{"kind": e.kind, "k": list(e.k)} for e, _ in violated]},
     }
     text = json.dumps(summary, indent=2)
     _write(cfg, "hypotheses.json", text + "\n")
     print(text)
-    if rep.violated() or not a0.passed or not all(v.passed for v in a1):
+    if violated or not a0.passed or not all(v.passed for v in a1):
         return EXIT_VIOLATED
     return EXIT_OK
 
@@ -316,21 +316,18 @@ def _discrepancy_notes(cat) -> list[str]:
     return notes
 
 
-def main(argv=None) -> int:
+COMMANDS = ("resonances", "normal-form", "classify", "hypotheses", "simulate", "scaling",
+            "report")
+
+
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qnls",
         description="Invariant-torus stability toolkit for the quintic NLS")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "resonances": cmd_resonances,
-        "normal-form": cmd_normal_form,
-        "classify": cmd_classify,
-        "hypotheses": cmd_hypotheses,
-        "simulate": cmd_simulate,
-        "scaling": cmd_scaling,
-        "report": cmd_report,
-    }
-    for name in commands:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("-p", type=int, default=None)
         p.add_argument("-q", type=int, default=None)
@@ -358,7 +355,11 @@ def main(argv=None) -> int:
         p.add_argument("--preset", type=str, default=None)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--print-config", action="store_true")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _arg_parser().parse_args(argv)
     try:
         cfg = build_config(args)
     except (ValueError, OSError) as exc:
@@ -367,10 +368,10 @@ def main(argv=None) -> int:
     if args.print_config:
         print(cfg.print_config(), end="")
         return EXIT_OK
+    # looked up when called, so that a wrapped cmd_* is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return commands[args.command](cfg)
+        return command(cfg)
     except rs.BoundTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -9,6 +9,7 @@ the integer part vanishes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -76,24 +77,23 @@ class HypothesisReport:
 
     def to_json_lines(self) -> str:
         """One JSON object per row, newline-separated, no trailing newline."""
-        return "\n".join(self._line_chunks())
+        return "".join(self._line_chunks())[:-1]
 
     def write_json_lines(self, f: TextIO) -> None:
         """Write ``to_json_lines() + "\\n"`` to the text file ``f`` chunk by
         chunk, so the whole text is never held at once."""
-        sep = ""
-        for chunk in self._line_chunks():
-            f.write(sep)
-            f.write(chunk)
-            sep = "\n"
-        f.write("\n")
+        if not len(self.table):
+            f.write("\n")
+        f.writelines(self._line_chunks())
 
     def _line_chunks(self) -> Iterator[str]:
-        """The JSON lines, ``_CHUNK_ROWS`` at a time, each chunk newline-joined.
+        """The JSON lines, ``_CHUNK_ROWS`` at a time, each line ending in "\\n".
 
-        Line r is head + k + tail: the k text is built once per lattice
-        point, and rows with the same family, modes and verdict share one
-        head and tail; each judged row has its own, holding its witness."""
+        Line r is head + k + tail, each taken from a text table built once:
+        the head by family kind, the k text by lattice point and the tail by
+        group, where rows with the same family, modes and verdict share a
+        group and each judged row has its own, holding its witness.  A chunk
+        is gathered by fancy indexing and joined once."""
         t = self.table
         own = np.zeros(len(t), dtype=np.int64)
         own[list(self.witnesses)] = np.arange(1, len(self.witnesses) + 1)
@@ -104,27 +104,44 @@ class HypothesisReport:
         del cols
         _, first, group = np.unique(key, return_index=True, return_inverse=True)
         del key
-
-        fam = t.family[first]
-        blocks = [json.dumps(label) for label in t.labels] + ["null"]  # block -1 -> null
-        verdicts = [json.dumps(v) for v in VERDICTS]
-        plain = [json.dumps(INTERVAL if v == LOWER_BOUNDED else None) for v in VERDICTS]
-        modes = ["[]", "[%d]", "[%d, %d]"]
-        tails = [', "modes": %s, "block": %s, "verdict": %s, "witness": %s}' % (
-            modes[n] % tuple(m[:n]), blocks[b], verdicts[c],
-            json.dumps(self.witnesses[i]) if i in self.witnesses else plain[c])
-            for i, m, n, b, c in zip(first.tolist(), t.modes[first].tolist(),
-                                     t.fam_n_modes[fam].tolist(), t.fam_block[fam].tolist(),
-                                     self.codes[first].tolist())]
-        kinds = ['{"kind": %s, "k": ' % json.dumps(kind) for kind in KINDS]
-        heads = [kinds[h] for h in t.fam_kind[fam].tolist()]
-        del first, fam
-        fmt = "[" + ", ".join(["%d"] * t.lattice.shape[1]) + "]"
-        ks = [fmt % tuple(k) for k in t.lattice.tolist()]
+        tails = self._tails(first, np.flatnonzero(own[first]))
+        del own, first
+        kinds = np.array(['{"kind": %s, "k": ' % json.dumps(kind) for kind in KINDS], dtype=object)
+        heads = kinds[t.fam_kind]
+        ks = _k_text(t.lattice)
+        buf = np.empty((min(_CHUNK_ROWS, len(t)), 3), dtype=object)
         for a in range(0, len(t), _CHUNK_ROWS):
-            b = a + _CHUNK_ROWS
-            yield "\n".join([heads[g] + ks[l] + tails[g] for l, g in zip(
-                t.lat[a:b].tolist(), group[a:b].tolist())])
+            rows = buf[:min(_CHUNK_ROWS, len(t) - a)]
+            b = a + len(rows)
+            rows[:, 0] = heads[t.family[a:b]]
+            rows[:, 1] = ks[t.lat[a:b]]
+            rows[:, 2] = tails[group[a:b]]
+            yield "".join(rows.ravel().tolist())
+
+    def _tails(self, first: np.ndarray, judged: np.ndarray) -> np.ndarray:
+        """Line text after k, ending in "\\n", for the groups whose first rows
+        are ``first``; ``judged`` are the groups whose row holds a witness."""
+        t = self.table
+        fam, codes, modes = t.family[first], self.codes[first], t.modes[first]
+        n, block = t.fam_n_modes[fam], t.fam_block[fam]
+        lo = int(modes.min(initial=0))
+        num = [str(v) for v in range(lo, int(modes.max(initial=0)) + 1)]
+        m0, m1 = modes[:, 0] - lo, modes[:, 1] - lo
+        one, two = n == 1, n == 2
+        text = np.full(len(first), ', "modes": []', dtype=object)
+        text[one] = np.array([', "modes": [%s]' % v for v in num], dtype=object)[m0[one]]
+        text[two] = (np.array([', "modes": [%s, ' % v for v in num], dtype=object)[m0[two]]
+                     + np.array([v + "]" for v in num], dtype=object)[m1[two]])
+        # block -1 (a scalar family) picks the last row, null
+        mid = np.array([[', "block": %s, "verdict": %s, "witness": ' % (b, json.dumps(v))
+                         for v in VERDICTS]
+                        for b in [json.dumps(label) for label in t.labels] + ["null"]],
+                       dtype=object)
+        plain = [json.dumps(INTERVAL if v == LOWER_BOUNDED else None) + "}\n" for v in VERDICTS]
+        end = (mid + np.array(plain, dtype=object))[block, codes]
+        for g, i in zip(judged.tolist(), first[judged].tolist()):
+            end[g] = mid[block[g], codes[g]] + json.dumps(self.witnesses[i]) + "}\n"
+        return text + end
 
     def summary_json(self) -> str:
         return json.dumps({
@@ -475,6 +492,21 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 def _coef(Q: np.ndarray) -> np.ndarray:
     """The coefficients ``_interval`` multiplies: Q_ii, and Q_ij + Q_ji for i < j."""
     return np.array([Q[i, j] + (Q[j, i] if j != i else 0.0) for i, j in _pairs(len(Q))])
+
+
+def _k_text(lattice: np.ndarray) -> np.ndarray:
+    """JSON text of every lattice point, "[a, b, c]" for n = 3, as an object
+    array: a table of "[a, b, " prefixes indexed by all but the last
+    component, plus a "c]" suffix table indexed by the last."""
+    n = lattice.shape[1]
+    lo = int(lattice.min(initial=0))
+    num = [str(v) for v in range(lo, int(lattice.max(initial=0)) + 1)]
+    prefixes = np.array(["[" + "".join(p) for p in itertools.product(
+        [v + ", " for v in num], repeat=n - 1)], dtype=object)
+    suffixes = np.array([v + "]" for v in num], dtype=object)
+    idx = lattice - lo
+    return (prefixes[np.ravel_multi_index(tuple(idx[:, :-1].T), (len(num),) * (n - 1))]
+            + suffixes[idx[:, -1]])
 
 
 @dataclass

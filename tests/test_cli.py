@@ -124,6 +124,28 @@ def test_hypotheses_streamed_lines_golden(tmp_path):
     assert (tmp_path / "empty" / "a2_verdicts.jsonl").read_bytes() == b"\n"
 
 
+def test_warnings_reach_stderr():
+    # a command's warnings go to stderr under Python's default filters, and
+    # stdout is what the command prints without them
+    argv = ["resonances", "-p", "0", "-q", "2"]
+    warned = run_python("-c", "\n".join([
+        "import sys, warnings",
+        "from qnls import cli",
+        "plain = cli.cmd_resonances",
+        "def cmd_resonances(cfg):",
+        "    warnings.warn('perturbative accuracy degrades')",
+        "    return plain(cfg)",
+        "cli.cmd_resonances = cmd_resonances",
+        f"sys.exit(cli.main({argv!r}))"]))
+    assert warned.returncode == cli.EXIT_OK, warned.stderr
+    assert "UserWarning: perturbative accuracy degrades" in warned.stderr
+    assert warned.stdout == run_cli(*argv).stdout
+
+
+def test_argument_tree_built_once():
+    assert cli._arg_parser() is cli._arg_parser()
+
+
 def parse_kv(text):
     return dict(line.split("=", 1) for line in text.splitlines() if line)
 

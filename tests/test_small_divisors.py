@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -265,6 +266,43 @@ def test_a2_json_lines_golden(name):
     digest, k_max = A2_LINES_SHA256[name]
     lines = sd.check_A2(golden_eff(name), k_max=k_max).to_json_lines()
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(A2_LINES_SHA256))
+def test_a2_json_lines_match_verdict_rows(name):
+    # line by line against json.dumps of each verdicts row, so a change shows
+    # as a readable diff where the sha256 goldens only say "differs"
+    rep = sd.check_A2(golden_eff(name), k_max=A2_LINES_SHA256[name][1])
+    want = [json.dumps({"kind": e.kind, "k": list(e.k), "modes": list(e.modes),
+                        "block": e.block, "verdict": v, "witness": w})
+            for e, v, w in rep.verdicts]
+    assert rep.to_json_lines().split("\n") == want
+    # every configuration but D2 has judged rows with their own witness
+    assert (sd.TRANSVERSAL in rep.counts()) == (name != "D2")
+
+
+def test_a2_lines_do_not_depend_on_chunk_size(monkeypatch, tmp_path):
+    digest, k_max = A2_LINES_SHA256["D1"]
+    rep = sd.check_A2(golden_eff("D1"), k_max=k_max)
+    text = rep.to_json_lines()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    n = len(rep.table)
+    for rows in (1, 7, n, n + 1):
+        monkeypatch.setattr(sd, "_CHUNK_ROWS", rows)
+        assert rep.to_json_lines() == text
+        path = tmp_path / f"{rows}.jsonl"
+        with path.open("w") as f:
+            rep.write_json_lines(f)
+        assert path.read_bytes() == (text + "\n").encode()
+
+
+def test_a2_lines_of_an_empty_table():
+    rep = sd.check_A2(golden_eff("D1"), k_max=0)
+    assert len(rep.table) == 0
+    assert rep.to_json_lines() == ""
+    f = io.StringIO()
+    rep.write_json_lines(f)
+    assert f.getvalue() == "\n"
 
 
 def test_a2_lines_stream_in_less_memory_than_the_file(tmp_path):
