@@ -172,6 +172,15 @@ def _write(cfg: RunConfig, name: str, text: str) -> Path:
     return target
 
 
+def _classified(cfg: RunConfig) -> tuple[rs.ResonanceCatalog, nf.EffectiveHamiltonian,
+                                          nf.Classification]:
+    """The catalog, effective Hamiltonian and classification of the
+    configured torus on the configured domain."""
+    cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
+    eff, cls = nf.classify_torus(_spec(cfg, _domain(cfg)), cat, band=cfg.band)
+    return cat, eff, cls
+
+
 def cmd_resonances(cfg: RunConfig) -> int:
     cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
     _write(cfg, "catalog.json", cat.to_json() + "\n")
@@ -180,16 +189,14 @@ def cmd_resonances(cfg: RunConfig) -> int:
 
 
 def cmd_normal_form(cfg: RunConfig) -> int:
-    cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
-    eff, _ = nf.classify_torus(_spec(cfg, _domain(cfg)), cat, band=cfg.band)
+    _, eff, _ = _classified(cfg)
     _write(cfg, "effective_hamiltonian.json", eff.to_json() + "\n")
     print(eff.to_json())
     return EXIT_OK
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
-    _, cls = nf.classify_torus(_spec(cfg, _domain(cfg)), cat, band=cfg.band)
+    _, _, cls = _classified(cfg)
     _write(cfg, "classification.json", cls.to_json() + "\n")
     print(cls.to_json())
     return EXIT_UNSTABLE if cls.verdict == "Unstable" else EXIT_OK
@@ -203,8 +210,7 @@ def cmd_hypotheses(cfg: RunConfig) -> int:
         _write(cfg, "conic.json", text + "\n")
         print(text)
         return EXIT_OK
-    cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
-    eff, _ = nf.classify_torus(_spec(cfg, _domain(cfg)), cat, band=cfg.band)
+    _, eff, _ = _classified(cfg)
     a0 = sd.check_A0(eff)
     a1 = sd.check_A1(eff, delta=cfg.delta)
     rep = sd.check_A2(eff, delta=cfg.delta, k_max=cfg.k_max,
@@ -238,7 +244,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     state = sim.prepare_torus_state(spec, seeds, cfg.seed_amp_scale * np.sqrt(cfg.nu),
                                     grid, seed=cfg.seed)
     t_end = cfg.t_end if cfg.t_end is not None else 40.0 / cfg.nu**2
-    sat = 1e-2 * cfg.nu * float(min(cfg.rho))
+    sat = sim.SATURATION_FRACTION * cfg.nu * float(min(cfg.rho))
     traj = sim.evolve(state, grid, t_end, cfg.sample_every, internal=cfg.internal,
                       watch=seeds, mass_tol=cfg.mass_tol, stop_ext_mass=2 * sat)
     fit = sim.fit_growth_rate(traj, cfg.nu, cfg.rho, grow_factor=cfg.grow_factor)
@@ -272,8 +278,7 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
-    eff, cls = nf.classify_torus(_spec(cfg, _domain(cfg)), cat, band=cfg.band)
+    cat, eff, cls = _classified(cfg)
     a0 = sd.check_A0(eff)
     a1 = sd.check_A1(eff, delta=cfg.delta)
     rep = sd.check_A2(eff, delta=cfg.delta, k_max=cfg.k_max,

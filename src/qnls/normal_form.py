@@ -147,8 +147,25 @@ def lambda_coefficient(rho: Sequence):
     return 9 * val
 
 
-def omega(spec: TorusSpec) -> Frequencies:
-    return spec.freqs
+@lru_cache(maxsize=16)
+def rho_form(poly: Callable[..., object], n: int, *args) -> np.ndarray:
+    """Symmetric matrix Q with rho.Q.rho = poly(rho, *args) for a
+    homogeneous quadratic ``poly`` in n actions, read-only.
+
+    Q is read off poly by exact evaluation at integer points:
+    Q_ii = P(e_i) and Q_ij = (P(e_i + e_j) - P(e_i) - P(e_j)) / 2.
+    """
+    def at(*idx):
+        e = [0] * n
+        for i in idx:
+            e[i] += 1
+        return Fraction(poly(e, *args))
+
+    diag = [at(i) for i in range(n)]
+    Q = np.array([[diag[i] if i == j else (at(i, j) - diag[i] - diag[j]) / 2
+                   for j in range(n)] for i in range(n)], dtype=float)
+    Q.flags.writeable = False
+    return Q
 
 
 def lambda_external(j: int, spec: TorusSpec) -> float:
@@ -273,6 +290,17 @@ HYPERBOLIC = "Hyperbolic"
 DEGENERATE = "Degenerate"
 # kinds whose zeta_s eta_t coupling conserves energy: Hermitian 2x2 forms
 _ENERGY_CONSERVING = ("A", "C", "TwoMode")
+# Exponent vector k of each kind's resonant monomial e^{i k.theta}, over the
+# block's witness.  For a zeta_s eta_t pair momentum gives
+# k.witness = s_role - t_role, and the frame shift -k.Omega that makes the
+# coupling autonomous moves Lambda_s.  B and E pair two eta factors.
+RESONANT_EXPONENTS: Mapping[str, tuple[int, ...]] = MappingProxyType({
+    "A": (-2, 2),
+    "TwoMode": (-2, 2),
+    "C": (-2, 1, 1),
+    "B": (-2, -1, 1),
+    "E": (-2, -1, 1),
+})
 
 
 @dataclass(slots=True)
@@ -387,15 +415,24 @@ def _rho_product(spec: TorusSpec, a: int, b: int) -> float:
     return spec.float_of(lambda r: r[i] * r[j])
 
 
+def _roles(kind: str, pair: ExternalPair, witness: Sequence[int]) -> tuple[int, int]:
+    """(s_role, t_role) of a zeta_s eta_t pair: k.witness = s_role - t_role
+    for the kind's resonant exponents k."""
+    gap = sum(k * m for k, m in zip(RESONANT_EXPONENTS[kind], witness))
+    return (pair.s, pair.t) if pair.s - pair.t == gap else (pair.t, pair.s)
+
+
 def _zeta_eta_block(spec: TorusSpec, kind: str, role_s: int, role_t: int,
-                    frame_shift: float, coupling: float,
-                    witness: tuple[int, ...], params: dict | None) -> SpectralBlock:
+                    coupling: float, witness: tuple[int, ...],
+                    params: dict | None) -> SpectralBlock:
     """Common builder for energy-conserving (zeta_s eta_t) couplings.
 
-    ``frame_shift`` is the rotation making the coupling autonomous; it moves
-    the diagonal entry of role_s.  Such blocks are Hermitian 2x2 forms and
-    always have real spectra.
+    The diagonal entry of role_s moves by the frame shift -k.Omega, k the
+    kind's resonant exponents over ``witness``.  Such blocks are Hermitian
+    2x2 forms and always have real spectra.
     """
+    w = dict(zip(spec.internal, spec.freqs.omega))
+    frame_shift = sum(-k * w[m] for k, m in zip(RESONANT_EXPONENTS[kind], witness))
     ext = spec.lambda_shift
     lam_t = role_t * role_t + ext
     lam_s = role_s * role_s + ext + frame_shift
@@ -413,17 +450,12 @@ def block_two_mode_case2(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
     closed-form mixing parameters alpha (reference closed form and the value derived from the
     rotation condition) are both recorded; the generic spectrum governs.
     """
-    p, q = spec.internal
-    n = (q - p) // 2
-    role_s, role_t = p + 3 * n, p - n
+    role_s, role_t = _roles("TwoMode", pair, spec.internal)
     r1, r2 = spec.rho_float
     nu2 = spec.nu**2
-    # rotating frame of the coupling phase, which advances with
-    # 2*Omega_p - 2*Omega_q; the energy identity 2p^2 + s^2 = 2q^2 + t^2
-    # makes the shifted diagonal entry t^2 + O(nu^2).
-    w = spec.freqs.omega
-    frame_shift = 2 * (w[0] - w[1])
-    # closed form of the same shifted entry:
+    # in the rotating frame of the coupling phase the energy identity
+    # 2p^2 + s^2 = 2q^2 + t^2 makes the shifted diagonal entry t^2 + O(nu^2);
+    # its closed form:
     lam_s_closed = role_t**2 + nu2 * (21 * r2 * r2 - 3 * r1 * r1 + 36 * r1 * r2)
     coupling = 9 * nu2 * r1 * r2
     rad_reference = 4 * r1**4 + 2 * r1**2 * r2**2 + 4 * r2**4
@@ -435,8 +467,8 @@ def block_two_mode_case2(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
         "alpha_derived": alpha_derived,
         "notes": ["alpha closed forms disagree; generic spectrum governs"],
     }
-    blk = _zeta_eta_block(spec, "TwoMode", role_s, role_t, frame_shift,
-                          coupling, spec.internal, transform)
+    blk = _zeta_eta_block(spec, "TwoMode", role_s, role_t, coupling,
+                          spec.internal, transform)
     blk.transform["lambda_s_closed"] = lam_s_closed
     return blk
 
@@ -445,15 +477,10 @@ def block_set_A(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
     """Energy-conserving coupled pair driven by two second-order internal
     factors (witness (j3, j4)); always elliptic."""
     j3, j4 = pair.internal_witness
-    if pair.s - pair.t == 2 * (j4 - j3):
-        role_s, role_t = pair.s, pair.t
-    else:
-        role_s, role_t = pair.t, pair.s
-    w = dict(zip(spec.internal, spec.freqs.omega))
-    frame_shift = 2 * w[j3] - 2 * w[j4]
+    role_s, role_t = _roles("A", pair, pair.internal_witness)
     coupling = _ordered_count((j3, j3, role_s), (j4, j4, role_t)) * spec.nu**2 * _rho_product(
         spec, j3, j4)
-    return _zeta_eta_block(spec, "A", role_s, role_t, frame_shift, coupling,
+    return _zeta_eta_block(spec, "A", role_s, role_t, coupling,
                            pair.internal_witness, None)
 
 
@@ -461,15 +488,10 @@ def block_set_C(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
     """Energy-conserving coupled pair driven by one second-order and two
     first-order internal factors (witness (a, b, c)); always elliptic."""
     a, b, c = pair.internal_witness
-    if pair.s - pair.t == b + c - 2 * a:
-        role_s, role_t = pair.s, pair.t
-    else:
-        role_s, role_t = pair.t, pair.s
-    w = dict(zip(spec.internal, spec.freqs.omega))
-    frame_shift = 2 * w[a] - w[b] - w[c]
+    role_s, role_t = _roles("C", pair, pair.internal_witness)
     count = _ordered_count((a, a, role_s), (b, c, role_t))
     coupling = count * spec.nu**2 * _rho_float(spec, a) * math.sqrt(_rho_product(spec, b, c))
-    return _zeta_eta_block(spec, "C", role_s, role_t, frame_shift, coupling,
+    return _zeta_eta_block(spec, "C", role_s, role_t, coupling,
                            pair.internal_witness, {"ordered_count": count})
 
 
@@ -486,6 +508,10 @@ def b_gap_coefficient(rho: Sequence):
     polynomial and B from ``_b_poly``."""
     val = lambda_coefficient(rho) - 3 * _b_poly(rho)
     return Fraction(val, 2) if isinstance(val, int) else val / 2
+
+
+# the pair-creation coupling is B_COUPLING * nu^2 rho1 sqrt(rho2 rho3)
+B_COUPLING = 18
 
 
 def block_set_B(spec: TorusSpec, pair: ExternalPair,
@@ -516,7 +542,7 @@ def block_set_B(spec: TorusSpec, pair: ExternalPair,
     # for exact rho the gap is decided exactly, over the integers n_i
     if spec._rho_num is not None and b_gap_coefficient(by_witness(spec._rho_num)) == 0:
         a = 0.0
-    coupling = 18 * nu2 * _rho_float(spec, witness[0]) * math.sqrt(
+    coupling = B_COUPLING * nu2 * _rho_float(spec, witness[0]) * math.sqrt(
         _rho_product(spec, witness[1], witness[2]))
     disc = a * a - coupling * coupling  # = a^2 - 324 nu^4 rho1^2 rho2 rho3
     scale = max(a * a, coupling * coupling, (1e-3 * nu2) ** 2)
@@ -572,27 +598,26 @@ def block_set_E(spec: TorusSpec, s: int,
 
 @dataclass
 class EffectiveHamiltonian:
-    """Uncoupled external modes |j| <= band share one shift, ``lambda_shift``."""
+    """Uncoupled external modes |j| <= band share one shift,
+    ``spec.lambda_shift``."""
 
     spec: TorusSpec
     constant: float
-    freqs: Frequencies
-    lambda_shift: float
     band: int
     blocks: list[SpectralBlock]
 
     @property
     def scalar_lambdas(self) -> dict[int, float]:
-        """Lambda_j = j^2 + lambda_shift of each band mode neither internal
+        """Lambda_j = j^2 + spec.lambda_shift of each band mode neither internal
         nor in a block, in increasing j."""
         taken = set(self.spec.internal).union(*(b.modes for b in self.blocks))
-        return {j: j * j + self.lambda_shift
+        return {j: j * j + self.spec.lambda_shift
                 for j in range(-self.band, self.band + 1) if j not in taken}
 
     def to_json(self) -> str:
         obj = {
             "constant": self.constant,
-            "omega": list(self.freqs.omega),
+            "omega": list(self.spec.freqs.omega),
             "scalar_lambdas": {str(j): lam for j, lam in self.scalar_lambdas.items()},
             "blocks": [
                 {
@@ -652,8 +677,7 @@ def classify_torus(spec: TorusSpec, catalog: ResonanceCatalog,
 
     if band is None:
         band = catalog.bound
-    eff = EffectiveHamiltonian(spec, constant_metadata(spec), spec.freqs,
-                               spec.lambda_shift, band, blocks)
+    eff = EffectiveHamiltonian(spec, constant_metadata(spec), band, blocks)
     hyp = sorted({m for b in blocks if b.hyperbolic for m in b.modes})
     max_im = max((b.max_im for b in blocks), default=0.0)
     if not hyp:

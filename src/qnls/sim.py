@@ -34,6 +34,10 @@ from numpy.fft import _pocketfft_umath as _pfu
 
 from .normal_form import TorusSpec
 
+# a growth run saturates once its external mass reaches
+# SATURATION_FRACTION * nu * min(rho)
+SATURATION_FRACTION = 1e-2
+
 
 class BlowUp(Exception):
     """Relative mass drift exceeded tolerance: integrator failure."""
@@ -279,7 +283,7 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
 
 def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
                     grow_factor: float = 100.0,
-                    saturation_fraction: float = 1e-2) -> GrowthFit:
+                    saturation_fraction: float = SATURATION_FRACTION) -> GrowthFit:
     """Amplitude growth rate (1/2) d log(ext mass)/dt on the automatic window
     [first sample with ext mass >= grow_factor * initial,
      first sample with ext mass >= saturation_fraction * nu * min rho].
@@ -349,7 +353,7 @@ def scaling_experiment(internal: Sequence[int], rho: Sequence[float],
         spec = TorusSpec(tuple(internal), tuple(rho), nu)
         state = prepare_torus_state(spec, seed_modes, seed_amp_scale * np.sqrt(nu),
                                     grid, seed=seed)
-        sat = 1e-2 * nu * float(min(rho))
+        sat = SATURATION_FRACTION * nu * float(min(rho))
         traj = evolve(state, grid, horizon_factor / nu**2, sample_every,
                       internal=internal, mass_tol=mass_tol,
                       stop_ext_mass=2.0 * sat)

@@ -1,10 +1,12 @@
 """Nonresonance (small-divisor) verification over parameter grids.
 
 The divisors Omega(rho).k + Lambda_a +- Lambda_b split into an exact integer
-part (squares of mode numbers) and an O(nu^2) quadratic form in rho.  All
-admissibility decisions (conservation filters, Diophantine solvability,
-integer parts) are exact; grids and transversality estimates only enter when
-the integer part vanishes.
+part (squares of mode numbers) and an O(nu^2) quadratic form in rho.  The
+forms, the block roles and each block's resonant monomial are read from
+``normal_form``, so the divisors use the Omega and Lambda that classify the
+torus.  All admissibility decisions (conservation filters, Diophantine
+solvability, integer parts) are exact; grids and transversality estimates
+only enter when the integer part vanishes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .normal_form import EffectiveHamiltonian, TorusSpec, lambda_coefficient
+from .normal_form import (B_COUPLING, RESONANT_EXPONENTS, EffectiveHamiltonian, TorusSpec,
+                          b_gap_coefficient, lambda_coefficient, omega_coefficient,
+                          rho_form)
 
 LOWER_BOUNDED = "LowerBounded"
 TRANSVERSAL = "Transversal"
@@ -153,39 +157,8 @@ class HypothesisReport:
 
 
 # ---------------------------------------------------------------------------
-# quadratic forms in rho (the nu^-2 coefficients of all divisor expressions)
-
-def omega_form(n: int, i: int) -> np.ndarray:
-    """Quadratic form Q with rho.Q.rho = nu^-2 frequency shift of internal mode i."""
-    Q = np.zeros((n, n))
-    Q[i, i] = 3.0
-    others = [j for j in range(n) if j != i]
-    for j in others:
-        Q[j, j] = 9.0
-        Q[i, j] += 9.0
-        Q[j, i] += 9.0
-    if len(others) == 2:
-        a, b = others
-        Q[a, b] += 18.0
-        Q[b, a] += 18.0
-    return Q
-
-
-def lambda_form(n: int) -> np.ndarray:
-    Q = 18.0 * np.ones((n, n))
-    np.fill_diagonal(Q, 9.0)
-    return Q
-
-
-def b_lambda_s_form() -> np.ndarray:
-    """3 * (-r1^2 + r2^2 + 5 r3^2 - 6 r1 r2 + 12 r2 r3 + 6 r3 r1), witness order."""
-    Q = np.array([
-        [-3.0, -9.0, 9.0],
-        [-9.0, 3.0, 18.0],
-        [9.0, 18.0, 15.0],
-    ])
-    return Q
-
+# quadratic forms in rho (the nu^-2 coefficients of all divisor expressions),
+# each read off a normal_form polynomial by ``rho_form``
 
 def _quad(Q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.einsum("gi,ij,gj->g", grid, Q, grid)
@@ -401,8 +374,8 @@ def check_A0(eff: EffectiveHamiltonian, grid_resolution: int = 8) -> A0Result:
     spec = eff.spec
     nu2 = spec.nu**2
     grid = _domain_grid(spec, grid_resolution)
-    bound = nu2 * float(np.max(_quad(lambda_form(len(spec.internal)), grid)))
-    sup = nu2 * float(lambda_coefficient([float(r) for r in spec.rho]))
+    bound = nu2 * float(np.max(_quad(rho_form(lambda_coefficient, len(spec.internal)), grid)))
+    sup = spec.lambda_shift
     note = ""
     for blk in eff.blocks:
         if blk.kind != "B":
@@ -638,17 +611,10 @@ def resonant_k(internal: Sequence[int], blk) -> tuple[int, ...] | None:
     The monomial itself is carried by the normal form (its divisor vanishes
     identically), so the divisor families must not test it.
     """
-    coefs = {
-        "B": (-2, -1, 1),
-        "E": (-2, -1, 1),
-        "C": (2, -1, -1),
-        "A": (-2, 2),
-        "TwoMode": (-2, 2),
-    }.get(blk.kind)
-    if coefs is None or not blk.witness:
+    if not blk.witness:
         return None
     acc = {m: 0 for m in internal}
-    for c, m in zip(coefs, blk.witness):
+    for c, m in zip(RESONANT_EXPONENTS[blk.kind], blk.witness):
         acc[m] += c
     return tuple(acc[m] for m in internal)
 
@@ -659,17 +625,18 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
 
     The lattice with its mass sum(k), momentum, integer part and Omega form
     is built once as arrays.  Each family is a mask over it, combined with
-    spectral atoms: scalar Lambda_j (integer part j^2, ``lambda_form``, no
-    pad) or a coupled block's eigenvalue branches (role, form, pad).  Rows
-    are sorted into nested-loop order: base families interleaved per k, then
-    each block's families in ``eff.blocks`` order; j ascends in a family.
+    spectral atoms: scalar Lambda_j (integer part j^2, the form of
+    ``lambda_coefficient``, no pad) or a coupled block's eigenvalue branches
+    (role, form, pad).  Rows are sorted into nested-loop order: base
+    families interleaved per k, then each block's families in ``eff.blocks``
+    order; j ascends in a family.
     """
     spec = eff.spec
     internal = spec.internal
     n = len(internal)
     if mode_max is None:
         mode_max = 4 * max(abs(m) for m in internal) + 8
-    lam = lambda_form(n)
+    lam = rho_form(lambda_coefficient, n)
     none = np.zeros((n, n))
     iset = list(set(internal))
     blocked = list({m for blk in eff.blocks for m in blk.modes})
@@ -682,7 +649,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
     mass = lattice.sum(axis=1)
     mom = lattice @ np.array(internal)
     I0 = lattice @ np.array([m * m for m in internal])
-    omega_coef = np.array([_coef(omega_form(n, i)) for i in range(n)])
+    omega_coef = np.array([_coef(rho_form(omega_coefficient, n, i)) for i in range(n)])
     families = []  # (kind, n_modes, block, pad, filtered, Lambda coefficients)
     chunks = []
 
@@ -746,19 +713,19 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
             idx = every[mask & ~resident]
             emit(idx, kind, modes, I0[idx] + int_part, Q, pad, slot, block=b)
 
-        if len(blk.modes) == 2:
-            s_role, t_role = _block_roles(blk)
-        else:
-            s_role = t_role = blk.modes[0]
+        # blk.modes is (s_role, t_role); an E block's one mode plays both
+        s_role, t_role = blk.modes[0], blk.modes[-1]
         roles = list({s_role, t_role})
         if blk.kind == "B":
             pad1 = _pad_b_root(spec)
+            # a = (Lambda_t - Lambda_s)/2 and b = Lambda_t - a, over nu^2
+            gap = rho_form(b_gap_coefficient, 3)
             # slack for the frame ambiguity of chart-dependent nu^2 shifts
-            slack = spec.nu**2 * max(abs(v) for v in _interval(lam - b_lambda_s_form(), spec.domain))
-            branch_Q, branch_pad = (lam + b_lambda_s_form()) / 2.0, pad1 + slack
+            slack = spec.nu**2 * max(abs(v) for v in _interval(2 * gap, spec.domain))
+            branch_Q, branch_pad = lam - gap, pad1 + slack
             # eigenvalue pair sum: trace of the block, creation pair
             pair((mass == -2) & (mom + s_role + t_role == 0), OMEGA_K_PLUS_PLUS, blk.modes,
-                 s_role**2 + t_role**2, lam + b_lambda_s_form(), slack, 2)
+                 s_role**2 + t_role**2, 2 * (lam - gap), slack, 2)
             # eigenvalue pair difference: >= 2|Im| when hyperbolic
             pair((mass == 0) & (mom == 0), OMEGA_K_PLUS_MINUS, blk.modes, 0, none, 2 * pad1, 3)
         else:
@@ -804,37 +771,14 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
         fam_coef=np.array(coef), **cols)
 
 
-def _block_roles(blk) -> tuple[int, int]:
-    """(s_role, t_role) of a two-external block; (s, t) for pair creation."""
-    s, t = blk.modes
-    w = blk.witness
-    if blk.kind == "A":
-        a, b = w
-        # 2a + s_role = 2b + t_role
-        if 2 * a + s == 2 * b + t:
-            return s, t
-        return t, s
-    if blk.kind == "C":
-        a, b, c = w
-        if 2 * a + s == b + c + t:
-            return s, t
-        return t, s
-    if blk.kind == "TwoMode":
-        p, q = w
-        n_gap = (q - p) // 2
-        return p + 3 * n_gap, p - n_gap
-    return s, t
-
-
 def _pad_b_root(spec: TorusSpec) -> float:
     """Uniform bound on |sqrt(a^2 - c^2)| of the pair-creation block over the
     domain (covers both the real and the imaginary branch)."""
     nu2 = spec.nu**2
-    n = len(spec.internal)
-    alo, ahi = _interval((lambda_form(n) - b_lambda_s_form()) / 2.0, spec.domain)
+    alo, ahi = _interval(rho_form(b_gap_coefficient, 3), spec.domain)
     amax = max(abs(alo), abs(ahi)) * nu2
     box = spec.domain
-    cmax = 18.0 * nu2 * box[0][1] * math.sqrt(box[1][1] * box[2][1])
+    cmax = B_COUPLING * nu2 * box[0][1] * math.sqrt(box[1][1] * box[2][1])
     return math.hypot(amax, cmax)
 
 

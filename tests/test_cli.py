@@ -1,6 +1,8 @@
 """Command-line interface: golden outputs, exit codes, config handling."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -40,6 +42,19 @@ def test_import_loads_no_scipy():
                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_benchmark_traced_names_exist():
+    # perfbench/worker.py wraps these qnls functions by name; it is parsed,
+    # not imported, so a dropped or renamed function fails here
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    (traced,) = (ast.literal_eval(node.value) for node in ast.parse(worker.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    for module, names in traced.items():
+        for name in names:
+            attr = getattr(importlib.import_module(f"qnls.{module}"), name, None)
+            assert callable(attr), f"qnls.{module}.{name}"
 
 
 def test_resonances_flagship_golden():

@@ -25,10 +25,9 @@ def flagship_eff(rho=(2.0, 1.0, 9.0), nu=0.01, domain=None, band=20):
 
 def test_omega_matches_coefficients():
     spec = nf.TorusSpec((0, 1), (2.0, 3.0), 0.1)
-    w = nf.omega(spec)
     for i, j in enumerate(spec.internal):
         shift = nf.omega_coefficient(spec.rho, i)
-        assert w.omega[i] == pytest.approx(j * j + 0.1**2 * shift)
+        assert spec.freqs.omega[i] == pytest.approx(j * j + 0.1**2 * shift)
 
 
 def test_rho_must_be_positive():
@@ -437,6 +436,24 @@ def test_rho_polynomials_match_fraction_oracle(case):
         got = nf.b_gap_coefficient(rho)
         assert type(got) is (float if kind is float else Fraction)
         assert _same(got, _b_gap_ref(rho), rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rho(kinds=(int, Fraction)))
+def test_rho_forms_match_fraction_oracle(case):
+    # the read-only matrices the divisors use give rho.Q.rho = P(rho) exactly
+    _, rho = case
+    n = len(rho)
+
+    def quad(Q):
+        assert not Q.flags.writeable
+        return sum(Fraction(Q[i, j]) * rho[i] * rho[j] for i in range(n) for j in range(n))
+
+    for i in range(n):
+        assert quad(nf.rho_form(nf.omega_coefficient, n, i)) == _omega_ref(rho, i)
+    assert quad(nf.rho_form(nf.lambda_coefficient, n)) == _lambda_ref(rho)
+    if n == 3:
+        assert quad(nf.rho_form(nf.b_gap_coefficient, 3)) == _b_gap_ref(rho)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -51,19 +52,27 @@ def test_conservation_b_pair():
 
 def test_block_monomials_pass_filter():
     """Every coupled block's defining monomial satisfies both conservation
-    laws (cross-module consistency)."""
-    eff = flagship_eff()
-    for blk in eff.blocks:
-        k = sd.resonant_k(FLAGSHIP, blk)
-        assert k is not None
-        if blk.kind in ("B", "E"):
-            signs = (1, 1)
-            modes = blk.modes if blk.kind == "B" else (blk.modes[0], blk.modes[0])
-        else:
-            s_role, t_role = sd._block_roles(blk)
-            signs = (-1, 1)
-            modes = (s_role, t_role)
-        assert sd.conservation_filter(FLAGSHIP, k, modes, signs)
+    laws with the block's own modes, for every 2- and 3-mode set with
+    |m| <= 8 (cross-module consistency)."""
+    kinds = set()
+    for n in (2, 3):
+        for internal in itertools.combinations(range(-8, 9), n):
+            try:
+                spec = nf.TorusSpec(internal, (1.3, 1.7, 2.9)[:n], 0.01)
+                eff, _ = nf.classify_torus(spec, rs.enumerate_sets(internal))
+            except (rs.BoundTooSmall, nf.PreconditionViolated):
+                continue
+            for blk in eff.blocks:
+                k = sd.resonant_k(internal, blk)
+                if blk.kind in ("B", "E"):
+                    # two eta factors; an E block's one mode is both
+                    signs, modes = (1, 1), (blk.modes[0], blk.modes[-1])
+                else:
+                    # zeta_s eta_t with blk.modes = (s_role, t_role)
+                    signs, modes = (-1, 1), blk.modes
+                assert sd.conservation_filter(internal, k, modes, signs), (internal, blk)
+                kinds.add(blk.kind)
+    assert kinds == {"A", "B", "C", "E", "TwoMode"}
 
 
 # ---------------------------------------------------------------------------
