@@ -3,9 +3,10 @@
 The sextic resonant part of the Hamiltonian contributes, at second order in
 the external variables, a frequency shift to every external mode plus a
 finite number of 2x2 couplings, one per catalogued external pair.  This
-module assembles those blocks, diagonalizes them (a direct eigensolve of the
-linearized flow acts as the oracle for every closed form), and classifies
-the torus as elliptic or hyperbolic.
+module assembles every block with one builder, from the internal
+frequencies Omega, the external shift lambda and the block's resonant
+monomial, diagonalizes it by a direct eigensolve of the linearized flow, and
+classifies the torus as elliptic or hyperbolic.
 
 All rho-polynomial coefficients are assembled in exact rational arithmetic
 when the actions are rational, once per torus (see ``TorusSpec``); floats
@@ -14,7 +15,6 @@ appear only at eigensolve time.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,7 +52,7 @@ class TorusSpec:
     domain: tuple[tuple[float, float], ...] = ()
     rho_float: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # internal frequencies m_i^2 + nu^2 * omega_coefficient(rho, i)
-    freqs: Frequencies = field(init=False, repr=False, compare=False)
+    omega: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # nu^2 * lambda(rho): the shift shared by every uncoupled external mode
     lambda_shift: float = field(init=False, repr=False, compare=False)
     # rho_i = _rho_num[i] / _rho_den when every rho_i is an int or a Fraction,
@@ -88,10 +88,10 @@ class TorusSpec:
         put(self, "_rho_num", num)
         put(self, "_rho_den", den)
         nu2 = self.nu**2
-        put(self, "freqs", Frequencies(tuple(
+        put(self, "omega", tuple(
             m * m + nu2 * self.float_of(lambda r, i=i: omega_coefficient(r, i))
             for i, m in enumerate(self.internal)
-        )))
+        ))
         put(self, "lambda_shift", nu2 * self.float_of(lambda_coefficient))
 
     def float_of(self, poly: Callable[[Sequence], object]) -> float:
@@ -114,11 +114,6 @@ def domain_D1() -> tuple:
 
 def domain_D2(eps: float = 1e-2) -> tuple:
     return ((2 - eps, 2 + eps), (1 - eps, 1 + eps), (9 - eps, 9 + eps))
-
-
-@dataclass(frozen=True, slots=True)
-class Frequencies:
-    omega: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +234,7 @@ def standard_symplectic_form(dim: int) -> np.ndarray:
     return _STD_FORM_CACHE[dim]
 
 
-def generic_block_spectrum(coeff: np.ndarray, form: np.ndarray | None = None) -> list[complex]:
+def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
     """Frequencies of the quadratic Hamiltonian with Hessian ``coeff``.
 
     Eigenvalues mu of J*coeff come in (mu, -mu) pairs; the frequencies are
@@ -249,8 +244,7 @@ def generic_block_spectrum(coeff: np.ndarray, form: np.ndarray | None = None) ->
     coeff = np.asarray(coeff, dtype=float)
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1] or coeff.shape[0] % 2:
         raise ValueError("coeff must be square with even dimension")
-    J = standard_symplectic_form(coeff.shape[0]) if form is None else np.asarray(form, dtype=float)
-    mu = np.linalg.eigvals(J @ coeff)
+    mu = np.linalg.eigvals(standard_symplectic_form(coeff.shape[0]) @ coeff)
     lam = 1j * mu
     scale = max(1.0, float(np.max(np.abs(lam))))
     tol = 1e-10 * scale
@@ -301,6 +295,10 @@ RESONANT_EXPONENTS: Mapping[str, tuple[int, ...]] = MappingProxyType({
     "B": (-2, -1, 1),
     "E": (-2, -1, 1),
 })
+# The E block stores 2c for the reference closed form's coupling
+# c = nu^2 rho_1 sqrt(rho_2 rho_3), count 1, although its monomial's ordered
+# count is 9 (ROADMAP item 7).
+_E_COUNT = 2
 
 
 @dataclass(slots=True)
@@ -308,11 +306,9 @@ class SpectralBlock:
     """A coupled group of external modes with its quadratic form and spectrum.
 
     ``diag`` holds the uncoupled Lambda entries entering the matrix (trace
-    check), ``coupling`` the off-diagonal strength; together with ``kind``
-    they fix the matrix and, for an energy-conserving block, its closed-form
-    spectrum, so both are derived on access rather than held by every block.
-    ``transform`` records closed-form diagonalization parameters and any
-    discrepancy notes.
+    check), ``coupling`` the off-diagonal strength; with ``kind`` they fix
+    the matrix, so it is derived on access rather than held by every block.
+    ``witness`` lists the internal modes the kind's resonant exponents act on.
     """
 
     kind: str
@@ -321,32 +317,12 @@ class SpectralBlock:
     classification: str
     diag: tuple[float, ...]
     coupling: float
-    # what the builder recorded for ``transform``; derived from the fields
-    # above, so it takes no part in comparisons
-    params: dict | None = field(default=None, compare=False)
-    witness: tuple[int, ...] = ()
+    witness: tuple[int, ...]
 
     @property
     def coeff(self) -> np.ndarray:
         """The real Hessian of the block's quadratic form (``block_hessian``)."""
         return block_hessian(self.kind, self.diag, self.coupling)
-
-    @property
-    def transform(self) -> dict:
-        """Closed-form diagonalization parameters and discrepancy notes.
-
-        An energy-conserving block's closed-form eigenvalues,
-        mean -+ hypot((lam_t - lam_s)/2, coupling), are added to ``params``
-        the first time they are asked for.
-        """
-        if self.params is None:
-            self.params = {}
-        if self.kind in _ENERGY_CONSERVING and "closed_form" not in self.params:
-            lam_s, lam_t = self.diag
-            mean, a = (lam_s + lam_t) / 2, (lam_t - lam_s) / 2
-            shift = math.hypot(a, self.coupling)
-            self.params["closed_form"] = [mean - shift, mean + shift]
-        return self.params
 
     @property
     def hyperbolic(self) -> bool:
@@ -404,196 +380,127 @@ def block_hessian(kind: str, diag: tuple[float, ...], coupling: float) -> np.nda
     return _pair_coeff(lam_s, lam_t, coupling, 1)
 
 
-def _rho_float(spec: TorusSpec, mode: int) -> float:
-    """float(rho) of internal mode ``mode``."""
-    return spec.rho_float[spec.internal.index(mode)]
+def _twice_gap(rho: Sequence, idx: Sequence[int]):
+    """2 lambda + k.omega for the pair-creation exponents k over the witness
+    whose modes sit at internal indices ``idx``."""
+    k = RESONANT_EXPONENTS["B"]
+    return 2 * lambda_coefficient(rho) + sum(e * omega_coefficient(rho, i) for e, i in zip(k, idx))
 
 
-def _rho_product(spec: TorusSpec, a: int, b: int) -> float:
-    """float(rho_a * rho_b) of internal modes a and b."""
-    i, j = spec.internal.index(a), spec.internal.index(b)
-    return spec.float_of(lambda r: r[i] * r[j])
+def b_gap_coefficient(rho: Sequence):
+    """Exact nu^-2 coefficient of a = (Lambda_t - Lambda_s)/2 of the
+    pair-creation block, rho in witness order: lambda + k.omega/2.  It is
+    also the self-coupled block's Lambda_s / nu^2."""
+    val = _twice_gap(rho, range(3))
+    return Fraction(val, 2) if isinstance(val, int) else val / 2
 
 
-def _roles(kind: str, pair: ExternalPair, witness: Sequence[int]) -> tuple[int, int]:
-    """(s_role, t_role) of a zeta_s eta_t pair: k.witness = s_role - t_role
-    for the kind's resonant exponents k."""
-    gap = sum(k * m for k, m in zip(RESONANT_EXPONENTS[kind], witness))
-    return (pair.s, pair.t) if pair.s - pair.t == gap else (pair.t, pair.s)
+def coupling_count(kind: str, witness: Sequence[int], s: int, t: int) -> int:
+    """The factor of nu^2 prod rho_m^{|k_m|/2} in the stored coupling of a
+    block: the ordered count of its resonant sextic monomial, whose negative
+    exponents fill one side and positive exponents the other, each side
+    filled to three factors by the external modes s and t (E keeps its
+    reference count, ``_E_COUNT``)."""
+    if kind == "E":
+        return _E_COUNT
+    k = RESONANT_EXPONENTS[kind]
+    j_side = [m for e, m in zip(k, witness) for _ in range(-e)]
+    l_side = [m for e, m in zip(k, witness) for _ in range(e)]
+    n = 3 - len(j_side)
+    return _ordered_count(j_side + [s, t][:n], l_side + [s, t][n:])
 
 
-def _zeta_eta_block(spec: TorusSpec, kind: str, role_s: int, role_t: int,
-                    coupling: float, witness: tuple[int, ...],
-                    params: dict | None) -> SpectralBlock:
-    """Common builder for energy-conserving (zeta_s eta_t) couplings.
+def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...]) -> SpectralBlock:
+    """The block of the resonant monomial of ``kind`` over ``witness``,
+    coupling the external modes s and t (s = t for E).
 
-    The diagonal entry of role_s moves by the frame shift -k.Omega, k the
-    kind's resonant exponents over ``witness``.  Such blocks are Hermitian
-    2x2 forms and always have real spectra.
+    The monomial's exponents k fix every entry:
+    - coupling: ``coupling_count`` times nu^2 prod rho_m^{|k_m|/2};
+    - diagonal: Lambda_t = t^2 + nu^2 lambda.  A zeta_s eta_t pair (A, C,
+      TwoMode) orders its roles so that k.witness = s - t and moves
+      Lambda_s = s^2 + nu^2 lambda by the frame shift -k.Omega; it is a
+      Hermitian form, always elliptic.  The creation pair B has
+      Lambda_s = t^2 + nu^2 (-k.omega - lambda), the self block E
+      Lambda_s = nu^2 (lambda + k.omega/2);
+    - spectrum: ``generic_block_spectrum`` of ``block_hessian``.  B and E
+      are hyperbolic iff a^2 < coupling^2, with a = (Lambda_t - Lambda_s)/2
+      for B and Lambda_s for E; a discriminant within rounding of zero
+      raises DegenerateBlock.
     """
-    w = dict(zip(spec.internal, spec.freqs.omega))
-    frame_shift = sum(-k * w[m] for k, m in zip(RESONANT_EXPONENTS[kind], witness))
-    ext = spec.lambda_shift
-    lam_t = role_t * role_t + ext
-    lam_s = role_s * role_s + ext + frame_shift
-    eig = generic_block_spectrum(block_hessian(kind, (lam_s, lam_t), coupling))
-    cls = _classify(eig, spec.nu)
-    return SpectralBlock(kind, (role_s, role_t), tuple(eig), cls,
-                         (lam_s, lam_t), coupling, params, witness)
+    k = RESONANT_EXPONENTS[kind]
+    idx = [spec.internal.index(m) for m in witness]
+    nu2 = spec.nu**2
+    conserving = kind in _ENERGY_CONSERVING
+    if conserving and s - t != sum(e * m for e, m in zip(k, witness)):
+        s, t = t, s
+    # (count nu^2) rho_a rho_b, or (count nu^2) rho_a sqrt(rho_b rho_c)
+    full = [i for e, i in zip(k, idx) if abs(e) == 2]
+    half = [i for e, i in zip(k, idx) if abs(e) == 1]
+    coupling = coupling_count(kind, witness, s, t) * nu2
+    if half:
+        coupling = coupling * spec.rho_float[full[0]] * math.sqrt(
+            spec.float_of(lambda r: r[half[0]] * r[half[1]]))
+    else:
+        coupling = coupling * spec.float_of(lambda r: r[full[0]] * r[full[1]])
 
+    lam_t = t * t + spec.lambda_shift
+    if conserving:
+        frame_shift = sum(-e * spec.omega[i] for e, i in zip(k, idx))
+        diag = (s * s + spec.lambda_shift + frame_shift, lam_t)
+    elif kind == "B":
+        lam_s = t * t + nu2 * spec.float_of(lambda r: lambda_coefficient(r) - _twice_gap(r, idx))
+        diag = (lam_s, lam_t)
+        a = (lam_t - lam_s) / 2
+        # for exact rho the gap is decided exactly, over the integers n_i
+        if spec._rho_num is not None and _twice_gap(spec._rho_num, idx) == 0:
+            a = 0.0
+    else:
+        a = nu2 * spec.float_of(lambda r: _twice_gap(r, idx)) / 2
+        diag = (a,)
+
+    degenerate = False
+    if not conserving:
+        disc = a * a - coupling * coupling
+        scale = max(a * a, coupling * coupling, (1e-3 * nu2) ** 2)
+        if disc != 0.0 and abs(disc) < 1e-12 * scale:
+            raise DegenerateBlock(
+                f"set-{kind} discriminant {disc} within tolerance of zero for modes {(s, t)}")
+        degenerate = disc == 0.0 and coupling != 0.0
+    eig = generic_block_spectrum(block_hessian(kind, diag, coupling))
+    cls = DEGENERATE if degenerate else _classify(eig, spec.nu)
+    return SpectralBlock(kind, (s,) if kind == "E" else (s, t), tuple(eig), cls,
+                         diag, coupling, tuple(witness))
+
+
+# The builders classify_torus calls, one per catalog family, each through
+# its module global.
 
 def block_two_mode_case2(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
-    """Coupled block of the even-gap two-mode torus.
-
-    Diagonal (Lambda_s, Lambda_t) with Lambda_s evaluated in the rotating
-    frame of the coupling phase, off-diagonal 9 nu^2 rho1 rho2.  The two
-    closed-form mixing parameters alpha (reference closed form and the value derived from the
-    rotation condition) are both recorded; the generic spectrum governs.
-    """
-    role_s, role_t = _roles("TwoMode", pair, spec.internal)
-    r1, r2 = spec.rho_float
-    nu2 = spec.nu**2
-    # in the rotating frame of the coupling phase the energy identity
-    # 2p^2 + s^2 = 2q^2 + t^2 makes the shifted diagonal entry t^2 + O(nu^2);
-    # its closed form:
-    lam_s_closed = role_t**2 + nu2 * (21 * r2 * r2 - 3 * r1 * r1 + 36 * r1 * r2)
-    coupling = 9 * nu2 * r1 * r2
-    rad_reference = 4 * r1**4 + 2 * r1**2 * r2**2 + 4 * r2**4
-    alpha_reference = (-2 * r1**2 + 2 * r2**2 + math.sqrt(rad_reference)) / (3 * r1 * r2)
-    rad_derived = 4 * r1**4 + r1**2 * r2**2 + 4 * r2**4
-    alpha_derived = (2 * r1**2 - 2 * r2**2 + math.sqrt(rad_derived)) / (3 * r1 * r2)
-    transform = {
-        "alpha_reference": alpha_reference,
-        "alpha_derived": alpha_derived,
-        "notes": ["alpha closed forms disagree; generic spectrum governs"],
-    }
-    blk = _zeta_eta_block(spec, "TwoMode", role_s, role_t, coupling,
-                          spec.internal, transform)
-    blk.transform["lambda_s_closed"] = lam_s_closed
-    return blk
+    """Coupled block of the even-gap two-mode torus; always elliptic."""
+    return _block(spec, "TwoMode", pair.s, pair.t, pair.internal_witness)
 
 
 def block_set_A(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
     """Energy-conserving coupled pair driven by two second-order internal
     factors (witness (j3, j4)); always elliptic."""
-    j3, j4 = pair.internal_witness
-    role_s, role_t = _roles("A", pair, pair.internal_witness)
-    coupling = _ordered_count((j3, j3, role_s), (j4, j4, role_t)) * spec.nu**2 * _rho_product(
-        spec, j3, j4)
-    return _zeta_eta_block(spec, "A", role_s, role_t, coupling,
-                           pair.internal_witness, None)
+    return _block(spec, "A", pair.s, pair.t, pair.internal_witness)
 
 
 def block_set_C(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
     """Energy-conserving coupled pair driven by one second-order and two
     first-order internal factors (witness (a, b, c)); always elliptic."""
-    a, b, c = pair.internal_witness
-    role_s, role_t = _roles("C", pair, pair.internal_witness)
-    count = _ordered_count((a, a, role_s), (b, c, role_t))
-    coupling = count * spec.nu**2 * _rho_float(spec, a) * math.sqrt(_rho_product(spec, b, c))
-    return _zeta_eta_block(spec, "C", role_s, role_t, coupling,
-                           pair.internal_witness, {"ordered_count": count})
+    return _block(spec, "C", pair.s, pair.t, pair.internal_witness)
 
 
-def _b_poly(rho: Sequence):
-    """B = -rho1^2 + rho2^2 + 5 rho3^2 - 6 rho1 rho2 + 12 rho2 rho3 + 6 rho3 rho1,
-    the nu^-2/3 coefficient of the pair-creation block's Lambda_s - t^2."""
-    r1, r2, r3 = rho
-    return -r1 * r1 + r2 * r2 + 5 * r3 * r3 - 6 * r1 * r2 + 12 * r2 * r3 + 6 * r3 * r1
+def block_set_B(spec: TorusSpec, pair: ExternalPair) -> SpectralBlock:
+    """Pair-creation coupled block (the instability mechanism), witness
+    (j5, j6, j7)."""
+    return _block(spec, "B", pair.s, pair.t, pair.internal_witness)
 
 
-def b_gap_coefficient(rho: Sequence):
-    """Exact nu^-2 coefficient of a = (Lambda_t - Lambda_s)/2 for the
-    pair-creation block: (9*A - 3*B)/2 with 9*A the external-shift
-    polynomial and B from ``_b_poly``."""
-    val = lambda_coefficient(rho) - 3 * _b_poly(rho)
-    return Fraction(val, 2) if isinstance(val, int) else val / 2
-
-
-# the pair-creation coupling is B_COUPLING * nu^2 rho1 sqrt(rho2 rho3)
-B_COUPLING = 18
-
-
-def block_set_B(spec: TorusSpec, pair: ExternalPair,
-                witness: tuple[int, int, int] | None = None) -> SpectralBlock:
-    """Pair-creation coupled block (the instability mechanism).
-
-    With witness ordering (j5, j6, j7) mapped onto (rho1, rho2, rho3):
-    Lambda_t by the external formula, Lambda_s = t^2 + 3 nu^2 (-rho1^2 +
-    rho2^2 + 5 rho3^2 - 6 rho1 rho2 + 12 rho2 rho3 + 6 rho3 rho1),
-    a = (Lambda_t - Lambda_s)/2, b = (Lambda_t + Lambda_s)/2, coupling
-    18 nu^2 rho1 sqrt(rho2 rho3), eigenvalues b +- sqrt(a^2 - coupling^2).
-    Hyperbolic iff the discriminant is negative; the generic 4x4 eigensolve
-    cross-checks the closed form.
-    """
-    if witness is None:
-        witness = pair.internal_witness
-    idx = [spec.internal.index(m) for m in witness]
-
-    def by_witness(rho):
-        return [rho[k] for k in idx]
-
-    nu2 = spec.nu**2
-    s, t = pair.s, pair.t
-    lam_t = lambda_external(t, spec)
-    lam_s = t * t + 3 * nu2 * spec.float_of(lambda r: _b_poly(by_witness(r)))
-    a = (lam_t - lam_s) / 2
-    b = (lam_t + lam_s) / 2
-    # for exact rho the gap is decided exactly, over the integers n_i
-    if spec._rho_num is not None and b_gap_coefficient(by_witness(spec._rho_num)) == 0:
-        a = 0.0
-    coupling = B_COUPLING * nu2 * _rho_float(spec, witness[0]) * math.sqrt(
-        _rho_product(spec, witness[1], witness[2]))
-    disc = a * a - coupling * coupling  # = a^2 - 324 nu^4 rho1^2 rho2 rho3
-    scale = max(a * a, coupling * coupling, (1e-3 * nu2) ** 2)
-    if disc != 0.0 and abs(disc) < 1e-12 * scale:
-        raise DegenerateBlock(
-            f"set-B discriminant {disc} within tolerance of zero for pair {pair.modes}")
-    root = cmath.sqrt(complex(disc, 0.0))
-    closed = [b - root, b + root]
-    eig = generic_block_spectrum(block_hessian("B", (lam_s, lam_t), coupling))
-    cls = DEGENERATE if disc == 0.0 and coupling != 0.0 else _classify(eig, spec.nu)
-    transform = {
-        "a": a,
-        "b": b,
-        "discriminant": disc,
-        "closed_form": [[z.real, z.imag] for z in sorted(closed, key=lambda z: (z.real, z.imag))],
-    }
-    return SpectralBlock("B", (s, t), tuple(eig), cls,
-                         (lam_s, lam_t), coupling, transform, witness)
-
-
-def block_set_E(spec: TorusSpec, s: int,
-                witness: tuple[int, int, int] | None = None) -> SpectralBlock:
-    """Single-mode self-coupled block (zeta^2 + eta^2 coupling).
-
-    Lambda_s = 3 nu^2 (2 rho1^2 + rho2^2 - rho3^2 + 9 rho1 rho2 + 3 rho3 rho1)
-    in the reference closed form (note: no s^2 term; flagged), coupling
-    c = nu^2 rho1 sqrt(rho2 rho3).  Hyperbolic iff |c| > |Lambda_s| / 2 per
-    the generic spectrum of the real 2x2 form.
-    """
-    if witness is None:
-        witness = spec.internal
-    r = [_rho_float(spec, m) for m in witness]
-    nu2 = spec.nu**2
-    lam_s = 3 * nu2 * (2 * r[0] ** 2 + r[1] ** 2 - r[2] ** 2 + 9 * r[0] * r[1] + 3 * r[2] * r[0])
-    c = nu2 * r[0] * math.sqrt(r[1] * r[2])
-    eig = generic_block_spectrum(block_hessian("E", (lam_s,), 2 * c))
-    disc = lam_s * lam_s - 4 * c * c
-    scale = max(lam_s * lam_s, 4 * c * c, (1e-3 * nu2) ** 2)
-    if disc != 0.0 and abs(disc) < 1e-12 * scale:
-        raise DegenerateBlock(f"set-E parabolic transition at mode {s}")
-    transform: dict = {
-        "notes": ["reference closed form for Lambda_s omits the s^2 term; flagged"],
-        "closed_form_magnitude": math.sqrt(abs(disc)),
-    }
-    if c != 0.0:
-        # beta solves lam_s * beta = (1 - beta^2) * c
-        rad = math.sqrt(lam_s * lam_s + 4 * c * c)
-        transform["beta"] = (-lam_s + rad) / (2 * c)
-    cls = DEGENERATE if disc == 0.0 and (lam_s, c) != (0.0, 0.0) else _classify(eig, spec.nu)
-    return SpectralBlock("E", (s,), tuple(eig), cls,
-                         (lam_s,), 2 * c, transform, tuple(witness))
+def block_set_E(spec: TorusSpec, s: int, witness: tuple[int, int, int]) -> SpectralBlock:
+    """Single-mode self-coupled block (zeta^2 + eta^2 coupling)."""
+    return _block(spec, "E", s, s, witness)
 
 
 @dataclass
@@ -617,7 +524,7 @@ class EffectiveHamiltonian:
     def to_json(self) -> str:
         obj = {
             "constant": self.constant,
-            "omega": list(self.spec.freqs.omega),
+            "omega": list(self.spec.omega),
             "scalar_lambdas": {str(j): lam for j, lam in self.scalar_lambdas.items()},
             "blocks": [
                 {

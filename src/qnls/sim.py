@@ -335,12 +335,11 @@ def scaling_experiment(internal: Sequence[int], rho: Sequence[float],
                        nu_list: Sequence[float], grid: GridSpec,
                        seed_modes: Sequence[int], seed_amp_scale: float = 1e-8,
                        sample_every: int = 20, grow_factor: float = 100.0,
-                       mass_tol: float = 1e-6, seed: int = 0,
-                       horizon_factor: float = 40.0) -> tuple[float, dict]:
+                       mass_tol: float = 1e-6, seed: int = 0) -> tuple[float, dict]:
     """Fit growth rates across nu and return the log-log slope (expected 2).
 
     Each run uses seed amplitude seed_amp_scale * sqrt(nu) and a horizon of
-    horizon_factor / nu^2, stopping early at saturation.
+    40 / nu^2, stopping early at saturation.
     """
     if len(nu_list) < 3:
         raise ValueError("need at least 3 nu values")
@@ -354,7 +353,7 @@ def scaling_experiment(internal: Sequence[int], rho: Sequence[float],
         state = prepare_torus_state(spec, seed_modes, seed_amp_scale * np.sqrt(nu),
                                     grid, seed=seed)
         sat = SATURATION_FRACTION * nu * float(min(rho))
-        traj = evolve(state, grid, horizon_factor / nu**2, sample_every,
+        traj = evolve(state, grid, 40.0 / nu**2, sample_every,
                       internal=internal, mass_tol=mass_tol,
                       stop_ext_mass=2.0 * sat)
         fit = fit_growth_rate(traj, nu, rho, grow_factor=grow_factor)

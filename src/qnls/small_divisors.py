@@ -20,9 +20,9 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .normal_form import (B_COUPLING, RESONANT_EXPONENTS, EffectiveHamiltonian, TorusSpec,
-                          b_gap_coefficient, lambda_coefficient, omega_coefficient,
-                          rho_form)
+from .normal_form import (RESONANT_EXPONENTS, EffectiveHamiltonian, TorusSpec,
+                          b_gap_coefficient, coupling_count, lambda_coefficient,
+                          omega_coefficient, rho_form)
 
 LOWER_BOUNDED = "LowerBounded"
 TRANSVERSAL = "Transversal"
@@ -259,20 +259,19 @@ class EmptyRange(Exception):
 
 @dataclass(frozen=True)
 class ConicSystem:
-    """Mass + momentum + energy lattice system with an optional free external
-    mode j entering the momentum row linearly and the energy row as -j^2."""
+    """Mass + momentum + energy lattice system with a free external mode j
+    entering the momentum row linearly and the energy row as -j^2."""
 
     mass_offset: int
     momentum_coeffs: tuple[int, int, int]
     momentum_offset: int
     energy_coeffs: tuple[int, int, int]
     energy_offset: int
-    unknown_mode: bool = True
 
 
 def setA_conic_system() -> ConicSystem:
     """Extremal-search conic system (mass 0, offsets +2 / +4)."""
-    return ConicSystem(0, (-3, 10, -6), 2, (9, 100, 36), 4, unknown_mode=True)
+    return ConicSystem(0, (-3, 10, -6), 2, (9, 100, 36), 4)
 
 
 def _isqrt_exact(d: int) -> int | None:
@@ -301,14 +300,10 @@ def conic_search(system: ConicSystem, param_range: int) -> list[tuple[tuple[int,
         c1 = m3 - m1
         d0 = e1 * (-k2 - system.mass_offset) + e2 * k2 + system.energy_offset
         d1 = e3 - e1
-        if system.unknown_mode:
-            # d0 + d1 k3 - (c0 + c1 k3)^2 = 0
-            A = -c1 * c1
-            B = d1 - 2 * c0 * c1
-            C = d0 - c0 * c0
-        else:
-            # momentum must vanish identically: c0 + c1 k3 = 0, and energy too
-            A, B, C = 0, d1, d0
+        # d0 + d1 k3 - (c0 + c1 k3)^2 = 0
+        A = -c1 * c1
+        B = d1 - 2 * c0 * c1
+        C = d0 - c0 * c0
         roots: list[int] = []
         if A == 0 and B == 0:
             continue  # either no solution or a degenerate full line; skip
@@ -327,18 +322,13 @@ def conic_search(system: ConicSystem, param_range: int) -> list[tuple[tuple[int,
         for k3 in roots:
             k1 = -k2 - k3 - system.mass_offset
             j = c0 + c1 * k3
-            if not system.unknown_mode:
-                if c0 + c1 * k3 != 0:
-                    continue
-                j = 0
             k = (k1, k2, k3)
             if k == (0, 0, 0):
                 continue
             # substitution check of all three original equations
             assert k1 + k2 + k3 + system.mass_offset == 0
-            assert m1 * k1 + m2 * k2 + m3 * k3 + system.momentum_offset - j == 0 or not system.unknown_mode
-            if system.unknown_mode:
-                assert e1 * k1 + e2 * k2 + e3 * k3 + system.energy_offset - j * j == 0
+            assert m1 * k1 + m2 * k2 + m3 * k3 + system.momentum_offset - j == 0
+            assert e1 * k1 + e2 * k2 + e3 * k3 + system.energy_offset - j * j == 0
             out.append((k, j))
     out = sorted(set(out), key=lambda kj: (sum(x * x for x in kj[0]), kj[0]))
     return out
@@ -395,13 +385,15 @@ class A1Verdict:
     margin: float
 
 
-def check_A1(eff: EffectiveHamiltonian, delta: float | None = None,
-             mode_cutoff: int = 40) -> list[A1Verdict]:
+_A1_MODE_CUTOFF = 40
+
+
+def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Verdict]:
     """The four separation inequalities over scalar and block eigenvalues.
 
     Scalars cluster by |j| (their shifts are identical, so Lambda_j =
     Lambda_{-j} exactly); block eigenvalues cluster with the mode whose
-    square they perturb.  Beyond ``mode_cutoff`` the gap |a^2 - b^2| - 2C
+    square they perturb.  Beyond ``_A1_MODE_CUTOFF`` the gap |a^2 - b^2| - 2C
     grows without bound, certifying the tail from A0.
     """
     spec = eff.spec
@@ -412,7 +404,7 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None,
     elliptic: list[tuple[float, int]] = []  # (Lambda, cluster key)
     hyperbolic_im: list[float] = []
     for j, lam in eff.scalar_lambdas.items():
-        if abs(j) <= mode_cutoff:
+        if abs(j) <= _A1_MODE_CUTOFF:
             elliptic.append((lam, abs(j)))
     for blk in eff.blocks:
         for lam in blk.eigenvalues:
@@ -443,7 +435,8 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None,
                 for lb in by_cluster[kb]:
                     cross = min(cross, abs(la - lb))
     out.append(A1Verdict("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)",
-                         cross >= delta and (mode_cutoff + 1)**2 - mode_cutoff**2 - 2 * a0.bound > delta,
+                         cross >= delta
+                         and (_A1_MODE_CUTOFF + 1)**2 - _A1_MODE_CUTOFF**2 - 2 * a0.bound > delta,
                          cross - delta))
     min_sum = min(abs(la + lb) for i, (la, _) in enumerate(elliptic)
                   for lb, _ in elliptic[i:])
@@ -605,22 +598,19 @@ def _judge(k: tuple[int, ...], int_part: int, Q: np.ndarray, spec: TorusSpec,
     return VIOLATED, [float(x) for x in grid[imin]]
 
 
-def resonant_k(internal: Sequence[int], blk) -> tuple[int, ...] | None:
+def resonant_k(internal: Sequence[int], blk) -> tuple[int, ...]:
     """Exponent vector of the block's defining resonant monomial.
 
     The monomial itself is carried by the normal form (its divisor vanishes
     identically), so the divisor families must not test it.
     """
-    if not blk.witness:
-        return None
     acc = {m: 0 for m in internal}
     for c, m in zip(RESONANT_EXPONENTS[blk.kind], blk.witness):
         acc[m] += c
     return tuple(acc[m] for m in internal)
 
 
-def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
-                             mode_max: int | None = None) -> DivisorTable:
+def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTable:
     """Every divisor family in one pass over the lattice.
 
     The lattice with its mass sum(k), momentum, integer part and Omega form
@@ -629,13 +619,13 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
     ``lambda_coefficient``, no pad) or a coupled block's eigenvalue branches
     (role, form, pad).  Rows are sorted into nested-loop order: base
     families interleaved per k, then each block's families in ``eff.blocks``
-    order; j ascends in a family.
+    order; j ascends in a family.  External modes range over
+    |j| <= 4 max|m| + 8, the default catalog bound.
     """
     spec = eff.spec
     internal = spec.internal
     n = len(internal)
-    if mode_max is None:
-        mode_max = 4 * max(abs(m) for m in internal) + 8
+    mode_max = 4 * max(abs(m) for m in internal) + 8
     lam = rho_form(lambda_coefficient, n)
     none = np.zeros((n, n))
     iset = list(set(internal))
@@ -704,8 +694,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
     # coupled-block divisor families
     for b, blk in enumerate(eff.blocks):
         kres = resonant_k(internal, blk)
-        resident = np.zeros(L, dtype=bool) if not kres else (
-            (lattice == kres).all(axis=1) | (lattice == [-x for x in kres]).all(axis=1))
+        resident = (lattice == kres).all(axis=1) | (lattice == [-x for x in kres]).all(axis=1)
 
         def pair(mask, kind, modes, int_part, Q, pad, slot):
             """A block's own pair family; its defining monomial is filtered."""
@@ -717,9 +706,9 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
         s_role, t_role = blk.modes[0], blk.modes[-1]
         roles = list({s_role, t_role})
         if blk.kind == "B":
-            pad1 = _pad_b_root(spec)
             # a = (Lambda_t - Lambda_s)/2 and b = Lambda_t - a, over nu^2
-            gap = rho_form(b_gap_coefficient, 3)
+            gap = _b_gap_form(spec, blk)
+            pad1 = _pad_b_root(spec, blk, gap)
             # slack for the frame ambiguity of chart-dependent nu^2 shifts
             slack = spec.nu**2 * max(abs(v) for v in _interval(2 * gap, spec.domain))
             branch_Q, branch_pad = lam - gap, pad1 + slack
@@ -771,20 +760,29 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int,
         fam_coef=np.array(coef), **cols)
 
 
-def _pad_b_root(spec: TorusSpec) -> float:
+def _b_gap_form(spec: TorusSpec, blk) -> np.ndarray:
+    """``b_gap_coefficient``'s matrix, stated over the block's witness,
+    moved to the internal order in which every form is evaluated."""
+    idx = [spec.internal.index(m) for m in blk.witness]
+    Q = np.empty((3, 3))
+    Q[np.ix_(idx, idx)] = rho_form(b_gap_coefficient, 3)
+    return Q
+
+
+def _pad_b_root(spec: TorusSpec, blk, gap: np.ndarray) -> float:
     """Uniform bound on |sqrt(a^2 - c^2)| of the pair-creation block over the
-    domain (covers both the real and the imaginary branch)."""
+    domain (covers both the real and the imaginary branch); ``gap`` is a's
+    form over nu^2 and c = count nu^2 rho_1 sqrt(rho_2 rho_3) in witness order."""
     nu2 = spec.nu**2
-    alo, ahi = _interval(rho_form(b_gap_coefficient, 3), spec.domain)
+    alo, ahi = _interval(gap, spec.domain)
     amax = max(abs(alo), abs(ahi)) * nu2
-    box = spec.domain
-    cmax = B_COUPLING * nu2 * box[0][1] * math.sqrt(box[1][1] * box[2][1])
+    r1, r2, r3 = (spec.domain[spec.internal.index(m)][1] for m in blk.witness)
+    cmax = coupling_count("B", blk.witness, *blk.modes) * nu2 * r1 * math.sqrt(r2 * r3)
     return math.hypot(amax, cmax)
 
 
 def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
-             k_max: int = 20, grid: np.ndarray | None = None,
-             grid_resolution: int = 16, mode_max: int | None = None) -> HypothesisReport:
+             k_max: int = 20, grid_resolution: int = 16) -> HypothesisReport:
     """Verdict for every admissible divisor with |k|_inf <= k_max.
 
     Integer parts are exact; an interval bound, evaluated for all rows at
@@ -795,9 +793,8 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
     spec = eff.spec
     if delta is None:
         delta = spec.nu**2
-    if grid is None:
-        grid = _domain_grid(spec, grid_resolution)
-    table = enumerate_A2_expressions(eff, k_max, mode_max)
+    grid = _domain_grid(spec, grid_resolution)
+    table = enumerate_A2_expressions(eff, k_max)
     lo, hi = table.bounds(spec)
     codes = np.where(table.filtered, 0, 1).astype(np.int8)  # FILTERED, LOWER_BOUNDED
     witnesses = {}
@@ -811,8 +808,7 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
 
 
 def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
-                 k_max: int = 20, grid_resolution: int = 16,
-                 mode_max: int | None = None) -> float:
+                 k_max: int = 20, grid_resolution: int = 16) -> float:
     """Fraction of domain grid points where some admissible divisor falls
     below delta in magnitude (delta = 0 counts exact resonances)."""
     if grid_resolution < 8:
@@ -822,7 +818,7 @@ def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
         delta = spec.nu**2
     grid = _domain_grid(spec, grid_resolution)
     nu2 = spec.nu**2
-    table = enumerate_A2_expressions(eff, k_max, mode_max)
+    table = enumerate_A2_expressions(eff, k_max)
     lo, hi = table.bounds(spec)
     excluded = np.zeros(grid.shape[0], dtype=bool)
     for r in np.flatnonzero(~(table.filtered | (lo > delta) | (hi < -delta))):

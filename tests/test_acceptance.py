@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line for its criterion; the expensive
 dynamical runs are shared through module-scoped fixtures.
 """
 
+import cmath
 import math
 import time
 from fractions import Fraction
@@ -161,8 +162,14 @@ def test_criterion_05_eigenvalue_oracle():
                 for r3 in axes[2]:
                     spec = nf.TorusSpec(FLAGSHIP, (float(r1), float(r2), float(r3)), nu)
                     blk = nf.block_set_B(spec, pair)
-                    closed = [complex(re, im)
-                              for re, im in blk.transform["closed_form"]]
+                    # reference closed form b -+ sqrt(a^2 - c^2), witness
+                    # (-3, 10, -6) in internal order
+                    t = blk.modes[1]
+                    bpoly = -r1 * r1 + r2 * r2 + 5 * r3 * r3 - 6 * r1 * r2 + 12 * r2 * r3 + 6 * r3 * r1
+                    lam = 9 * (r1 * r1 + r2 * r2 + r3 * r3 + 4 * (r1 * r2 + r2 * r3 + r3 * r1))
+                    lam_s, lam_t = t * t + 3 * nu**2 * bpoly, t * t + nu**2 * lam
+                    root = cmath.sqrt(((lam_t - lam_s) / 2) ** 2 - (18 * nu**2 * r1) ** 2 * r2 * r3)
+                    closed = [(lam_t + lam_s) / 2 - root, (lam_t + lam_s) / 2 + root]
                     for lam in blk.eigenvalues:
                         rel = min(abs(lam - z) for z in closed) / max(
                             abs(z) for z in closed)

@@ -371,6 +371,26 @@ def test_table_bounds_match_scalar_interval(name):
     assert hi[rows].tobytes() == np.array(want_hi).tobytes()
 
 
+def test_a2_b_forms_follow_the_witness():
+    # the B block's witness (-2, -9, -8) is not the internal order: its
+    # trace family's Lambda form must still give the block's
+    # (Lambda_s + Lambda_t - 2 t^2) / nu^2 at rho
+    internal, rho, nu = (-9, -8, -2), (1.3, 1.7, 2.9), 0.01
+    spec = nf.TorusSpec(internal, rho, nu)
+    eff, _ = nf.classify_torus(spec, rs.enumerate_sets(internal))
+    b, blk = next((b, blk) for b, blk in enumerate(eff.blocks) if blk.kind == "B")
+    assert blk.witness == (-2, -9, -8)
+    lam_s, lam_t = blk.diag
+    want = (lam_s + lam_t - 2 * blk.modes[1] ** 2) / nu**2
+    table = sd.enumerate_A2_expressions(eff, k_max=6)
+    (fam,) = {int(table.family[r]) for r in range(len(table))
+              if table.expression(r).block == table.labels[b] and not table.filtered[r]
+              and table.expression(r).kind == sd.OMEGA_K_PLUS_PLUS
+              and table.expression(r).modes == blk.modes}
+    got = sum(c * rho[i] * rho[j] for c, (i, j) in zip(table.fam_coef[fam], sd._pairs(3)))
+    assert got == pytest.approx(want, rel=1e-12)  # 633.3; 844.98 in witness order
+
+
 # ---------------------------------------------------------------------------
 # measure scan
 
