@@ -102,7 +102,9 @@ def test_criterion_02_two_mode_structure():
         p = int(rng.integers(-20, 21))
         gap = int(rng.integers(1, 21))
         q = p + gap
-        pair = rs.solve_two_mode_pair(p, q)
+        pairs = rs.enumerate_sets((p, q)).set_A
+        assert len(pairs) <= 1
+        pair = pairs[0] if pairs else None
         brute = brute_two_mode_pair(p, q, limit=200)
         if gap % 2 == 1:
             assert pair is None and brute == set()

@@ -396,6 +396,57 @@ def test_exact_rho_sweep_golden():
     assert _exact_rho_sweep_digest() == EXACT_RHO_SWEEP_SHA256
 
 
+def _instability_net():
+    """sha256 over every B- or E-bearing three-mode set with |m| <= 15,
+    classified at ten Fraction rho in [1/6, 10] each, drawn from a fixed
+    seed, nu = 1/100: per torus its verdict, hyperbolic modes and each
+    block's kind, modes, witness and classification.  Also returns the
+    number of sets, of Unstable tori and of hyperbolic B and E blocks."""
+    import random
+    from itertools import combinations
+
+    rng = random.Random(20261019)
+    h = hashlib.sha256()
+    sets = unstable = 0
+    hyperbolic = {"B": 0, "E": 0}
+    for internal in combinations(range(-15, 16), 3):
+        try:
+            cat = rs.enumerate_sets(internal)
+        except rs.BoundTooSmall:
+            continue
+        if not (cat.set_B or cat.set_E):
+            continue
+        sets += 1
+        for _ in range(10):
+            rho = tuple(Fraction(rng.randint(10, 600), 60) for _ in internal)
+            h.update(f"{internal}|{rho}\n".encode())
+            try:
+                spec = nf.TorusSpec(internal, rho, Fraction(1, 100))
+                eff, cls = nf.classify_torus(spec, cat)
+            except (nf.PreconditionViolated, nf.DegenerateBlock) as exc:
+                h.update(f"refused {type(exc).__name__}\n".encode())
+                continue
+            h.update(repr((cls.verdict, cls.hyperbolic_modes)).encode())
+            unstable += cls.verdict == "Unstable"
+            for b in eff.blocks:
+                h.update(repr((b.kind, b.modes, b.witness, b.classification)).encode())
+                if b.hyperbolic:
+                    hyperbolic[b.kind] += 1
+    return h.hexdigest(), sets, unstable, hyperbolic
+
+
+# recorded before the resonance census replaced the per-family solvers; it
+# holds hyperbolic B and E blocks away from the flagship, which no other
+# golden does
+INSTABILITY_NET_SHA256 = "1ed07b1349d098b85d3e42419e53504918210245ab67058ad7bcbb84a0dab199"
+
+
+def test_instability_net_golden():
+    digest, sets, unstable, hyperbolic = _instability_net()
+    assert (sets, unstable, hyperbolic) == (714, 211, {"B": 200, "E": 11})
+    assert digest == INSTABILITY_NET_SHA256
+
+
 # ---------------------------------------------------------------------------
 # rho-polynomial oracle: plain-Fraction copies of the coefficient formulas
 
