@@ -312,7 +312,7 @@ def _plain(v):
 
 def _discrepancy_notes(cat) -> list[str]:
     notes = []
-    if getattr(cat, "set_A", None):
+    if cat.set_A:
         pairs = [(p.s, p.t) for p in cat.set_A]
         notes.append(
             "family-A pairs computed as "

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .resonance import ExternalPair, ResonanceCatalog
+from .resonance import RESONANT_EXPONENTS, ExternalPair, ResonanceCatalog
 
 
 class DegenerateBlock(Exception):
@@ -197,16 +197,11 @@ def _z6_counts(n: int) -> Mapping[tuple[int, ...], int]:
 
 
 def constant_metadata(spec: TorusSpec) -> float:
-    """The additive constant split off by the normal form; metadata only
-    (constants never affect spectra)."""
+    """The additive constant split off by the normal form, the counted
+    resonant Z6 plus H2 = sum m^2 nu rho at the torus, for two modes as for
+    three; metadata only (constants never affect spectra)."""
     nu = spec.nu
     rho = spec.rho_float
-    if len(rho) == 2:
-        r1, r2 = rho
-        p, q = spec.internal
-        return nu**3 * (r1**3 + r2**3 + 9 * r1**2 * r2 + 9 * r2**2 * r1) + 9 * (
-            nu * p * p * r1 + nu * q * q * r2
-        )
     nu_rho = [nu * r for r in rho]
     z06 = sum(
         c * math.prod(x ** e for x, e in zip(nu_rho, expo))
@@ -282,19 +277,9 @@ def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
 ELLIPTIC = "Elliptic"
 HYPERBOLIC = "Hyperbolic"
 DEGENERATE = "Degenerate"
-# kinds whose zeta_s eta_t coupling conserves energy: Hermitian 2x2 forms
+# kinds whose zeta_s eta_t coupling conserves energy: Hermitian 2x2 forms;
+# the frame shift -k.Omega that makes the coupling autonomous moves Lambda_s
 _ENERGY_CONSERVING = ("A", "C", "TwoMode")
-# Exponent vector k of each kind's resonant monomial e^{i k.theta}, over the
-# block's witness.  For a zeta_s eta_t pair momentum gives
-# k.witness = s_role - t_role, and the frame shift -k.Omega that makes the
-# coupling autonomous moves Lambda_s.  B and E pair two eta factors.
-RESONANT_EXPONENTS: Mapping[str, tuple[int, ...]] = MappingProxyType({
-    "A": (-2, 2),
-    "TwoMode": (-2, 2),
-    "C": (-2, 1, 1),
-    "B": (-2, -1, 1),
-    "E": (-2, -1, 1),
-})
 # The E block stores 2c for the reference closed form's coupling
 # c = nu^2 rho_1 sqrt(rho_2 rho_3), count 1, although its monomial's ordered
 # count is 9 (ROADMAP item 7).

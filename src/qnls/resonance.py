@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import isqrt
-from typing import Iterable, Sequence
+from operator import mul
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 
 class BoundTooSmall(Exception):
     """A closed-form external solution fell outside the enumeration bound."""
-
-
-def _canonical_pair(js, ls):
-    js = tuple(sorted(js))
-    ls = tuple(sorted(ls))
-    return (js, ls) if js <= ls else (ls, js)
 
 
 def enumerate_R(K: int) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
@@ -51,8 +48,7 @@ class ExternalPair:
     """A pair of external modes resonantly coupled to the internal set.
 
     ``internal_witness`` is the ordered tuple of internal modes whose
-    Diophantine system produced the pair.  For the single-mode family the
-    pair is (s, s).
+    Diophantine system produced the pair.  For family E the pair is (s, s).
     """
 
     s: int
@@ -69,43 +65,10 @@ def _norm_pair(s: int, t: int) -> tuple[int, int]:
     return (s, t) if s <= t else (t, s)
 
 
-def solve_two_mode_pair(p: int, q: int) -> ExternalPair | None:
-    """External pair coupled to a two-mode set {p, q} by the system
-    2p + s = 2q + t, 2p^2 + s^2 = 2q^2 + t^2.
-
-    Solvable iff q - p is even; then with n = (q - p) / 2 the unique
-    solution is (s, t) = (p + 3n, p - n).  Returns None when unsolvable or
-    when the solution collides with the internal modes.
-    """
-    if (q - p) % 2:
-        return None
-    n = (q - p) // 2
-    s, t = p + 3 * n, p - n
-    assert 2 * p + s == 2 * q + t
-    assert 2 * p * p + s * s == 2 * q * q + t * t
-    if s == t or s in (p, q) or t in (p, q):
-        return None
-    return ExternalPair(*_norm_pair(s, t), internal_witness=(p, q), set_tag="TwoMode")
-
-
-def solve_one_mode(j1: int, j2: int, j3: int) -> list[int]:
-    """Solve 2 j1 + j2 = 2 j3 + l, 2 j1^2 + j2^2 = 2 j3^2 + l^2 for l.
-
-    The first equation fixes l, so the result has at most one entry; the
-    quadratic equation filters, as does coincidence with j1, j2, j3.
-    """
-    l = 2 * j1 + j2 - 2 * j3
-    if 2 * j1 * j1 + j2 * j2 != 2 * j3 * j3 + l * l:
-        return []
-    if l in (j1, j2, j3):
-        return []
-    return [l]
-
-
 def _solve_sum_sumsq(S: int, Q: int) -> tuple[int, int] | None:
-    """Integer (s, t) with s + t = S, s^2 + t^2 = Q, s != t, or None."""
+    """Integer (s, t) with s + t = S, s^2 + t^2 = Q, s <= t, or None."""
     disc = 2 * Q - S * S  # (s - t)^2
-    if disc <= 0:
+    if disc < 0:
         return None
     r = isqrt(disc)
     if r * r != disc or (S + r) % 2:
@@ -148,9 +111,6 @@ class ResonanceCatalog:
                         return False
         return True
 
-    def all_pairs(self) -> list[ExternalPair]:
-        return [*self.set_A, *self.set_B, *self.set_C, *self.set_E]
-
     def to_json(self) -> str:
         obj = {
             "internal": list(self.internal),
@@ -171,93 +131,110 @@ def _dedupe(pairs: Iterable[ExternalPair]) -> list[ExternalPair]:
     return [out[k] for k in sorted(out)]
 
 
-def _check_bound(s: int, t: int, bound: int, witness) -> None:
-    if abs(s) > bound or abs(t) > bound:
-        raise BoundTooSmall(
-            f"external pair ({s}, {t}) from witness {witness} exceeds bound {bound}"
-        )
+# Exponent vector k of each kind's resonant monomial e^{i k.theta}, over the
+# block's witness: negative exponents count factors on the j side of the
+# resonance, positive ones on the l side, and one or two external modes fill
+# each side to three.  For a zeta_s eta_t pair (A, C, TwoMode) momentum gives
+# k.witness = s_role - t_role; B and E pair two eta factors, E at s = t.
+RESONANT_EXPONENTS: Mapping[str, tuple[int, ...]] = MappingProxyType({
+    "A": (-2, 2),
+    "TwoMode": (-2, 2),
+    "C": (-2, 1, 1),
+    "B": (-2, -1, 1),
+    "E": (-2, -1, 1),
+})
+# 2 j1 + j2 = 2 j3 + l: five internal factors and one external mode l
+_ONE_MODE_EXPONENTS = (-2, -1, 2)
+
+
+def default_bound(internal: Sequence[int]) -> int:
+    """The enumeration bound on |s|, |t| when the caller gives none."""
+    return 4 * max(abs(m) for m in internal) + 8
+
+
+@lru_cache(maxsize=2)
+def _census(n: int) -> tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]:
+    """Every sextic exponent pattern over n internal modes, as rows
+    (family, witness indices, net exponent vector over the internal modes).
+
+    Families A, C and B take their exponents from ``RESONANT_EXPONENTS``
+    (E shares B's rows: it is their root s = t) and "1" (one external mode)
+    from ``_ONE_MODE_EXPONENTS``.  A witness is dropped when internal
+    factors cancel, since the system it leaves has only internal or no
+    solutions, and so is a C witness with b = c, which is family A's.  Of
+    the witnesses with one net vector the first in ``itertools.product``
+    order is kept.  Rows come in the order the bound is checked: A over
+    ordered pairs, then B/E and C per ordered triple, then the one-mode
+    rows.
+    """
+    rows, seen = [], set()
+    cands = [("A", idx) for idx in product(range(n), repeat=2)]
+    cands += [(fam, idx) for idx in product(range(n), repeat=3) for fam in "BC"]
+    cands += [("1", idx) for idx in product(range(n), repeat=3)]
+    for fam, idx in cands:
+        k = RESONANT_EXPONENTS.get(fam, _ONE_MODE_EXPONENTS)
+        net = [0] * n
+        for e, i in zip(k, idx):
+            net[i] += e
+        key = (fam, tuple(net))
+        if (sum(map(abs, net)) < sum(map(abs, k)) or key in seen
+                or fam == "C" and idx[1] == idx[2]):
+            continue
+        seen.add(key)
+        rows.append((fam, idx, key[1]))
+    return tuple(rows)
 
 
 def enumerate_sets(internal: Sequence[int], bound: int | None = None) -> ResonanceCatalog:
-    """Solve the four external-pair families for a two- or three-mode
-    internal set.
+    """Solve every resonance family of a two- or three-mode internal set.
 
-    Family A: 2 a + s = 2 b + t with matching squares (a, b internal).
-    Family B: 2 a + b = c + s + t with matching squares.
-    Family C: 2 a + s = b + c + t with matching squares.
-    Family E: 2 a + b = c + 2 s with matching squares (degenerate pair (s, s)).
+    Each row of the census fixes k.m and k.m^2, and the family's external
+    slots solve
+    - A and C (zeta_s eta_t): s - t = k.m, s^2 - t^2 = k.m^2;
+    - B (eta_s eta_t): s + t = -k.m, s^2 + t^2 = -k.m^2, and E its root s = t;
+    - one-mode: l = -k.m, l^2 = -k.m^2.
+    Over two modes only A has solutions, tagged TwoMode.
 
-    ``bound`` caps |s|, |t|; closed-form solutions beyond it raise
-    BoundTooSmall rather than being dropped silently.
+    ``bound`` caps |s|, |t| (default ``default_bound``); closed-form pair
+    solutions beyond it raise BoundTooSmall rather than being dropped
+    silently.  One-mode solutions are not capped.
     """
     internal = tuple(internal)
     if bound is None:
-        bound = 4 * max(abs(m) for m in internal) + 8
-    iset = set(internal)
-
-    def external(*ms):
-        return all(m not in iset for m in ms)
-
-    A, B, C, E = [], [], [], []
-    for a, b in product(internal, repeat=2):
-        if a == b:
+        bound = default_bound(internal)
+    squares = [m * m for m in internal]
+    fams: dict[str, list[ExternalPair]] = {"A": [], "B": [], "C": [], "E": []}
+    one_mode = []
+    for fam, idx, net in _census(len(internal)):
+        km = sum(map(mul, net, internal))
+        km2 = sum(map(mul, net, squares))
+        if fam == "1":
+            if km * km == -km2 and -km not in internal:
+                one_mode.append((tuple(internal[i] for i in idx), -km))
             continue
-        # 2a + s = 2b + t  =>  s - t = 2(b - a),  s + t = a + b.
-        sol = _solve_diff_diffsq(2 * (b - a), 2 * (b * b - a * a))
-        if sol is None:
+        if fam == "B":
+            sol = _solve_sum_sumsq(-km, -km2)
+        else:
+            sol = _solve_diff_diffsq(km, km2) if km else None
+        if sol is None or sol[0] in internal or sol[1] in internal:
             continue
         s, t = sol
-        if s != t and external(s, t):
-            _check_bound(s, t, bound, (a, b))
-            A.append(ExternalPair(*_norm_pair(s, t), internal_witness=(a, b), set_tag="A"))
-    for a, b, c in product(internal, repeat=3):
-        # Family B: s + t and s^2 + t^2 are fixed.
-        sol = _solve_sum_sumsq(2 * a + b - c, 2 * a * a + b * b - c * c)
-        if sol is not None:
-            s, t = sol
-            if external(s, t):
-                _check_bound(s, t, bound, (a, b, c))
-                B.append(ExternalPair(*_norm_pair(s, t), internal_witness=(a, b, c), set_tag="B"))
-        # Family C: 2a + s = b + c + t, with b != c (b == c is family A).
-        D = b + c - 2 * a
-        if D != 0 and b != c:
-            sol = _solve_diff_diffsq(D, b * b + c * c - 2 * a * a)
-            if sol is not None:
-                s, t = sol
-                if s != t and external(s, t):
-                    _check_bound(s, t, bound, (a, b, c))
-                    C.append(ExternalPair(*_norm_pair(s, t), internal_witness=(a, b, c), set_tag="C"))
-        # Family E: 2a + b = c + 2s.
-        num = 2 * a + b - c
-        if num % 2 == 0:
-            s = num // 2
-            if 2 * a * a + b * b == c * c + 2 * s * s and external(s):
-                _check_bound(s, s, bound, (a, b, c))
-                E.append(ExternalPair(s, s, internal_witness=(a, b, c), set_tag="E"))
-
-    one_mode = []
-    for j1, j2, j3 in product(internal, repeat=3):
-        for l in solve_one_mode(j1, j2, j3):
-            if external(l):
-                one_mode.append(((j1, j2, j3), l))
-
-    if len(internal) == 2:
-        p, q = internal
-        pair = solve_two_mode_pair(p, q)
-        cat = ResonanceCatalog(internal, bound)
-        if pair is not None:
-            _check_bound(pair.s, pair.t, bound, (p, q))
-            cat.set_A = [pair]
-        cat.one_mode_solutions = sorted(one_mode)
-        return cat
+        witness = tuple(internal[i] for i in idx)
+        if abs(s) > bound or abs(t) > bound:
+            raise BoundTooSmall(
+                f"external pair ({s}, {t}) from witness {witness} exceeds bound {bound}")
+        if s == t:
+            fam = "E"
+        tag = "TwoMode" if fam == "A" and len(internal) == 2 else fam
+        fams[fam].append(ExternalPair(*_norm_pair(s, t), internal_witness=witness, set_tag=tag))
 
     return ResonanceCatalog(
         internal,
         bound,
-        set_A=_dedupe(A),
-        set_B=_dedupe(B),
-        set_C=_dedupe(C),
-        set_E=_dedupe(E),
+        set_A=_dedupe(fams["A"]),
+        set_B=_dedupe(fams["B"]),
+        set_C=_dedupe(fams["C"]),
+        set_E=_dedupe(fams["E"]),
         one_mode_solutions=sorted(one_mode),
     )
 

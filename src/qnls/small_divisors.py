@@ -20,9 +20,9 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .normal_form import (RESONANT_EXPONENTS, EffectiveHamiltonian, TorusSpec,
-                          b_gap_coefficient, coupling_count, lambda_coefficient,
-                          omega_coefficient, rho_form)
+from .normal_form import (EffectiveHamiltonian, TorusSpec, b_gap_coefficient, coupling_count,
+                          lambda_coefficient, omega_coefficient, rho_form)
+from .resonance import RESONANT_EXPONENTS, default_bound
 
 LOWER_BOUNDED = "LowerBounded"
 TRANSVERSAL = "Transversal"
@@ -620,12 +620,12 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     (role, form, pad).  Rows are sorted into nested-loop order: base
     families interleaved per k, then each block's families in ``eff.blocks``
     order; j ascends in a family.  External modes range over
-    |j| <= 4 max|m| + 8, the default catalog bound.
+    |j| <= ``default_bound(internal)``, the default catalog bound.
     """
     spec = eff.spec
     internal = spec.internal
     n = len(internal)
-    mode_max = 4 * max(abs(m) for m in internal) + 8
+    mode_max = default_bound(internal)
     lam = rho_form(lambda_coefficient, n)
     none = np.zeros((n, n))
     iset = list(set(internal))

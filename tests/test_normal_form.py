@@ -107,11 +107,15 @@ def test_z6_internal_coefficients_cannot_be_corrupted():
 
 
 def test_constant_metadata_two_mode():
+    # Z6 = nu^3 (r1^3 + 9 r1^2 r2 + 9 r1 r2^2 + r2^3) plus H2 = sum m^2 nu rho,
+    # the three-mode formula, with H2 counted once
     nu, r1, r2 = 0.1, 2.0, 3.0
-    spec = nf.TorusSpec((0, 1), (r1, r2), nu)
+    spec = nf.TorusSpec((1, 3), (r1, r2), nu)
     expected = (nu**3 * (r1**3 + r2**3 + 9 * r1**2 * r2 + 9 * r2**2 * r1)
-                + 9 * (nu * 0 * r1 + nu * 1 * r2))
+                + nu * 1 * r1 + nu * 9 * r2)
     assert nf.constant_metadata(spec) == pytest.approx(expected)
+    spec = nf.TorusSpec((0, 2), (1.3, 0.7), 0.05)
+    assert nf.constant_metadata(spec) == pytest.approx(0.142365)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +301,10 @@ def test_scalar_lambdas_view_is_lambda_external(rho):
 
 # sha256 of EffectiveHamiltonian.to_json() for the flagship at rho=(2,1,9),
 # nu=0.01, band 20, and the (0, 2) torus at rho=(1.3, 0.7), nu=0.05, band 10
+# (constant Z6 + H2 for both mode counts)
 EFF_JSON_SHA256 = {
     "flagship": "65e8c0ec60ff1c113169e30a506c7a9718ec1acd70607ae631dc7459bd9c1338",
-    "two-mode": "72c8a1e437d2e4e6259b06c6a04194f1e54d0629155a89f450cd4fe7069e5e21",
+    "two-mode": "4e27e1e780ecd6b6b538204b6c926964e28702e32a7dc87a5e27ec292854c232",
 }
 
 
@@ -387,9 +392,9 @@ def _exact_rho_sweep_digest() -> str:
 
 
 # recorded with every block assembled from Omega, lambda and its resonant
-# monomial; the Fraction path must keep every float, eigenvalue and verdict
-# bit for bit
-EXACT_RHO_SWEEP_SHA256 = "719d73e822764a8c4338e403c8ac46d26720009c97ccd2483638f1898dd1d272"
+# monomial, and the constant Z6 + H2 for both mode counts; the Fraction path
+# must keep every float, eigenvalue and verdict bit for bit
+EXACT_RHO_SWEEP_SHA256 = "d6cae1d4d7d6e15c038fb8b58d09362ea0fe967307970e50c745bdf1f2a76443"
 
 
 def test_exact_rho_sweep_golden():
