@@ -211,25 +211,32 @@ def cmd_hypotheses(cfg: RunConfig) -> int:
         print(text)
         return EXIT_OK
     _, eff, _ = _classified(cfg)
+    summary, rep = _hypotheses(cfg, eff)
+    with _target(cfg, "a2_verdicts.jsonl").open("w") as f:
+        rep.write_json_lines(f)
+    violated = rep.violated()
+    summary["A2"]["violated"] = [{"kind": e.kind, "k": list(e.k)} for e, _ in violated]
+    text = json.dumps(summary, indent=2)
+    _write(cfg, "hypotheses.json", text + "\n")
+    print(text)
+    if violated or not summary["A0"]["passed"] or not all(v["passed"] for v in summary["A1"]):
+        return EXIT_VIOLATED
+    return EXIT_OK
+
+
+def _hypotheses(cfg: RunConfig, eff: nf.EffectiveHamiltonian) -> tuple[dict, sd.HypothesisReport]:
+    """The A0 / A1 / A2 summary of ``eff``, with every non-finite A1 margin
+    written as text (JSON has no infinity), and the A2 report."""
     a0 = sd.check_A0(eff)
     a1 = sd.check_A1(eff, delta=cfg.delta)
     rep = sd.check_A2(eff, delta=cfg.delta, k_max=cfg.k_max,
                       grid_resolution=cfg.grid_resolution)
-    with _target(cfg, "a2_verdicts.jsonl").open("w") as f:
-        rep.write_json_lines(f)
-    violated = rep.violated()
     summary = {
         "A0": {"passed": a0.passed, "supremum": a0.supremum, "bound": a0.bound},
-        "A1": [{"name": v.name, "passed": v.passed, "margin": v.margin} for v in a1],
-        "A2": {**json.loads(rep.summary_json()),
-               "violated": [{"kind": e.kind, "k": list(e.k)} for e, _ in violated]},
+        "A1": [{"name": v.name, "passed": v.passed, "margin": _plain(v.margin)} for v in a1],
+        "A2": json.loads(rep.summary_json()),
     }
-    text = json.dumps(summary, indent=2)
-    _write(cfg, "hypotheses.json", text + "\n")
-    print(text)
-    if violated or not a0.passed or not all(v.passed for v in a1):
-        return EXIT_VIOLATED
-    return EXIT_OK
+    return summary, rep
 
 
 def _grid(cfg: RunConfig) -> sim.GridSpec:
@@ -279,21 +286,12 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     cat, eff, cls = _classified(cfg)
-    a0 = sd.check_A0(eff)
-    a1 = sd.check_A1(eff, delta=cfg.delta)
-    rep = sd.check_A2(eff, delta=cfg.delta, k_max=cfg.k_max,
-                      grid_resolution=cfg.grid_resolution)
     report = {
         "config": {f.name: _plain(getattr(cfg, f.name)) for f in fields(cfg)},
         "catalog": json.loads(cat.to_json()),
         "effective_hamiltonian": json.loads(eff.to_json()),
         "classification": json.loads(cls.to_json()),
-        "hypotheses": {
-            "A0": {"passed": a0.passed, "supremum": a0.supremum, "bound": a0.bound},
-            "A1": [{"name": v.name, "passed": v.passed, "margin": _plain(v.margin)}
-                   for v in a1],
-            "A2": json.loads(rep.summary_json()),
-        },
+        "hypotheses": _hypotheses(cfg, eff)[0],
         "notes": _discrepancy_notes(cat),
     }
     text = json.dumps(report, indent=2)

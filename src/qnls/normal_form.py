@@ -293,7 +293,9 @@ class SpectralBlock:
     ``diag`` holds the uncoupled Lambda entries entering the matrix (trace
     check), ``coupling`` the off-diagonal strength; with ``kind`` they fix
     the matrix, so it is derived on access rather than held by every block.
-    ``witness`` lists the internal modes the kind's resonant exponents act on.
+    ``witness`` lists the internal modes the kind's resonant exponents act on,
+    and ``k`` is that monomial's net exponent vector over the internal
+    modes, in internal order.
     """
 
     kind: str
@@ -303,6 +305,7 @@ class SpectralBlock:
     diag: tuple[float, ...]
     coupling: float
     witness: tuple[int, ...]
+    k: tuple[int, ...]
 
     @property
     def coeff(self) -> np.ndarray:
@@ -395,12 +398,28 @@ def coupling_count(kind: str, witness: Sequence[int], s: int, t: int) -> int:
     return _ordered_count(j_side + [s, t][:n], l_side + [s, t][n:])
 
 
+def block_coupling(spec: TorusSpec, kind: str, s: int, t: int, witness: Sequence[int]) -> float:
+    """The coupling of the block of ``kind`` over ``witness`` with external
+    modes s and t: ``coupling_count`` times nu^2 prod rho_m^{|k_m|/2}, that
+    is nu^2 rho_a rho_b for two second-order factors and
+    nu^2 rho_a sqrt(rho_b rho_c) for one second- and two first-order ones,
+    taken at ``spec``'s rho."""
+    k = RESONANT_EXPONENTS[kind]
+    full = [spec.internal.index(m) for e, m in zip(k, witness) if abs(e) == 2]
+    half = [spec.internal.index(m) for e, m in zip(k, witness) if abs(e) == 1]
+    coupling = coupling_count(kind, witness, s, t) * spec.nu**2
+    if half:
+        return coupling * spec.rho_float[full[0]] * math.sqrt(
+            spec.float_of(lambda r: r[half[0]] * r[half[1]]))
+    return coupling * spec.float_of(lambda r: r[full[0]] * r[full[1]])
+
+
 def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...]) -> SpectralBlock:
     """The block of the resonant monomial of ``kind`` over ``witness``,
     coupling the external modes s and t (s = t for E).
 
     The monomial's exponents k fix every entry:
-    - coupling: ``coupling_count`` times nu^2 prod rho_m^{|k_m|/2};
+    - coupling: ``block_coupling``;
     - diagonal: Lambda_t = t^2 + nu^2 lambda.  A zeta_s eta_t pair (A, C,
       TwoMode) orders its roles so that k.witness = s - t and moves
       Lambda_s = s^2 + nu^2 lambda by the frame shift -k.Omega; it is a
@@ -414,19 +433,14 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
     """
     k = RESONANT_EXPONENTS[kind]
     idx = [spec.internal.index(m) for m in witness]
+    net = [0] * len(spec.internal)
+    for e, i in zip(k, idx):
+        net[i] += e
     nu2 = spec.nu**2
     conserving = kind in _ENERGY_CONSERVING
     if conserving and s - t != sum(e * m for e, m in zip(k, witness)):
         s, t = t, s
-    # (count nu^2) rho_a rho_b, or (count nu^2) rho_a sqrt(rho_b rho_c)
-    full = [i for e, i in zip(k, idx) if abs(e) == 2]
-    half = [i for e, i in zip(k, idx) if abs(e) == 1]
-    coupling = coupling_count(kind, witness, s, t) * nu2
-    if half:
-        coupling = coupling * spec.rho_float[full[0]] * math.sqrt(
-            spec.float_of(lambda r: r[half[0]] * r[half[1]]))
-    else:
-        coupling = coupling * spec.float_of(lambda r: r[full[0]] * r[full[1]])
+    coupling = block_coupling(spec, kind, s, t, witness)
 
     lam_t = t * t + spec.lambda_shift
     if conserving:
@@ -454,7 +468,7 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
     eig = generic_block_spectrum(block_hessian(kind, diag, coupling))
     cls = DEGENERATE if degenerate else _classify(eig, spec.nu)
     return SpectralBlock(kind, (s,) if kind == "E" else (s, t), tuple(eig), cls,
-                         diag, coupling, tuple(witness))
+                         diag, coupling, tuple(witness), tuple(net))
 
 
 # The builders classify_torus calls, one per catalog family, each through

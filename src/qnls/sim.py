@@ -282,11 +282,10 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
 
 
 def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
-                    grow_factor: float = 100.0,
-                    saturation_fraction: float = SATURATION_FRACTION) -> GrowthFit:
+                    grow_factor: float = 100.0) -> GrowthFit:
     """Amplitude growth rate (1/2) d log(ext mass)/dt on the automatic window
     [first sample with ext mass >= grow_factor * initial,
-     first sample with ext mass >= saturation_fraction * nu * min rho].
+     first sample with ext mass >= SATURATION_FRACTION * nu * min rho].
 
     When the growth threshold is never reached the trajectory is declared
     stable: rate 0 with flag WindowNotFound.
@@ -297,7 +296,7 @@ def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
     # The t=0 sample precedes the quasi-static dressing of the perturbation;
     # the first evolved sample is the meaningful reference level.
     base = ext[1] if len(ext) > 1 else ext[0]
-    sat = saturation_fraction * nu * float(min(rho))
+    sat = SATURATION_FRACTION * nu * float(min(rho))
     start_hits = np.nonzero(ext >= grow_factor * base)[0]
     start_hits = start_hits[start_hits > 0]
     if len(start_hits) == 0:

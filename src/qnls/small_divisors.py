@@ -20,9 +20,9 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .normal_form import (EffectiveHamiltonian, TorusSpec, b_gap_coefficient, coupling_count,
-                          lambda_coefficient, omega_coefficient, rho_form)
-from .resonance import RESONANT_EXPONENTS, default_bound
+from .normal_form import (EffectiveHamiltonian, TorusSpec, block_coupling, lambda_coefficient,
+                          omega_coefficient, rho_form)
+from .resonance import default_bound
 
 LOWER_BOUNDED = "LowerBounded"
 TRANSVERSAL = "Transversal"
@@ -79,13 +79,10 @@ class HypothesisReport:
         return [(self.table.expression(i), w) for i, w in self.witnesses.items()
                 if VERDICTS[self.codes[i]] == VIOLATED]
 
-    def to_json_lines(self) -> str:
-        """One JSON object per row, newline-separated, no trailing newline."""
-        return "".join(self._line_chunks())[:-1]
-
     def write_json_lines(self, f: TextIO) -> None:
-        """Write ``to_json_lines() + "\\n"`` to the text file ``f`` chunk by
-        chunk, so the whole text is never held at once."""
+        """Write one JSON object per row, each line ending in "\\n", to the
+        text file ``f`` chunk by chunk, so the whole text is never held at
+        once; an empty table writes "\\n"."""
         if not len(self.table):
             f.write("\n")
         f.writelines(self._line_chunks())
@@ -407,13 +404,12 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
         if abs(j) <= _A1_MODE_CUTOFF:
             elliptic.append((lam, abs(j)))
     for blk in eff.blocks:
+        if blk.hyperbolic:
+            hyperbolic_im.extend(abs(lam.imag) for lam in blk.eigenvalues)
+            continue
         for lam in blk.eigenvalues:
-            if abs(lam.imag) > 1e-3 * spec.nu**2:
-                hyperbolic_im.append(abs(lam.imag))
-            else:
-                key = min((abs(m) for m in blk.modes),
-                          key=lambda a: abs(lam.real - a * a))
-                elliptic.append((lam.real, key))
+            key = min((abs(m) for m in blk.modes), key=lambda a: abs(lam.real - a * a))
+            elliptic.append((lam.real, key))
 
     out = []
     min_abs = min(abs(l) for l, _ in elliptic)
@@ -598,18 +594,6 @@ def _judge(k: tuple[int, ...], int_part: int, Q: np.ndarray, spec: TorusSpec,
     return VIOLATED, [float(x) for x in grid[imin]]
 
 
-def resonant_k(internal: Sequence[int], blk) -> tuple[int, ...]:
-    """Exponent vector of the block's defining resonant monomial.
-
-    The monomial itself is carried by the normal form (its divisor vanishes
-    identically), so the divisor families must not test it.
-    """
-    acc = {m: 0 for m in internal}
-    for c, m in zip(RESONANT_EXPONENTS[blk.kind], blk.witness):
-        acc[m] += c
-    return tuple(acc[m] for m in internal)
-
-
 def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTable:
     """Every divisor family in one pass over the lattice.
 
@@ -639,7 +623,8 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     mass = lattice.sum(axis=1)
     mom = lattice @ np.array(internal)
     I0 = lattice @ np.array([m * m for m in internal])
-    omega_coef = np.array([_coef(rho_form(omega_coefficient, n, i)) for i in range(n)])
+    omegas = [rho_form(omega_coefficient, n, i) for i in range(n)]
+    omega_coef = np.array([_coef(Q) for Q in omegas])
     families = []  # (kind, n_modes, block, pad, filtered, Lambda coefficients)
     chunks = []
 
@@ -693,8 +678,9 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
 
     # coupled-block divisor families
     for b, blk in enumerate(eff.blocks):
-        kres = resonant_k(internal, blk)
-        resident = (lattice == kres).all(axis=1) | (lattice == [-x for x in kres]).all(axis=1)
+        # the block's own monomial is carried by the normal form (its divisor
+        # vanishes identically), so its families must not test it
+        resident = (lattice == blk.k).all(axis=1) | (lattice == [-x for x in blk.k]).all(axis=1)
 
         def pair(mask, kind, modes, int_part, Q, pad, slot):
             """A block's own pair family; its defining monomial is filtered."""
@@ -706,8 +692,9 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
         s_role, t_role = blk.modes[0], blk.modes[-1]
         roles = list({s_role, t_role})
         if blk.kind == "B":
-            # a = (Lambda_t - Lambda_s)/2 and b = Lambda_t - a, over nu^2
-            gap = _b_gap_form(spec, blk)
+            # a = (Lambda_t - Lambda_s)/2 = nu^2 (lambda + k.omega/2) and
+            # b = Lambda_t - a, over nu^2
+            gap = lam + 0.5 * sum(e * Q for e, Q in zip(blk.k, omegas))
             pad1 = _pad_b_root(spec, blk, gap)
             # slack for the frame ambiguity of chart-dependent nu^2 shifts
             slack = spec.nu**2 * max(abs(v) for v in _interval(2 * gap, spec.domain))
@@ -760,25 +747,15 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
         fam_coef=np.array(coef), **cols)
 
 
-def _b_gap_form(spec: TorusSpec, blk) -> np.ndarray:
-    """``b_gap_coefficient``'s matrix, stated over the block's witness,
-    moved to the internal order in which every form is evaluated."""
-    idx = [spec.internal.index(m) for m in blk.witness]
-    Q = np.empty((3, 3))
-    Q[np.ix_(idx, idx)] = rho_form(b_gap_coefficient, 3)
-    return Q
-
-
 def _pad_b_root(spec: TorusSpec, blk, gap: np.ndarray) -> float:
     """Uniform bound on |sqrt(a^2 - c^2)| of the pair-creation block over the
     domain (covers both the real and the imaginary branch); ``gap`` is a's
-    form over nu^2 and c = count nu^2 rho_1 sqrt(rho_2 rho_3) in witness order."""
-    nu2 = spec.nu**2
+    form over nu^2, and the coupling c, increasing in every rho, is bounded
+    by its value at the domain's upper corner."""
     alo, ahi = _interval(gap, spec.domain)
-    amax = max(abs(alo), abs(ahi)) * nu2
-    r1, r2, r3 = (spec.domain[spec.internal.index(m)][1] for m in blk.witness)
-    cmax = coupling_count("B", blk.witness, *blk.modes) * nu2 * r1 * math.sqrt(r2 * r3)
-    return math.hypot(amax, cmax)
+    amax = max(abs(alo), abs(ahi)) * spec.nu**2
+    corner = TorusSpec(spec.internal, tuple(hi for _, hi in spec.domain), spec.nu)
+    return math.hypot(amax, block_coupling(corner, blk.kind, *blk.modes, blk.witness))
 
 
 def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,

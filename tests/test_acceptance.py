@@ -17,6 +17,7 @@ from qnls import normal_form as nf
 from qnls import resonance as rs
 from qnls import sim
 from qnls import small_divisors as sd
+from test_resonance import brute_two_mode_pair
 
 FLAGSHIP = (-3, 10, -6)
 
@@ -82,17 +83,6 @@ def test_criterion_01_resonance_catalog():
           and dt < 1.0)
     report(1, ok, f"B={[p.modes for p in cat.set_B]}, "
                   f"A={[p.modes for p in cat.set_A]}, {dt:.2f}s")
-
-
-def brute_two_mode_pair(p, q, limit=300):
-    hits = set()
-    for s in range(-limit, limit + 1):
-        for t in range(-limit, limit + 1):
-            if s == t or {s, t} & {p, q}:
-                continue
-            if 2 * p + s == 2 * q + t and 2 * p * p + s * s == 2 * q * q + t * t:
-                hits.add(tuple(sorted((s, t))))
-    return hits
 
 
 def test_criterion_02_two_mode_structure():

@@ -124,8 +124,28 @@ def test_hypotheses_flagship_pass():
     assert report["A0"]["passed"] and all(v["passed"] for v in report["A1"])
 
 
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_hypotheses_writes_valid_json(tmp_path):
+    # a vacuous A1 margin is infinite; it is written as "inf", as in report.json
+    res = run_cli("hypotheses", "-p", "0", "-q", "1", "--rho", "1,1", "--kmax", "3",
+                  "--out", str(tmp_path))
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    for text in (res.stdout, (tmp_path / "hypotheses.json").read_text()):
+        summary = strict_json(text)
+        assert [v["margin"] for v in summary["A1"]][1] == "inf"
+        assert list(summary) == ["A0", "A1", "A2"]
+        assert list(summary["A2"]) == ["delta", "k_max", "counts", "tail", "violated"]
+
+
 def test_hypotheses_streamed_lines_golden(tmp_path):
-    # the file is to_json_lines() + "\n", and "\n" alone for an empty table
+    # the file is the golden lines plus a final "\n", and "\n" alone for an
+    # empty table
     flagship_d2 = ("hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9",
                    "--nu", "0.01", "--domain", "D2", "--band", "20")
     digest, k_max = A2_LINES_SHA256["D2"]

@@ -24,19 +24,13 @@ def brute_pair_sum_sumsq(S, Q, limit=200):
 
 
 def brute_two_mode_pair(p, q, limit=300):
-    """External (s,t) with s+2q+... : direct search on the defining system
-    2p + s' = 2q + t' style identities via sum/sumsq of the case-2 family."""
-    hits = set()
-    for s in range(-limit, limit + 1):
-        for t in range(-limit, limit + 1):
-            if s == t:
-                continue
-            if {s, t} & {p, q}:
-                continue
-            # one external pair coupling (p,p,s) ~ (q,q,t)
-            if 2 * p + s == 2 * q + t and 2 * p * p + s * s == 2 * q * q + t * t:
-                hits.add(tuple(sorted((s, t))))
-    return hits
+    """The external pairs (s <= t) of the two-mode torus {p, q}: direct search
+    of (p, p, s) ~ (q, q, t) over |s|, |t| <= limit, s != t, both external."""
+    grid = np.arange(-limit, limit + 1)
+    s, t = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    mask = ((s != t) & ~np.isin(s, (p, q)) & ~np.isin(t, (p, q))
+            & (2 * p + s == 2 * q + t) & (2 * p * p + s * s == 2 * q * q + t * t))
+    return set(zip(np.minimum(s, t)[mask].tolist(), np.maximum(s, t)[mask].tolist()))
 
 
 def test_enumerate_R_small():

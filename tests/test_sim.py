@@ -313,8 +313,7 @@ def test_fit_growth_rate_synthetic():
     traj = sim.Trajectory(grid, (0,), times, np.ones_like(times),
                           np.zeros_like(times), np.ones_like(times),
                           np.ones((len(times), 1)), ext, mags, ())
-    fit = sim.fit_growth_rate(traj, 0.01, (1.0,), grow_factor=100.0,
-                              saturation_fraction=1e30)
+    fit = sim.fit_growth_rate(traj, 0.01, (1.0,), grow_factor=100.0)
     assert not fit.flag
     assert fit.rate == pytest.approx(rate, rel=1e-6)
     assert fit.dominant_modes == (1,)

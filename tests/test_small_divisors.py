@@ -5,6 +5,8 @@ import hashlib
 import io
 import itertools
 import json
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -63,14 +65,13 @@ def test_block_monomials_pass_filter():
             except (rs.BoundTooSmall, nf.PreconditionViolated):
                 continue
             for blk in eff.blocks:
-                k = sd.resonant_k(internal, blk)
                 if blk.kind in ("B", "E"):
                     # two eta factors; an E block's one mode is both
                     signs, modes = (1, 1), (blk.modes[0], blk.modes[-1])
                 else:
                     # zeta_s eta_t with blk.modes = (s_role, t_role)
                     signs, modes = (-1, 1), blk.modes
-                assert sd.conservation_filter(internal, k, modes, signs), (internal, blk)
+                assert sd.conservation_filter(internal, blk.k, modes, signs), (internal, blk)
                 kinds.add(blk.kind)
     assert kinds == {"A", "B", "C", "E", "TwoMode"}
 
@@ -235,10 +236,17 @@ def test_a2_every_admissible_expression_once():
     assert len(keys) == len(set(keys))
 
 
+def a2_lines(rep):
+    """The a2_verdicts.jsonl text that ``qnls hypotheses`` writes for ``rep``."""
+    f = io.StringIO()
+    rep.write_json_lines(f)
+    return f.getvalue()
+
+
 def test_a2_json_lines():
     eff = flagship_eff()
     rep = sd.check_A2(eff, k_max=2, grid_resolution=8)
-    lines = rep.to_json_lines().splitlines()
+    lines = a2_lines(rep).splitlines()
     assert len(lines) == len(rep.verdicts)
     row = json.loads(lines[0])
     assert set(row) == {"kind", "k", "modes", "block", "verdict", "witness"}
@@ -246,7 +254,8 @@ def test_a2_json_lines():
 
 # Byte-identity goldens, recorded on the per-expression enumeration (one
 # Python loop per family and block) that the table-driven pass replaced: the
-# sha256 of every a2_verdicts line and the exact measure_scan fractions.
+# sha256 of the a2_verdicts lines without the file's final newline, and the
+# exact measure_scan fractions.
 
 A2_LINES_SHA256 = {
     "D2": ("57ebd1037a36443fc16f5711a1824745bb9f74938962c276f55d2166c7647ada", 6),
@@ -273,8 +282,9 @@ def golden_eff(name):
 @pytest.mark.parametrize("name", sorted(A2_LINES_SHA256))
 def test_a2_json_lines_golden(name):
     digest, k_max = A2_LINES_SHA256[name]
-    lines = sd.check_A2(golden_eff(name), k_max=k_max).to_json_lines()
-    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+    text = a2_lines(sd.check_A2(golden_eff(name), k_max=k_max))
+    assert text.endswith("}\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(A2_LINES_SHA256))
@@ -285,33 +295,26 @@ def test_a2_json_lines_match_verdict_rows(name):
     want = [json.dumps({"kind": e.kind, "k": list(e.k), "modes": list(e.modes),
                         "block": e.block, "verdict": v, "witness": w})
             for e, v, w in rep.verdicts]
-    assert rep.to_json_lines().split("\n") == want
+    assert a2_lines(rep) == "".join(line + "\n" for line in want)
     # every configuration but D2 has judged rows with their own witness
     assert (sd.TRANSVERSAL in rep.counts()) == (name != "D2")
 
 
-def test_a2_lines_do_not_depend_on_chunk_size(monkeypatch, tmp_path):
+def test_a2_lines_do_not_depend_on_chunk_size(monkeypatch):
     digest, k_max = A2_LINES_SHA256["D1"]
     rep = sd.check_A2(golden_eff("D1"), k_max=k_max)
-    text = rep.to_json_lines()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    text = a2_lines(rep)
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == digest
     n = len(rep.table)
     for rows in (1, 7, n, n + 1):
         monkeypatch.setattr(sd, "_CHUNK_ROWS", rows)
-        assert rep.to_json_lines() == text
-        path = tmp_path / f"{rows}.jsonl"
-        with path.open("w") as f:
-            rep.write_json_lines(f)
-        assert path.read_bytes() == (text + "\n").encode()
+        assert a2_lines(rep) == text
 
 
 def test_a2_lines_of_an_empty_table():
     rep = sd.check_A2(golden_eff("D1"), k_max=0)
     assert len(rep.table) == 0
-    assert rep.to_json_lines() == ""
-    f = io.StringIO()
-    rep.write_json_lines(f)
-    assert f.getvalue() == "\n"
+    assert a2_lines(rep) == "\n"
 
 
 def test_a2_lines_stream_in_less_memory_than_the_file(tmp_path):
@@ -389,6 +392,75 @@ def test_a2_b_forms_follow_the_witness():
               and table.expression(r).modes == blk.modes}
     got = sum(c * rho[i] * rho[j] for c, (i, j) in zip(table.fam_coef[fam], sd._pairs(3)))
     assert got == pytest.approx(want, rel=1e-12)  # 633.3; 844.98 in witness order
+
+
+def _witness_k(internal, blk):
+    """The kind's resonant exponents summed over the block's witness, in
+    internal order."""
+    acc = {m: 0 for m in internal}
+    for e, m in zip(rs.RESONANT_EXPONENTS[blk.kind], blk.witness):
+        acc[m] += e
+    return tuple(acc[m] for m in internal)
+
+
+def _witness_gap_form(internal, blk):
+    """``b_gap_coefficient``'s matrix, stated over the block's witness, moved
+    to the internal order."""
+    idx = [internal.index(m) for m in blk.witness]
+    Q = np.empty((3, 3))
+    Q[np.ix_(idx, idx)] = nf.rho_form(nf.b_gap_coefficient, 3)
+    return Q
+
+
+def test_a2_block_facts_over_the_instability_net():
+    # every B- or E-bearing three-mode set with |m| <= 15, at one seeded rho
+    # and box each: a block's exponent vector is the witness-order sum, and
+    # A2's pair-creation families carry the gap form and the coupling bound
+    # stated over the witness
+    rng = random.Random(20261020)
+    lam = nf.rho_form(nf.lambda_coefficient, 3)
+    sets, b_blocks = 0, 0
+    kinds = set()
+    for internal in itertools.combinations(range(-15, 16), 3):
+        try:
+            cat = rs.enumerate_sets(internal)
+        except rs.BoundTooSmall:
+            continue
+        if not (cat.set_B or cat.set_E):
+            continue
+        rho = tuple(rng.uniform(0.5, 3.0) for _ in internal)
+        domain = tuple((0.9 * r, r * rng.uniform(1.01, 1.2)) for r in rho)
+        spec = nf.TorusSpec(internal, rho, 0.01, domain=domain)
+        try:
+            eff, _ = nf.classify_torus(spec, cat)
+        except (nf.PreconditionViolated, nf.DegenerateBlock):
+            continue
+        sets += 1
+        nu2 = spec.nu**2
+        table = sd.enumerate_A2_expressions(eff, k_max=1)
+        for b, blk in enumerate(eff.blocks):
+            kinds.add(blk.kind)
+            assert blk.k == _witness_k(internal, blk), (internal, blk)
+            if blk.kind != "B":
+                continue
+            b_blocks += 1
+            gap = _witness_gap_form(internal, blk)
+            mine = table.fam_block == b
+            # each role's single branch has the form lambda - a / nu^2
+            single = mine & (table.fam_kind == sd.KINDS.index(sd.OMEGA_K_PLUS_LAMBDA))
+            assert single.sum() == 2
+            for coef in table.fam_coef[single]:
+                assert np.array_equal(coef, sd._coef(lam - gap)), (internal, blk)
+            r1, r2, r3 = (domain[internal.index(m)][1] for m in blk.witness)
+            cmax = nf.coupling_count("B", blk.witness, *blk.modes) * nu2 * r1 * math.sqrt(r2 * r3)
+            amax = max(abs(v) for v in sd._interval(gap, domain)) * nu2
+            root = math.hypot(amax, cmax)
+            slack = nu2 * max(abs(v) for v in sd._interval(2 * gap, domain))
+            # pads: the trace pair, the difference pair, and every branch family
+            pads = set(table.fam_pad[mine & ~table.fam_filtered].tolist())
+            assert pads == {slack, 2 * root, root + slack}, (internal, blk)
+    assert (sets, b_blocks) == (714, 504)
+    assert kinds == {"A", "B", "C", "E"}
 
 
 # ---------------------------------------------------------------------------
