@@ -234,7 +234,7 @@ def _hypotheses(cfg: RunConfig, eff: nf.EffectiveHamiltonian) -> tuple[dict, sd.
     summary = {
         "A0": {"passed": a0.passed, "supremum": a0.supremum, "bound": a0.bound},
         "A1": [{"name": v.name, "passed": v.passed, "margin": _plain(v.margin)} for v in a1],
-        "A2": json.loads(rep.summary_json()),
+        "A2": rep.summary(),
     }
     return summary, rep
 
@@ -251,9 +251,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     state = sim.prepare_torus_state(spec, seeds, cfg.seed_amp_scale * np.sqrt(cfg.nu),
                                     grid, seed=cfg.seed)
     t_end = cfg.t_end if cfg.t_end is not None else 40.0 / cfg.nu**2
-    sat = sim.SATURATION_FRACTION * cfg.nu * float(min(cfg.rho))
     traj = sim.evolve(state, grid, t_end, cfg.sample_every, internal=cfg.internal,
-                      watch=seeds, mass_tol=cfg.mass_tol, stop_ext_mass=2 * sat)
+                      watch=seeds, mass_tol=cfg.mass_tol,
+                      stop_ext_mass=2 * sim.saturation_mass(cfg.nu, cfg.rho))
     fit = sim.fit_growth_rate(traj, cfg.nu, cfg.rho, grow_factor=cfg.grow_factor)
     _write(cfg, "trajectory.csv", traj.to_csv())
     _write(cfg, "growth_fit.json", fit.to_json() + "\n")
@@ -381,10 +381,7 @@ def main(argv=None) -> int:
     except nf.PreconditionViolated as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (sim.BlowUp, sim.WindowNotFound, sd.EmptyRange, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (sim.BlowUp, sim.WindowNotFound, sd.EmptyRange, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

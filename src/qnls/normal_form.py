@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -112,7 +112,8 @@ def domain_D1() -> tuple:
     return ((1.0, 2.0), (1.0, 2.0), (1.0, 2.0))
 
 
-def domain_D2(eps: float = 1e-2) -> tuple:
+def domain_D2() -> tuple:
+    eps = 1e-2
     return ((2 - eps, 2 + eps), (1 - eps, 1 + eps), (9 - eps, 9 + eps))
 
 
@@ -213,20 +214,17 @@ def constant_metadata(spec: TorusSpec) -> float:
 # ---------------------------------------------------------------------------
 # Spectral blocks.
 
-_STD_FORM_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def standard_symplectic_form(dim: int) -> np.ndarray:
-    """J on coordinates (x_1..x_n, y_1..y_n)."""
+    """J on coordinates (x_1..x_n, y_1..y_n), read-only."""
     if dim % 2:
         raise ValueError("dimension must be even")
     n = dim // 2
-    if dim not in _STD_FORM_CACHE:
-        J = np.zeros((dim, dim))
-        J[:n, n:] = np.eye(n)
-        J[n:, :n] = -np.eye(n)
-        _STD_FORM_CACHE[dim] = J
-    return _STD_FORM_CACHE[dim]
+    J = np.zeros((dim, dim))
+    J[:n, n:] = np.eye(n)
+    J[n:, :n] = -np.eye(n)
+    J.flags.writeable = False
+    return J
 
 
 def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
@@ -235,6 +233,11 @@ def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
     Eigenvalues mu of J*coeff come in (mu, -mu) pairs; the frequencies are
     Lambda = i*mu, one representative per pair, chosen with Re > 0 (or
     Im >= 0 on the imaginary axis) and sorted by (real, imaginary) part.
+    Parts below 1e-10 of the spectral scale are snapped to zero; the
+    snapped values then pair up as (Lambda, -Lambda) across the middle of
+    their (real, imaginary) order, so the upper half is the representatives.
+    A defective repeated eigenvalue that the eigensolver splits past the
+    snap can break that pairing.
     """
     coeff = np.asarray(coeff, dtype=float)
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1] or coeff.shape[0] % 2:
@@ -250,28 +253,7 @@ def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
         return complex(re, im)
 
     vals = sorted((snap(z) for z in lam), key=lambda z: (z.real, z.imag))
-    picked: list[complex] = []
-    used = [False] * len(vals)
-    for i in range(len(vals)):
-        if used[i]:
-            continue
-        used[i] = True
-        # partner = closest unused value to -vals[i]
-        target = -vals[i]
-        j_best, d_best = -1, math.inf
-        for j in range(i + 1, len(vals)):
-            if not used[j]:
-                d = abs(vals[j] - target)
-                if d < d_best:
-                    j_best, d_best = j, d
-        if j_best >= 0:
-            used[j_best] = True
-            pair = (vals[i], vals[j_best])
-        else:
-            pair = (vals[i], -vals[i])
-        rep = max(pair, key=lambda z: (z.real, z.imag))
-        picked.append(rep)
-    return sorted(picked, key=lambda z: (z.real, z.imag))
+    return vals[coeff.shape[0] // 2:]
 
 
 ELLIPTIC = "Elliptic"

@@ -34,9 +34,13 @@ from numpy.fft import _pocketfft_umath as _pfu
 
 from .normal_form import TorusSpec
 
-# a growth run saturates once its external mass reaches
-# SATURATION_FRACTION * nu * min(rho)
 SATURATION_FRACTION = 1e-2
+
+
+def saturation_mass(nu: float, rho: Sequence) -> float:
+    """The external mass SATURATION_FRACTION * nu * min(rho) at which a
+    growth run saturates."""
+    return SATURATION_FRACTION * nu * float(min(rho))
 
 
 class BlowUp(Exception):
@@ -198,20 +202,16 @@ def step(state: FourierState, grid: GridSpec) -> FourierState:
 
 def prepare_torus_state(spec: TorusSpec, seed_modes: Sequence[int],
                         seed_amp: float, grid: GridSpec,
-                        seed: int | None = 0) -> FourierState:
+                        seed: int = 0) -> FourierState:
     """Torus point |a_m|^2 = nu * rho_i plus a small perturbation on the seed
-    modes.  ``seed`` picks deterministic pseudorandom phases; None means
-    zero phase."""
+    modes.  ``seed`` picks deterministic pseudorandom phases."""
     if seed_amp < 0:
         raise ValueError("seed_amp must be nonnegative")
     K = grid.K
     a = np.zeros(2 * K + 1, dtype=complex)
     for m, r in zip(spec.internal, spec.rho):
         a[m + K] = np.sqrt(spec.nu * float(r))
-    if seed is None:
-        phases = np.zeros(len(seed_modes))
-    else:
-        phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(seed_modes))
+    phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(seed_modes))
     for m, phi in zip(seed_modes, phases):
         if m in spec.internal:
             raise ValueError("seed modes must be external")
@@ -296,7 +296,7 @@ def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
     # The t=0 sample precedes the quasi-static dressing of the perturbation;
     # the first evolved sample is the meaningful reference level.
     base = ext[1] if len(ext) > 1 else ext[0]
-    sat = SATURATION_FRACTION * nu * float(min(rho))
+    sat = saturation_mass(nu, rho)
     start_hits = np.nonzero(ext >= grow_factor * base)[0]
     start_hits = start_hits[start_hits > 0]
     if len(start_hits) == 0:
@@ -351,10 +351,9 @@ def scaling_experiment(internal: Sequence[int], rho: Sequence[float],
         spec = TorusSpec(tuple(internal), tuple(rho), nu)
         state = prepare_torus_state(spec, seed_modes, seed_amp_scale * np.sqrt(nu),
                                     grid, seed=seed)
-        sat = SATURATION_FRACTION * nu * float(min(rho))
         traj = evolve(state, grid, 40.0 / nu**2, sample_every,
                       internal=internal, mass_tol=mass_tol,
-                      stop_ext_mass=2.0 * sat)
+                      stop_ext_mass=2.0 * saturation_mass(nu, rho))
         fit = fit_growth_rate(traj, nu, rho, grow_factor=grow_factor)
         if fit.flag:
             raise WindowNotFound(f"no growth window at nu={nu}")

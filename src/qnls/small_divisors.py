@@ -144,13 +144,13 @@ class HypothesisReport:
             end[g] = mid[block[g], codes[g]] + json.dumps(self.witnesses[i]) + "}\n"
         return text + end
 
-    def summary_json(self) -> str:
-        return json.dumps({
+    def summary(self) -> dict:
+        return {
             "delta": self.delta,
             "k_max": self.k_max,
             "counts": self.counts(),
             "tail": self.tail_note,
-        }, indent=2)
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,76 @@ def test_generic_spectrum_hyperbolic():
     assert lam.real == 0.0 and lam.imag == pytest.approx(1.0)
 
 
+def nearest_partner_spectrum(coeff: np.ndarray) -> list[complex]:
+    """The oracle for ``generic_block_spectrum``: the same eigensolve and
+    snap, then each value in (re, im) order takes the closest unused value
+    to its negative as partner, and the larger of the two in (re, im) order
+    represents the pair."""
+    mu = np.linalg.eigvals(nf.standard_symplectic_form(coeff.shape[0]) @ coeff)
+    lam = 1j * mu
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
+
+    def snap(z: complex) -> complex:
+        return complex(0.0 if abs(z.real) < tol else z.real,
+                       0.0 if abs(z.imag) < tol else z.imag)
+
+    vals = sorted((snap(z) for z in lam), key=lambda z: (z.real, z.imag))
+    picked = []
+    used = [False] * len(vals)
+    for i in range(len(vals)):
+        if used[i]:
+            continue
+        used[i] = True
+        target = -vals[i]
+        j_best, d_best = -1, math.inf
+        for j in range(i + 1, len(vals)):
+            if not used[j]:
+                d = abs(vals[j] - target)
+                if d < d_best:
+                    j_best, d_best = j, d
+        used[j_best] = True
+        picked.append(max(vals[i], vals[j_best], key=lambda z: (z.real, z.imag)))
+    return sorted(picked, key=lambda z: (z.real, z.imag))
+
+
+def _bits(vals) -> list[tuple[str, str]]:
+    return [(z.real.hex(), z.imag.hex()) for z in vals]
+
+
+def assert_same_spectrum(coeff: np.ndarray) -> None:
+    """generic_block_spectrum equals the oracle bit for bit, signs of zero
+    included."""
+    assert _bits(nf.generic_block_spectrum(coeff)) == _bits(nearest_partner_spectrum(coeff))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([2, 4, 6]), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_generic_spectrum_matches_nearest_partner_on_random_matrices(dim, seed, scale):
+    # dense Gaussian entries: a matrix with many zero or equal entries can
+    # give J*coeff a defective repeated eigenvalue that the eigensolver
+    # splits past the snap tolerance, and then neither pairing is more than
+    # noise; the block shapes that are defective are the parabolic cases below
+    a = np.random.default_rng(seed).standard_normal((dim, dim)) * scale
+    assert_same_spectrum(a + a.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam_s=st.floats(-10, 10), lam_t=st.floats(-10, 10), sign=st.sampled_from([1, -1]))
+def test_generic_spectrum_matches_nearest_partner_on_parabolic_blocks(lam_s, lam_t, sign):
+    # C^2 = a^2: the self-coupled block with coupling +-lam_s, and the
+    # pair-creation block with coupling +-(lam_t - lam_s)/2, its gap a
+    assert_same_spectrum(nf.block_hessian("E", (lam_s,), sign * lam_s))
+    assert_same_spectrum(nf.block_hessian("B", (lam_s, lam_t), sign * (lam_t - lam_s) / 2))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_generic_spectrum_of_zero_matrix(dim):
+    zero = np.zeros((dim, dim))
+    assert_same_spectrum(zero)
+    assert _bits(nf.generic_block_spectrum(zero)) == _bits([0j] * (dim // 2))
+
+
 def test_trace_invariant():
     eff, _ = flagship_eff()
     for blk in eff.blocks:
