@@ -75,6 +75,10 @@ class TorusSpec:
         dom = tuple((float(a), float(b)) for a, b in self.domain or ())
         if dom and len(dom) != n:
             raise ValueError("domain length must match internal modes")
+        # interval bounds of forms in rho multiply the box's edges, which
+        # holds only on a positive box
+        if any(lo <= 0 for lo, _ in dom):
+            raise ValueError("domain must lie in rho > 0")
         if any(not lo <= r <= hi for r, (lo, hi) in zip(self.rho, dom)):
             raise ValueError("domain must contain rho")
         put = object.__setattr__

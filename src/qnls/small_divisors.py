@@ -531,23 +531,58 @@ class DivisorTable:
             Q[i, j] = Q[j, i] = c if i == j else c / 2
         return Q
 
-    def bounds(self, spec: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Interval enclosure of every divisor over the rho domain: ``_interval``
-        on all rows at once, accumulated in its order, so each bound is
-        bit-identical to the scalar one."""
+    def bounds(self, spec: TorusSpec,
+               rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Interval enclosure over the rho domain of every divisor, or of the
+        divisors of ``rows``: ``_interval`` on all of them at once,
+        accumulated in its order, so each bound is bit-identical to the
+        scalar one."""
+        lat, family, int_part = self.lat, self.family, self.int_part
+        if rows is not None:
+            lat, family, int_part = lat[rows], family[rows], int_part[rows]
         box, nu2 = spec.domain, spec.nu**2
         kC = self.lattice @ self.omega_coef
-        filtered = self.filtered
-        lo, hi = np.zeros((2, len(self)))
+        filtered = self.fam_filtered[family]
+        lo, hi = np.zeros((2, len(lat)))
         for p, (i, j) in enumerate(_pairs(len(box))):
-            c = kC[self.lat, p] + self.fam_coef[self.family, p]
+            c = kC[lat, p] + self.fam_coef[family, p]
             c[filtered] = 0.0
             small = box[i][0] * box[j][0]
             big = box[i][1] * box[j][1]
             lo += np.where(c > 0, c * small, c * big)
             hi += np.where(c > 0, c * big, c * small)
-        pad = self.pad
-        return self.int_part + nu2 * lo - pad, self.int_part + nu2 * hi + pad
+        pad = self.fam_pad[family]
+        return int_part + nu2 * lo - pad, int_part + nu2 * hi + pad
+
+    def reach(self, spec: TorusSpec) -> np.ndarray:
+        """Per family, how far ``bounds`` can put a row's enclosure from its
+        integer part: nu^2 (max over the lattice of sum_p |(k.omega_coef)_p|
+        big_p, plus sum_p |fam_coef_p| big_p) + pad, with big_p the product of
+        the upper edges of pair p.  On a positive box every term of the
+        enclosure, c * small_p or c * big_p, is at most |c| big_p in size."""
+        big = np.array([spec.domain[i][1] * spec.domain[j][1]
+                        for i, j in _pairs(len(spec.domain))])
+        k_reach = np.max(np.abs(self.lattice @ self.omega_coef) @ big, initial=0.0)
+        return spec.nu**2 * (k_reach + np.abs(self.fam_coef) @ big) + self.fam_pad
+
+    def open_rows(self, spec: TorusSpec, delta: float, strict: bool = False) -> np.ndarray:
+        """Ascending indices of the unfiltered rows the interval certificate
+        leaves open: those with neither lo >= delta nor hi <= -delta, or, if
+        ``strict``, neither lo > delta nor hi < -delta.
+
+        The integer part closes most rows alone: when |int_part| - reach
+        exceeds delta, the enclosure lies beyond delta on int_part's side.
+        That comparison carries a relative margin of 1e-9 (|int_part| +
+        reach + |delta|), which covers float rounding, so a row near the
+        edge is bounded exactly; ``bounds`` runs only on the rows left over,
+        and the open set is the one ``bounds`` on every row gives."""
+        reach = self.reach(spec)[self.family]
+        size = np.abs(self.int_part)
+        clear = size - reach > delta + 1e-9 * (size + reach + abs(delta))
+        rows = np.flatnonzero(~(clear | self.filtered))
+        lo, hi = self.bounds(spec, rows)
+        closed = ((lo > delta) | (hi < -delta)) if strict else ((lo >= delta) | (hi <= -delta))
+        return rows[~closed]
 
 
 def _candidate_directions(n: int, k: tuple[int, ...]) -> list[np.ndarray]:
@@ -680,7 +715,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     for b, blk in enumerate(eff.blocks):
         # the block's own monomial is carried by the normal form (its divisor
         # vanishes identically), so its families must not test it
-        resident = (lattice == blk.k).all(axis=1) | (lattice == [-x for x in blk.k]).all(axis=1)
+        resident = _resident(blk.k, k_max, L)
 
         def pair(mask, kind, modes, int_part, Q, pad, slot):
             """A block's own pair family; its defining monomial is filtered."""
@@ -747,6 +782,20 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
         fam_coef=np.array(coef), **cols)
 
 
+def _resident(k: tuple[int, ...], k_max: int, L: int) -> np.ndarray:
+    """Mask of +-k over the L-point lattice of ``enumerate_A2_expressions``,
+    found by index: the lattice is the product-order cube of side
+    2 k_max + 1 with its centre, zero, removed, so a point past the centre
+    sits one place earlier than in the cube."""
+    mask = np.zeros(L, dtype=bool)
+    if 0 < max(abs(x) for x in k) <= k_max:
+        side = (2 * k_max + 1,) * len(k)
+        for s in (1, -1):
+            at = int(np.ravel_multi_index([s * x + k_max for x in k], side))
+            mask[at - (at > L // 2)] = True
+    return mask
+
+
 def _pad_b_root(spec: TorusSpec, blk, gap: np.ndarray) -> float:
     """Uniform bound on |sqrt(a^2 - c^2)| of the pair-creation block over the
     domain (covers both the real and the imaginary branch); ``gap`` is a's
@@ -762,20 +811,22 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
              k_max: int = 20, grid_resolution: int = 16) -> HypothesisReport:
     """Verdict for every admissible divisor with |k|_inf <= k_max.
 
-    Integer parts are exact; an interval bound, evaluated for all rows at
-    once, certifies expressions whose integer part dominates; grid
-    evaluation and transversality (paper candidate directions first, then
-    coordinate and gradient directions) handle the rest.
+    Integer parts are exact; expressions whose integer part dominates are
+    certified by the interval bound, through ``DivisorTable.open_rows``;
+    grid evaluation and transversality (paper candidate directions first,
+    then coordinate and gradient directions) handle the rest.
+    grid_resolution is the grid's points per dimension, at least 2.
     """
+    if grid_resolution < 2:
+        raise ValueError("grid_resolution must be at least 2 per dimension")
     spec = eff.spec
     if delta is None:
         delta = spec.nu**2
     grid = _domain_grid(spec, grid_resolution)
     table = enumerate_A2_expressions(eff, k_max)
-    lo, hi = table.bounds(spec)
     codes = np.where(table.filtered, 0, 1).astype(np.int8)  # FILTERED, LOWER_BOUNDED
     witnesses = {}
-    for r in np.flatnonzero(~(table.filtered | (lo >= delta) | (hi <= -delta))).tolist():
+    for r in table.open_rows(spec, delta).tolist():
         verdict, witnesses[r] = _judge(table.expression(r).k, int(table.int_part[r]),
                                        table.form(r), spec, delta, grid)
         codes[r] = VERDICTS.index(verdict)
@@ -796,9 +847,8 @@ def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
     grid = _domain_grid(spec, grid_resolution)
     nu2 = spec.nu**2
     table = enumerate_A2_expressions(eff, k_max)
-    lo, hi = table.bounds(spec)
     excluded = np.zeros(grid.shape[0], dtype=bool)
-    for r in np.flatnonzero(~(table.filtered | (lo > delta) | (hi < -delta))):
+    for r in table.open_rows(spec, delta, strict=True).tolist():
         vals = int(table.int_part[r]) + nu2 * _quad(table.form(r), grid)
         if delta == 0:
             excluded |= (vals == 0)

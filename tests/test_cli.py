@@ -159,6 +159,15 @@ def test_hypotheses_streamed_lines_golden(tmp_path):
     assert (tmp_path / "empty" / "a2_verdicts.jsonl").read_bytes() == b"\n"
 
 
+@pytest.mark.parametrize("res", ["0", "1"])
+def test_hypotheses_refuses_a_grid_below_two_points(res):
+    # one point per dimension is the box's lower corner, no grid minimum
+    res = run_cli("hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "1.5,1.2,1.8",
+                  "--domain", "D1", "--kmax", "4", "--grid-resolution", res)
+    assert res.returncode == cli.EXIT_IO
+    assert res.stderr == "error: grid_resolution must be at least 2 per dimension\n"
+
+
 def test_warnings_reach_stderr():
     # a command's warnings go to stderr under Python's default filters, and
     # stdout is what the command prints without them

@@ -55,6 +55,16 @@ def test_domain_given_needs_one_box_per_mode():
         nf.TorusSpec((0, 1), (1.0, 1.0), 0.01, domain=nf.domain_D1())
 
 
+def test_domain_given_must_be_positive():
+    # interval bounds multiply the box's edges, so a box reaching rho_1 <= 0
+    # would bound rho_1^2 below by lo^2 instead of 0
+    for lo in (-1.0, 0.0, -0.0):
+        with pytest.raises(ValueError, match="rho > 0"):
+            nf.TorusSpec(FLAGSHIP, (1.5, 1.2, 1.8), 0.01,
+                         domain=((lo, 2.0), (1.0, 2.0), (1.0, 2.0)))
+    nf.TorusSpec(FLAGSHIP, (1.5, 1.2, 1.8), 0.01, domain=((1e-300, 2.0), (1.0, 2.0), (1.0, 2.0)))
+
+
 def test_non_dyadic_exact_rho_classifies():
     # the default point box is float(rho); it no longer has to contain the
     # exact 7/3, which no float equals

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qnls import normal_form as nf
 from qnls import resonance as rs
@@ -372,6 +372,98 @@ def test_table_bounds_match_scalar_interval(name):
         want_hi.append(int(table.int_part[r]) + spec.nu**2 * qhi + float(table.pad[r]))
     assert lo[rows].tobytes() == np.array(want_lo).tobytes()
     assert hi[rows].tobytes() == np.array(want_hi).tobytes()
+
+
+OPEN_ROW_DELTAS = (None, 0.0, 1e-3, 0.5, -1.0)  # None: nu^2
+
+
+def assert_open_rows_match_bounds(table, spec):
+    """``open_rows`` against the mask of ``bounds`` on every row, in both
+    senses, and each row's reach against its enclosure."""
+    lo, hi = table.bounds(spec)
+    # no edge lies beyond the reach, up to the screen's rounding margin at
+    # delta 0: the two can tie exactly, as on a point box
+    reach = table.reach(spec)[table.family]
+    size = np.abs(table.int_part)
+    far = np.maximum(np.abs(lo - table.int_part), np.abs(hi - table.int_part))
+    assert np.all(far <= reach + 1e-9 * (size + reach))
+    for delta in OPEN_ROW_DELTAS:
+        delta = spec.nu**2 if delta is None else delta
+        for strict, closed in ((False, (lo >= delta) | (hi <= -delta)),
+                               (True, (lo > delta) | (hi < -delta))):
+            want = np.flatnonzero(~(table.filtered | closed))
+            got = table.open_rows(spec, delta, strict=strict)
+            assert np.array_equal(got, want), (delta, strict)
+
+
+@pytest.mark.parametrize("name", sorted(A2_LINES_SHA256))
+def test_open_rows_match_full_bounds(name):
+    # the integer-part screen closes only rows the full bounds close
+    eff = golden_eff(name)
+    assert_open_rows_match_bounds(sd.enumerate_A2_expressions(eff, k_max=20), eff.spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=3, max_size=3, unique=True),
+       st.lists(st.floats(0.5, 3.0), min_size=3, max_size=3),
+       st.lists(st.floats(0.0, 0.1), min_size=6, max_size=6),
+       st.sampled_from((0.01, 0.03)))
+def test_open_rows_match_full_bounds_on_random_tori(internal, rho, widths, nu):
+    domain = tuple((r * (1 - a), r * (1 + b)) for r, a, b in zip(rho, widths[:3], widths[3:]))
+    spec = nf.TorusSpec(tuple(internal), tuple(rho), nu, domain=domain)
+    try:
+        eff, _ = nf.classify_torus(spec, rs.enumerate_sets(tuple(internal)))
+    except (rs.BoundTooSmall, nf.PreconditionViolated, nf.DegenerateBlock):
+        assume(False)
+    assert_open_rows_match_bounds(sd.enumerate_A2_expressions(eff, k_max=6), spec)
+
+
+def test_open_rows_on_the_screen_edge():
+    # one lattice point and coefficients of one sign put a row's enclosure
+    # exactly its reach from int_part, on int_part's side, so a delta at
+    # that edge or one ulp past it is where the screen's rounding margin
+    # decides; random boxes, pads and forms, either sign of int_part
+    rng = np.random.default_rng(20)
+    rows = 40
+    for _ in range(60):
+        side = tuple(sorted(rng.uniform(0.5, 3.0, 2)))
+        spec = nf.TorusSpec((0, 1), (side[0],) * 2, rng.uniform(0.01, 0.9), domain=(side, side))
+        sign = rng.choice((-1, 1))
+        table = sd.DivisorTable(
+            np.array([[1, 0]]), lat=np.zeros(rows, dtype=np.int64),
+            family=np.zeros(rows, dtype=np.int32), modes=np.zeros((rows, 2), dtype=np.int64),
+            int_part=sign * rng.integers(1, 2**int(rng.integers(3, 40)), rows), labels=(),
+            omega_coef=-sign * rng.uniform(0, 5, (2, 3)), fam_kind=np.zeros(1, dtype=np.int8),
+            fam_n_modes=np.zeros(1, dtype=np.int8), fam_block=np.array([-1]),
+            fam_pad=rng.uniform(0, 1, 1), fam_filtered=np.array([False]),
+            fam_coef=-sign * rng.uniform(0, 5, (1, 3)))
+        lo, hi = table.bounds(spec)
+        for edge in (lo if sign > 0 else -hi):
+            for delta in (edge, np.nextafter(edge, np.inf)):
+                want = np.flatnonzero((lo < delta) & (hi > -delta))
+                assert np.array_equal(table.open_rows(spec, delta), want), (spec, delta)
+
+
+def test_resident_mask_by_index_matches_the_scan():
+    # the +-k mask found by lattice index equals a scan of the lattice, for
+    # every block (their |k|_inf is 2, above k_max 0 and 1) and for every
+    # k with |k|_inf <= 3
+    effs = [golden_eff(name) for name in sorted(A2_LINES_SHA256)]
+    assert {blk.kind for eff in effs for blk in eff.blocks} == {"A", "B", "C", "E", "TwoMode"}
+    for eff in effs:
+        n = len(eff.spec.internal)
+        for k_max in (0, 1, 2, 6, 20):
+            lattice = sd.enumerate_A2_expressions(eff, k_max).lattice
+            assert len(lattice) == (2 * k_max + 1)**n - 1
+            ks = [blk.k for blk in eff.blocks]
+            if k_max <= 2:
+                ks += [k for k in itertools.product(range(-3, 4), repeat=n) if any(k)]
+            for k in ks:
+                scan = (lattice == k).all(axis=1) | (lattice == [-x for x in k]).all(axis=1)
+                assert np.array_equal(sd._resident(k, k_max, len(lattice)), scan), (k, k_max)
+    rep = sd.check_A2(golden_eff("D1"), k_max=-1)
+    assert len(rep.table) == 0
+    assert a2_lines(rep) == "\n"
 
 
 def test_a2_b_forms_follow_the_witness():
