@@ -1,8 +1,8 @@
 """Command-line front end: reproducible experiment orchestration.
 
 Exit codes: 0 success/stable, 1 I/O error, 2 enumeration bound too small,
-3 unstable classification, 4 precondition refused, 5 violated nonresonance
-verdicts.
+3 unstable classification, 4 precondition refused or degenerate block,
+5 violated nonresonance verdicts.
 """
 
 from __future__ import annotations
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except rs.BoundTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except nf.PreconditionViolated as exc:
+    except (nf.PreconditionViolated, nf.DegenerateBlock) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (sim.BlowUp, sim.WindowNotFound, sd.EmptyRange, ValueError, OSError) as exc:

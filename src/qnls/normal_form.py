@@ -66,8 +66,14 @@ class TorusSpec:
             raise ValueError("internal mode count must be 2 or 3")
         if len(self.rho) != n:
             raise ValueError("rho length must match internal modes")
-        if any(r <= 0 for r in self.rho):
-            raise ValueError("rho must be strictly positive")
+        # every float the torus is evaluated in comes from float(rho): NaN,
+        # inf and a Fraction outside the float range are refused with it
+        try:
+            rho_float = tuple(float(r) for r in self.rho)
+        except OverflowError:
+            raise ValueError("rho must be positive and finite as a float") from None
+        if not all(0.0 < r < math.inf for r in rho_float):
+            raise ValueError("rho must be positive and finite as a float")
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie in (0, 1)")
         # the default point box is float(rho) itself; only a caller's box is
@@ -82,7 +88,6 @@ class TorusSpec:
         if any(not lo <= r <= hi for r, (lo, hi) in zip(self.rho, dom)):
             raise ValueError("domain must contain rho")
         put = object.__setattr__
-        rho_float = tuple(float(r) for r in self.rho)
         put(self, "rho_float", rho_float)
         put(self, "domain", dom or tuple((r, r) for r in rho_float))
         num, den = None, 1
@@ -166,12 +171,6 @@ def rho_form(poly: Callable[..., object], n: int, *args) -> np.ndarray:
                    for j in range(n)] for i in range(n)], dtype=float)
     Q.flags.writeable = False
     return Q
-
-
-def lambda_external(j: int, spec: TorusSpec) -> float:
-    if j in spec.internal:
-        raise ValueError(f"mode {j} is internal")
-    return j * j + spec.lambda_shift
 
 
 def z6_internal_coefficients(spec: TorusSpec) -> Mapping[tuple[int, ...], int]:

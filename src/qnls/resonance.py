@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import isqrt
 from operator import mul
 from types import MappingProxyType
@@ -21,26 +21,6 @@ from typing import Iterable, Mapping, Sequence
 
 class BoundTooSmall(Exception):
     """A closed-form external solution fell outside the enumeration bound."""
-
-
-def enumerate_R(K: int) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """All canonical pairs of triples in [-K, K]^3 with equal sums and equal
-    sums of squares.
-
-    Triples are sorted ascending and the pair is ordered lexicographically,
-    so each resonance appears exactly once.
-    """
-    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for trip in combinations_with_replacement(range(-K, K + 1), 3):
-        key = (sum(trip), sum(x * x for x in trip))
-        groups.setdefault(key, []).append(trip)
-    out = []
-    for trips in groups.values():
-        for i, js in enumerate(trips):
-            for ls in trips[i:]:
-                out.append((js, ls))
-    out.sort()
-    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,81 +217,3 @@ def enumerate_sets(internal: Sequence[int], bound: int | None = None) -> Resonan
         set_E=_dedupe(fams["E"]),
         one_mode_solutions=sorted(one_mode),
     )
-
-
-def b_witnesses(internal: Sequence[int], pair: ExternalPair) -> list[tuple[int, int, int]]:
-    """All ordered internal triples (a, b, c) solving the family-B system
-    for the given external pair."""
-    s, t = pair.s, pair.t
-    out = []
-    for a, b, c in product(tuple(internal), repeat=3):
-        if 2 * a + b == c + s + t and 2 * a * a + b * b == c * c + s * s + t * t:
-            out.append((a, b, c))
-    return out
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    p: int
-    k: int
-    n: int
-    r: int
-
-
-@dataclass(frozen=True)
-class Quintuple:
-    """A five-mode configuration (p, p, q; m, s, t) satisfying
-    2p + q = m + s + t and 2p^2 + q^2 = m^2 + s^2 + t^2."""
-
-    p: int
-    q: int
-    m: int
-    s: int
-    t: int
-    degenerate: bool
-
-    def modes(self) -> tuple[int, int, int, int, int]:
-        return (self.p, self.q, self.m, self.s, self.t)
-
-
-def appendix_family(params: FamilyParams) -> Quintuple:
-    """The polynomial family of resonant quintuples
-
-        q = p + k (n^2 - n r + r^2),  m = p + k n r,
-        s = p + k (r^2 - n r),        t = p + k (n^2 - n r),
-
-    which satisfies both constraints identically.  Quintuples with repeated
-    modes are returned flagged as degenerate, not raised.
-    """
-    p, k, n, r = params.p, params.k, params.n, params.r
-    q = p + k * (n * n - n * r + r * r)
-    m = p + k * n * r
-    s = p + k * (r * r - n * r)
-    t = p + k * (n * n - n * r)
-    assert 2 * p + q == m + s + t
-    assert 2 * p * p + q * q == m * m + s * s + t * t
-    vals = (p, q, m, s, t)
-    return Quintuple(p, q, m, s, t, degenerate=len(set(vals)) < 5)
-
-
-def family_covers(quint: Quintuple, search_bound: int = 64) -> FamilyParams | None:
-    """Search parameters reproducing a quintuple, treating (m, s, t) as an
-    unordered multiset.  Raises ValueError if the quintuple violates its
-    defining constraints."""
-    p, q, m, s, t = quint.modes()
-    if 2 * p + q != m + s + t or 2 * p * p + q * q != m * m + s * s + t * t:
-        raise ValueError(f"not a resonant quintuple: {quint}")
-    want = sorted((m, s, t))
-    hits = []
-    for n in range(-search_bound, search_bound + 1):
-        for r in range(-search_bound, search_bound + 1):
-            g = n * n - n * r + r * r
-            if g == 0 or (q - p) % g:
-                continue
-            k = (q - p) // g
-            if k == 0 or abs(k) > search_bound:
-                continue
-            cand = appendix_family(FamilyParams(p, k, n, r))
-            if sorted((cand.m, cand.s, cand.t)) == want:
-                hits.append(FamilyParams(p, k, n, r))
-    return min(hits, key=lambda f: (abs(f.k), abs(f.n), abs(f.r), f.k, f.n, f.r)) if hits else None

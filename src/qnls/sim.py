@@ -73,9 +73,6 @@ class FourierState:
     a: np.ndarray  # complex, index j stored at position j + K
     t: float = 0.0
 
-    def copy(self) -> "FourierState":
-        return FourierState(self.a.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class ConservedSnapshot:
@@ -232,10 +229,12 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     ``mass_tol``; stops early once the external mass passes
     ``stop_ext_mass`` (saturation cut for growth runs).  Integrates forward
     only: a grid with dt < 0 is refused before the first step (``step``
-    accepts it).
+    accepts it), as is ``sample_every < 1``.
     """
     if grid.dt < 0:
         raise ValueError("evolve integrates forward in time: dt must be positive")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
     n_steps = int(round(t_end / grid.dt))
     if n_steps < 1:
         raise ValueError("t_end shorter than one step")

@@ -4,9 +4,10 @@ The divisors Omega(rho).k + Lambda_a +- Lambda_b split into an exact integer
 part (squares of mode numbers) and an O(nu^2) quadratic form in rho.  The
 forms, the block roles and each block's resonant monomial are read from
 ``normal_form``, so the divisors use the Omega and Lambda that classify the
-torus.  All admissibility decisions (conservation filters, Diophantine
-solvability, integer parts) are exact; grids and transversality estimates
-only enter when the integer part vanishes.
+torus.  All admissibility decisions (the mass and momentum laws that fix
+each family's external modes, and the integer parts) are exact integer
+arithmetic; grids and transversality estimates only enter when the integer
+part vanishes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -182,73 +182,7 @@ def _interval(Q: np.ndarray, box: Sequence[tuple[float, float]]) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# conservation and exact solvers
-
-def conservation_filter(internal: Sequence[int], k: Sequence[int],
-                        modes: Sequence[int], signs: Sequence[int]) -> bool:
-    """Admissibility of the monomial e^{i k.theta} * prod(factors).
-
-    ``signs``: +1 for a conjugated external factor (the eta side, as in the
-    worked mass identity k1 + k2 + 1 = 0 for a single eta_j), -1 otherwise.
-    Admissible iff sum(k) + sum(signs) = 0 and
-    sum(internal_i * k_i) + sum(sign * mode) = 0.
-    """
-    if sum(k) + sum(signs) != 0:
-        return False
-    if sum(m * ki for m, ki in zip(internal, k)) + sum(
-            s * j for s, j in zip(signs, modes)) != 0:
-        return False
-    return True
-
-
-@dataclass
-class LinearSolveResult:
-    status: str  # "unique" | "none" | "underdetermined"
-    solution: tuple[Fraction, ...] | None = None
-    integer: bool = False
-    certificate: str = ""
-
-
-def exact_linear_solve(system: Sequence[tuple[Sequence[int], int]]) -> LinearSolveResult:
-    """Solve rows (coeffs, offset) meaning coeffs . k + offset = 0 over the
-    rationals by Gaussian elimination; reports integer solvability exactly."""
-    rows = [[Fraction(c) for c in coeffs] + [Fraction(off)] for coeffs, off in system]
-    n = len(rows[0]) - 1
-    mat = [row[:] for row in rows]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    for i in range(r, len(mat)):
-        if mat[i][n] != 0:
-            return LinearSolveResult("none", certificate="inconsistent rows")
-    if r < n:
-        return LinearSolveResult("underdetermined",
-                                 certificate=f"rank {r} < {n}: solution lattice")
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = -mat[i][n]
-    integral = all(x.denominator == 1 for x in sol)
-    cert = "" if integral else "non-integer components: " + ", ".join(
-        f"k{i+1} = {x}" for i, x in enumerate(sol) if x.denominator != 1)
-    return LinearSolveResult("unique", tuple(sol), integral, cert)
-
-
-SETB_REFERENCE_SYSTEM = (((1, 1, 1), 2), ((-3, 10, -6), 2), ((9, 100, 36), 2))
-SETA_STAR_SYSTEM = (((1, 1, 1), 1), ((-3, 10, -6), 2), ((9, 100, 36), 4))
-
+# exact conic search (the paper-appendixA-setA preset of qnls hypotheses)
 
 class EmptyRange(Exception):
     pass

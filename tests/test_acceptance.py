@@ -17,6 +17,7 @@ from qnls import normal_form as nf
 from qnls import resonance as rs
 from qnls import sim
 from qnls import small_divisors as sd
+import paper_appendix as pa
 from test_resonance import brute_two_mode_pair
 
 FLAGSHIP = (-3, 10, -6)
@@ -109,11 +110,11 @@ def test_criterion_02_two_mode_structure():
 def test_criterion_03_family_identities():
     rng = np.random.default_rng(3)
     for _ in range(10_000):
-        params = rs.FamilyParams(int(rng.integers(-30, 31)),
+        params = pa.FamilyParams(int(rng.integers(-30, 31)),
                                  int(rng.integers(-5, 6)) or 1,
                                  int(rng.integers(-8, 9)),
                                  int(rng.integers(-8, 9)))
-        quint = rs.appendix_family(params)
+        quint = pa.appendix_family(params)
         assert 2 * quint.p + quint.q == quint.m + quint.s + quint.t
         assert (2 * quint.p**2 + quint.q**2
                 == quint.m**2 + quint.s**2 + quint.t**2)
@@ -122,12 +123,12 @@ def test_criterion_03_family_identities():
         for k in (-2, -1, 1, 2):
             for n in range(-3, 4):
                 for r in range(-3, 4):
-                    quint = rs.appendix_family(rs.FamilyParams(p, k, n, r))
+                    quint = pa.appendix_family(pa.FamilyParams(p, k, n, r))
                     if quint.degenerate:
                         continue  # all five modes equal; nothing to recover
-                    back = rs.family_covers(quint, search_bound=8)
+                    back = pa.family_covers(quint, search_bound=8)
                     assert back is not None
-                    again = rs.appendix_family(back)
+                    again = pa.appendix_family(back)
                     assert (again.p, again.q) == (quint.p, quint.q)
                     assert sorted((again.m, again.s, again.t)) == sorted(
                         (quint.m, quint.s, quint.t))
@@ -206,8 +207,8 @@ def test_criterion_06_two_mode_stability():
 
 def test_criterion_07_diophantine_certificates():
     t0 = time.perf_counter()
-    lit = sd.exact_linear_solve(sd.SETB_REFERENCE_SYSTEM)
-    star = sd.exact_linear_solve(sd.SETA_STAR_SYSTEM)
+    lit = pa.exact_linear_solve(pa.SETB_REFERENCE_SYSTEM)
+    star = pa.exact_linear_solve(pa.SETA_STAR_SYSTEM)
     sols = sd.conic_search(sd.setA_conic_system(), 1000)
     k, j = sols[0]
     dt = time.perf_counter() - t0

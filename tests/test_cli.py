@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from qnls import cli
+from qnls import normal_form as nf
 from test_small_divisors import A2_LINES_SHA256
 
 _SCRATCH = tempfile.mkdtemp(prefix="qnls-cli-")
@@ -44,17 +45,91 @@ def test_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-def test_benchmark_traced_names_exist():
-    # perfbench/worker.py wraps these qnls functions by name; it is parsed,
-    # not imported, so a dropped or renamed function fails here
-    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _worker_traced():
+    """perfbench/worker.py's TRACED table, {module: [function names]}."""
+    worker = _PERFBENCH / "worker.py"
     (traced,) = (ast.literal_eval(node.value) for node in ast.parse(worker.read_text()).body
                  if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    return traced
+
+
+def test_benchmark_traced_names_exist():
+    # perfbench/worker.py wraps these qnls functions by name; it is parsed,
+    # not imported, so a dropped or renamed function fails here
+    traced = _worker_traced()
     for module, names in traced.items():
         for name in names:
             attr = getattr(importlib.import_module(f"qnls.{module}"), name, None)
             assert callable(attr), f"qnls.{module}.{name}"
+
+
+# public names with no caller in src/qnls or perfbench/, each kept on purpose
+API_ONLY = {
+    "sim.step": "the public one-step API; evolve runs the same kernel",
+    "normal_form.b_gap_coefficient": "the public statement of the gap polynomial, "
+                                     "which _block evaluates through _twice_gap",
+}
+
+
+def _used_names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_library_names_have_a_library_caller():
+    # the package is what the commands and the benchmark run: a public
+    # function, class or constant that only tests call belongs in tests/
+    # (the paper's appendix identities live in tests/paper_appendix.py)
+    src = Path(_PKG_ROOT) / "qnls"
+    bodies = {p.stem: ast.parse(p.read_text()).body for p in src.glob("*.py")}
+    uses = {(m, i): _used_names(stmt) for m, body in bodies.items()
+            for i, stmt in enumerate(body)}
+    bench = set().union(*(_used_names(ast.parse(p.read_text()))
+                          for p in _PERFBENCH.glob("*.py")))
+    bench |= {name for names in _worker_traced().values() for name in names}
+    uncalled = set()
+    for module in ("resonance", "normal_form", "small_divisors", "sim"):
+        for i, stmt in enumerate(bodies[module]):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") or name in bench:
+                    continue
+                if not any(name in used for at, used in uses.items() if at != (module, i)):
+                    uncalled.add(f"{module}.{name}")
+    assert uncalled == set(API_ONLY), sorted(uncalled ^ set(API_ONLY))
+
+
+@pytest.mark.parametrize("args", [
+    ("normal-form", "-p", "0", "-q", "1", "--rho", "nan,1", "--band", "2"),
+    ("classify", "-p", "0", "-q", "1", "--rho", "inf,1"),
+], ids=["normal-form-nan", "classify-inf"])
+def test_non_finite_rho_is_an_error(args):
+    res = run_cli(*args)
+    assert res.returncode == cli.EXIT_IO
+    assert res.stderr == "error: rho must be positive and finite as a float\n"
+    assert "NaN" not in res.stdout
+
+
+def test_degenerate_block_is_refused(monkeypatch, capsys):
+    # the discriminant test decides "undecided", so the command refuses the
+    # torus, as for a failed precondition, instead of dying in a traceback
+    def degenerate(*args, **kwargs):
+        raise nf.DegenerateBlock("set-E discriminant within tolerance of zero")
+    monkeypatch.setattr(nf, "classify_torus", degenerate)
+    assert cli.main(["classify", "-p", "0", "-q", "1"]) == cli.EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "refused: set-E discriminant within tolerance of zero\n"
 
 
 def test_resonances_flagship_golden():

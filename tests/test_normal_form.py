@@ -38,6 +38,16 @@ def test_rho_must_be_positive():
         nf.TorusSpec((0, 1), (1.0, 0.0), 0.1)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, Fraction(1, 10**400), Fraction(10**400)],
+                         ids=["nan", "inf", "fraction-underflow", "fraction-overflow"])
+def test_rho_float_must_be_positive_and_finite(r):
+    # every float of the torus comes from float(rho): NaN and inf pass a
+    # plain "r <= 0" test, the tiny Fraction rounds to 0.0 and the huge one
+    # overflows
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        nf.TorusSpec((0, 1), (r, 1), 0.1)
+
+
 def test_domain_given_must_contain_exact_rho():
     rho = (Fraction(7, 3), Fraction(1), Fraction(9))
     with pytest.raises(ValueError, match="domain must contain rho"):
@@ -366,6 +376,12 @@ def test_precondition_internal_mismatch():
         nf.classify_torus(spec, cat)
 
 
+def lambda_external(j: int, spec: nf.TorusSpec) -> float:
+    if j in spec.internal:
+        raise ValueError(f"mode {j} is internal")
+    return j * j + spec.lambda_shift
+
+
 @pytest.mark.parametrize("rho", [(2.0, 1.0, 9.0), (Fraction(7, 3), Fraction(5, 4), Fraction(9))],
                          ids=["float", "fraction"])
 def test_scalar_lambdas_view_is_lambda_external(rho):
@@ -374,7 +390,7 @@ def test_scalar_lambdas_view_is_lambda_external(rho):
     eff, _ = flagship_eff(rho=rho)
     spec = eff.spec
     taken = set(FLAGSHIP) | {m for b in eff.blocks for m in b.modes}
-    want = [(j, nf.lambda_external(j, spec)) for j in range(-20, 21) if j not in taken]
+    want = [(j, lambda_external(j, spec)) for j in range(-20, 21) if j not in taken]
     assert list(eff.scalar_lambdas.items()) == want
     assert "scalar_lambdas" not in vars(eff)
 

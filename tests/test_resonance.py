@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from qnls import resonance as rs
 
+import paper_appendix as pa
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
@@ -34,7 +36,7 @@ def brute_two_mode_pair(p, q, limit=300):
 
 
 def test_enumerate_R_small():
-    pairs = rs.enumerate_R(3)
+    pairs = pa.enumerate_R(3)
     assert pairs == sorted(pairs) and len(pairs) == len(set(pairs))
     for js, ls in pairs:
         assert sum(js) == sum(ls)
@@ -56,7 +58,7 @@ def test_flagship_catalog():
 def test_flagship_witnesses():
     cat = rs.enumerate_sets((-3, 10, -6))
     (pair,) = cat.set_B
-    wits = rs.b_witnesses((-3, 10, -6), pair)
+    wits = pa.b_witnesses((-3, 10, -6), pair)
     assert (-3, 10, -6) in wits
     for a, b, c in wits:
         assert 2 * a + b == c + pair.s + pair.t
@@ -175,7 +177,7 @@ def test_default_bound():
 
 
 def test_family_identities():
-    quint = rs.appendix_family(rs.FamilyParams(-3, 1, 4, 1))
+    quint = pa.appendix_family(pa.FamilyParams(-3, 1, 4, 1))
     assert (quint.p, quint.q, quint.m, quint.s, quint.t) == (-3, 10, 1, -6, 9)
 
 
@@ -183,18 +185,18 @@ def test_family_identities():
 @given(st.integers(-20, 20), st.integers(-6, 6).filter(bool),
        st.integers(-6, 6).filter(bool), st.integers(-6, 6).filter(bool))
 def test_family_identities_random(p, k, n, r):
-    q = rs.appendix_family(rs.FamilyParams(p, k, n, r))
+    q = pa.appendix_family(pa.FamilyParams(p, k, n, r))
     # both defining identities of the (p, p, q; m, s, t) configuration
     assert 2 * q.p + q.q == q.m + q.s + q.t
     assert 2 * q.p**2 + q.q**2 == q.m**2 + q.s**2 + q.t**2
 
 
 def test_family_covers_round_trip():
-    params = rs.FamilyParams(-3, 1, 4, 1)
-    quint = rs.appendix_family(params)
-    found = rs.family_covers(quint)
+    params = pa.FamilyParams(-3, 1, 4, 1)
+    quint = pa.appendix_family(params)
+    found = pa.family_covers(quint)
     assert found is not None
-    again = rs.appendix_family(found)
+    again = pa.appendix_family(found)
     # round trip up to permutation of the unordered (m, s, t) side
     assert (again.p, again.q) == (quint.p, quint.q)
     assert sorted((again.m, again.s, again.t)) == sorted(

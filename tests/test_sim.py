@@ -253,6 +253,14 @@ def test_evolve_rejects_backward_integration():
         sim.evolve(band_state(back), back, t_end=-10.0)
 
 
+@pytest.mark.parametrize("every", [0, -3])
+def test_evolve_rejects_nonpositive_sample_every(every):
+    # a step count below one per sample would never reach t_end
+    grid = sim.GridSpec(8, 64, 0.01)
+    with pytest.raises(ValueError, match="sample_every"):
+        sim.evolve(single_mode(grid, 1, 0.1), grid, t_end=0.1, sample_every=every)
+
+
 def test_trajectory_csv():
     grid = sim.GridSpec(8, 64, 0.01)
     traj = sim.evolve(single_mode(grid, 1, 0.1), grid, t_end=0.05,

@@ -18,6 +18,8 @@ from qnls import normal_form as nf
 from qnls import resonance as rs
 from qnls import small_divisors as sd
 
+import paper_appendix as pa
+
 FLAGSHIP = (-3, 10, -6)
 
 
@@ -37,19 +39,19 @@ def flagship_eff(rho=(1.5, 1.2, 1.8), nu=0.01, domain="D1", band=20):
 def test_conservation_single_eta():
     # single conjugated external factor on a two-mode torus: mass forces
     # sum(k) = -1 and momentum pins j to an internal mode here
-    assert sd.conservation_filter((0, 2), (-1, 0), (0,), (1,))
-    assert not sd.conservation_filter((0, 2), (-1, 1), (5,), (1,))
+    assert pa.conservation_filter((0, 2), (-1, 0), (0,), (1,))
+    assert not pa.conservation_filter((0, 2), (-1, 1), (5,), (1,))
 
 
 def test_conservation_pair():
     # eta_j eta_l admissible only on sum(k) = -2
-    assert sd.conservation_filter((0, 2), (-1, -1), (1, 1), (1, 1))
-    assert not sd.conservation_filter((0, 2), (-1, 0), (1, 1), (1, 1))
+    assert pa.conservation_filter((0, 2), (-1, -1), (1, 1), (1, 1))
+    assert not pa.conservation_filter((0, 2), (-1, 0), (1, 1), (1, 1))
 
 
 def test_conservation_b_pair():
     # the creation pair of the flagship catalog with its resonant exponents
-    assert sd.conservation_filter(FLAGSHIP, (-2, -1, 1), (1, 9), (1, 1))
+    assert pa.conservation_filter(FLAGSHIP, (-2, -1, 1), (1, 9), (1, 1))
 
 
 def test_block_monomials_pass_filter():
@@ -71,7 +73,7 @@ def test_block_monomials_pass_filter():
                 else:
                     # zeta_s eta_t with blk.modes = (s_role, t_role)
                     signs, modes = (-1, 1), blk.modes
-                assert sd.conservation_filter(internal, blk.k, modes, signs), (internal, blk)
+                assert pa.conservation_filter(internal, blk.k, modes, signs), (internal, blk)
                 kinds.add(blk.kind)
     assert kinds == {"A", "B", "C", "E", "TwoMode"}
 
@@ -80,32 +82,32 @@ def test_block_monomials_pass_filter():
 # exact solvers
 
 def test_literal_three_equation_system():
-    res = sd.exact_linear_solve(sd.SETB_REFERENCE_SYSTEM)
+    res = pa.exact_linear_solve(pa.SETB_REFERENCE_SYSTEM)
     assert res.status == "unique" and not res.integer
     assert res.solution[1] == Fraction(-7, 26)
 
 
 def test_physical_pair_system_is_the_resonant_monomial():
     phys = (((1, 1, 1), 2), ((-3, 10, -6), 10), ((9, 100, 36), 82))
-    res = sd.exact_linear_solve(phys)
+    res = pa.exact_linear_solve(phys)
     assert res.status == "unique" and res.integer
     assert res.solution == (-2, -1, 1)  # exactly the normal-form monomial
 
 
 def test_star_system_no_integer_solution():
-    res = sd.exact_linear_solve(sd.SETA_STAR_SYSTEM)
+    res = pa.exact_linear_solve(pa.SETA_STAR_SYSTEM)
     assert res.status == "unique" and not res.integer
 
 
 def test_trivial_system():
-    res = sd.exact_linear_solve((((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)))
+    res = pa.exact_linear_solve((((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)))
     assert res.integer and res.solution == (0, 0, 0)
 
 
 def test_underdetermined_and_inconsistent():
-    under = sd.exact_linear_solve((((1, 1, 1), 0), ((2, 2, 2), 0)))
+    under = pa.exact_linear_solve((((1, 1, 1), 0), ((2, 2, 2), 0)))
     assert under.status == "underdetermined"
-    none = sd.exact_linear_solve((((1, 1, 1), 0), ((1, 1, 1), 1)))
+    none = pa.exact_linear_solve((((1, 1, 1), 0), ((1, 1, 1), 1)))
     assert none.status == "none"
 
 
