@@ -7,11 +7,11 @@ energy = sum j^2 |a_j|^2 + (1/3) * mean_x |u|^6, so a single mode a_j = c has
 mass |c|^2 and energy j^2 |c|^2 + |c|^6 / 3.
 
 Layout: ``FourierState.a`` stores the band |j| <= K with mode j at position
-j + K.  ``step`` and ``evolve`` share one kernel that keeps the spectrum as an
-N-point array in FFT order (mode j at index j mod N, which numpy's negative
-indexing gives as ``spec[j]``) and reuses preallocated buffers.  Its linear
-phase factors vanish outside the band, so the multiplication that applies
-them is also the band projection.  ``conserved`` reads the same layout.
+j + K.  Only the kernel, which ``step``, ``conserved`` and ``evolve`` share,
+holds the spectrum as an N-point array in FFT order (mode j at index j mod N,
+numpy's ``spec[j]``); it steps and samples in preallocated buffers.  Its
+linear phase factors vanish outside the band, so the multiplication that
+applies them is also the band projection.
 
 FFTs: the module calls the gufuncs that ``np.fft.fft``/``ifft`` end in,
 ``numpy.fft._pocketfft_umath.fft``/``ifft``, with the scale factors that
@@ -135,8 +135,8 @@ class GrowthFit:
 class _SplitStep:
     """Strang split-step workspace for one grid, started from the band
     coefficients ``a``: the spectrum in FFT order, the band-masked linear
-    phases and every buffer a step needs, so stepping allocates no arrays.
-    """
+    phases and every buffer a step or a sample needs, so stepping allocates
+    no arrays."""
 
     def __init__(self, grid: GridSpec, a: np.ndarray):
         self.dt = grid.dt
@@ -154,6 +154,18 @@ class _SplitStep:
     def coefficients(self) -> np.ndarray:
         """Band coefficients, mode j at position j + K (a new array)."""
         return self.spec[self.modes]
+
+    def sample(self) -> tuple[np.ndarray, ConservedSnapshot]:
+        """The band's |a_j|^2 (a new array, mode j at position j + K) and the
+        conserved quantities; uses ``u`` and ``w`` as scratch, as a step does."""
+        j, u, w = self.modes, self.u, self.w
+        mags = np.abs(self.coefficients()) ** 2
+        _pfu.ifft(self.spec, 1.0, out=u)
+        np.abs(u, out=w)
+        np.power(w, 6, out=w)
+        sextic = float(np.mean(w))
+        return mags, ConservedSnapshot(float(mags.sum()), float((j * mags).sum()),
+                                       float((j * j * mags).sum() + sextic / 3.0))
 
     def run(self, n: int) -> None:
         """n steps, with the linear half phases of adjacent steps fused."""
@@ -176,17 +188,8 @@ class _SplitStep:
 
 
 def conserved(state: FourierState, grid: GridSpec) -> ConservedSnapshot:
-    mags = np.abs(state.a) ** 2
-    j = grid.modes
-    spec = np.zeros(grid.N, dtype=complex)
-    spec[j] = state.a
-    u = _pfu.ifft(spec, 1.0, out=np.empty_like(spec))
-    sextic = float(np.mean(np.abs(u) ** 6))
-    return ConservedSnapshot(
-        float(mags.sum()),
-        float((j * mags).sum()),
-        float((j * j * mags).sum() + sextic / 3.0),
-    )
+    """Mass, momentum and energy of ``state``, sampled by a fresh kernel."""
+    return _SplitStep(grid, state.a).sample()[1]
 
 
 def step(state: FourierState, grid: GridSpec) -> FourierState:
@@ -226,15 +229,19 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
 
     Linear half phases of adjacent steps are fused between samples (exact
     phase algebra).  Aborts with BlowUp when the relative mass drift exceeds
-    ``mass_tol``; stops early once the external mass passes
+    ``mass_tol`` (inf: no guard); stops early once the external mass passes
     ``stop_ext_mass`` (saturation cut for growth runs).  Integrates forward
-    only: a grid with dt < 0 is refused before the first step (``step``
-    accepts it), as is ``sample_every < 1``.
+    only: dt < 0 (which ``step`` accepts), ``sample_every < 1``, a non-finite
+    ``t_end`` and a NaN or negative ``mass_tol`` are refused up front.
     """
     if grid.dt < 0:
         raise ValueError("evolve integrates forward in time: dt must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not mass_tol >= 0:
+        raise ValueError(f"mass_tol must be nonnegative, got {mass_tol}")
     n_steps = int(round(t_end / grid.dt))
     if n_steps < 1:
         raise ValueError("t_end shorter than one step")
@@ -242,42 +249,34 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     iidx = np.array([m + K for m in internal], dtype=int)
     mask_ext = np.ones(2 * K + 1, dtype=bool)
     mask_ext[iidx] = False
-
-    times, masses, momenta, energies = [], [], [], []
-    actions, exts, mags_all = [], [], []
-
-    def record(st: FourierState):
-        snap = conserved(st, grid)
-        mags = np.abs(st.a) ** 2
-        times.append(st.t)
-        masses.append(snap.mass)
-        momenta.append(snap.momentum)
-        energies.append(snap.energy)
-        actions.append(mags[iidx].copy())
-        exts.append(float(mags[mask_ext].sum()))
-        mags_all.append(mags)
-        return snap, exts[-1]
-
-    snap0, _ = record(state)
-    mass0 = snap0.mass
     kernel = _SplitStep(grid, state.a)
+    rows, mags_all = [], []  # rows: (t, mass, momentum, energy, ext_mass)
+
+    def record(t: float) -> tuple[float, float]:
+        mags, snap = kernel.sample()
+        ext = float(mags[mask_ext].sum())
+        rows.append((t, snap.mass, snap.momentum, snap.energy, ext))
+        mags_all.append(mags)
+        return snap.mass, ext
+
+    mass0, _ = record(state.t)
     done = 0
     while done < n_steps:
         chunk = min(sample_every, n_steps - done)
         kernel.run(chunk)
         done += chunk
         t = state.t + done * grid.dt
-        snap, ext = record(FourierState(kernel.coefficients(), t))
-        if mass0 > 0 and abs(snap.mass - mass0) > mass_tol * mass0:
+        mass, ext = record(t)
+        if mass0 > 0 and abs(mass - mass0) > mass_tol * mass0:
             raise BlowUp(
-                f"relative mass drift {abs(snap.mass - mass0) / mass0:.3e} "
+                f"relative mass drift {abs(mass - mass0) / mass0:.3e} "
                 f"exceeds {mass_tol:.1e} at t={t:.3f}")
         if stop_ext_mass is not None and ext >= stop_ext_mass:
             break
-    return Trajectory(grid, tuple(internal), np.array(times), np.array(masses),
-                      np.array(momenta), np.array(energies),
-                      np.array(actions).reshape(len(times), len(iidx)),
-                      np.array(exts), np.array(mags_all), tuple(watch))
+    times, masses, momenta, energies, exts = (np.array(col) for col in zip(*rows))
+    mags = np.array(mags_all)
+    return Trajectory(grid, tuple(internal), times, masses, momenta, energies,
+                      mags[:, iidx], exts, mags, tuple(watch))
 
 
 def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],

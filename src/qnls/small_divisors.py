@@ -319,6 +319,16 @@ class A1Verdict:
 _A1_MODE_CUTOFF = 40
 
 
+def _delta(spec: TorusSpec, delta: float | None) -> float:
+    """The separation threshold of A1, A2 and ``measure_scan``: ``delta``,
+    or nu^2 when it is None.  A NaN or infinite delta is refused."""
+    if delta is None:
+        return spec.nu**2
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    return delta
+
+
 def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Verdict]:
     """The four separation inequalities over scalar and block eigenvalues.
 
@@ -328,8 +338,7 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
     grows without bound, certifying the tail from A0.
     """
     spec = eff.spec
-    if delta is None:
-        delta = spec.nu**2
+    delta = _delta(spec, delta)
     a0 = check_A0(eff)
 
     elliptic: list[tuple[float, int]] = []  # (Lambda, cluster key)
@@ -754,8 +763,7 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
     if grid_resolution < 2:
         raise ValueError("grid_resolution must be at least 2 per dimension")
     spec = eff.spec
-    if delta is None:
-        delta = spec.nu**2
+    delta = _delta(spec, delta)
     grid = _domain_grid(spec, grid_resolution)
     table = enumerate_A2_expressions(eff, k_max)
     codes = np.where(table.filtered, 0, 1).astype(np.int8)  # FILTERED, LOWER_BOUNDED
@@ -776,8 +784,7 @@ def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8 per dimension")
     spec = eff.spec
-    if delta is None:
-        delta = spec.nu**2
+    delta = _delta(spec, delta)
     grid = _domain_grid(spec, grid_resolution)
     nu2 = spec.nu**2
     table = enumerate_A2_expressions(eff, k_max)

@@ -120,6 +120,27 @@ def test_non_finite_rho_is_an_error(args):
     assert "NaN" not in res.stdout
 
 
+_SMALL_RUN = ("simulate", "-p", "0", "-q", "1", "--rho", "1,1", "--K", "4", "--N", "32",
+              "--dt", "0.01", "--seed-modes", "2", "--sample-every", "1")
+_FLAGSHIP_A2 = ("hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9",
+                "--kmax", "2")
+
+
+@pytest.mark.parametrize("args,message", [
+    (_SMALL_RUN + ("--t-end", "inf"), "t_end must be finite, got inf"),
+    (_SMALL_RUN + ("--t-end", "1", "--mass-tol", "nan"),
+     "mass_tol must be nonnegative, got nan"),
+    (_FLAGSHIP_A2 + ("--delta", "nan"), "delta must be finite, got nan"),
+    (_FLAGSHIP_A2 + ("--delta", "inf"), "delta must be finite, got inf"),
+], ids=["t-end-inf", "mass-tol-nan", "delta-nan", "delta-inf"])
+def test_non_finite_run_parameter_is_an_error(args, message, tmp_path):
+    # one error line, no traceback, and no NaN or Infinity written as JSON
+    res = run_cli(*args, "--out", str(tmp_path))
+    assert res.returncode == cli.EXIT_IO
+    assert res.stderr == f"error: {message}\n"
+    assert "NaN" not in res.stdout and "Infinity" not in res.stdout
+
+
 def test_degenerate_block_is_refused(monkeypatch, capsys):
     # the discriminant test decides "undecided", so the command refuses the
     # torus, as for a failed precondition, instead of dying in a traceback

@@ -211,6 +211,27 @@ def test_trajectory_csv_golden(internal, rho, nu, grid_args, seed_modes, every,
     assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
 
 
+def test_trajectory_stop_path_golden():
+    # the growth-unstable benchmark torus with seed amplitude 1e-2 sqrt(nu)
+    # reaches the saturation cut after 34,680 steps (868 samples); sha256 of
+    # Trajectory.to_csv() and GrowthFit.to_json(), recorded with conserved()
+    # sampling a zero-padded copy of the band; numpy 2.4.6 on x86-64
+    internal, rho, nu = (-3, 10, -6), (2.0, 1.0, 9.0), 0.02
+    grid = sim.GridSpec(32, 256, 5e-3)
+    spec = nf.TorusSpec(internal, rho, nu)
+    state = sim.prepare_torus_state(spec, (1, 9), 1e-2 * np.sqrt(nu), grid, seed=0)
+    traj = sim.evolve(state, grid, 40.0 / nu**2, 40, internal=internal,
+                      watch=(1, 9), mass_tol=1e-3,
+                      stop_ext_mass=2 * sim.saturation_mass(nu, rho))
+    fit = sim.fit_growth_rate(traj, nu, rho, grow_factor=10.0)
+    assert len(traj.times) == 868
+    assert traj.ext_mass[-1] >= 2 * sim.saturation_mass(nu, rho) > traj.ext_mass[-2]
+    assert (hashlib.sha256(traj.to_csv().encode()).hexdigest()
+            == "eb8bc422c7e6f1ab165a81bcf30fc1ae78e7213ea8b2701e3fa561203e93810d")
+    assert (hashlib.sha256(fit.to_json().encode()).hexdigest()
+            == "3a829de72920e2b3070df8d627c02e6766b50edc0cf11773d6d9b0045f435d41")
+
+
 # ---------------------------------------------------------------------------
 # evolve / trajectory bookkeeping
 
@@ -251,6 +272,29 @@ def test_evolve_rejects_backward_integration():
     back = sim.GridSpec(16, 128, -0.01)
     with pytest.raises(ValueError, match="forward"):
         sim.evolve(band_state(back), back, t_end=-10.0)
+
+
+@pytest.mark.parametrize("t_end", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_evolve_rejects_non_finite_t_end(t_end):
+    # the step count round(t_end / dt) has no integer value
+    grid = sim.GridSpec(8, 64, 0.01)
+    with pytest.raises(ValueError, match="t_end"):
+        sim.evolve(single_mode(grid, 1, 0.1), grid, t_end=t_end)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-6], ids=["nan", "negative"])
+def test_evolve_rejects_nan_or_negative_mass_tol(tol):
+    # drift > nan * mass0 is never true, so a NaN tolerance would silently
+    # turn the BlowUp guard off; inf is how a caller asks for no guard
+    grid = sim.GridSpec(5, 32, 0.05)
+    rng = np.random.default_rng(0)
+    a = 0.9 * (rng.standard_normal(11) + 1j * rng.standard_normal(11))
+    state = sim.FourierState(a, 0.0)
+    with pytest.raises(ValueError, match="mass_tol"):
+        sim.evolve(state, grid, t_end=50.0, sample_every=10, mass_tol=tol)
+    traj = sim.evolve(state, grid, t_end=50.0, sample_every=10,
+                      mass_tol=float("inf"))
+    assert traj.mass[-1] < 0.1 * traj.mass[0]
 
 
 @pytest.mark.parametrize("every", [0, -3])

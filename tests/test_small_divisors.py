@@ -596,6 +596,18 @@ def test_measure_scan_center_point_not_excluded():
     assert frac == 0.0
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_delta_is_refused(delta):
+    # every comparison with a NaN delta is false, so A1 and A2 would report
+    # NaN margins instead of verdicts; a finite negative delta stays valid
+    eff = flagship_eff(domain="D2")
+    for check in (sd.check_A1, sd.check_A2, sd.measure_scan):
+        with pytest.raises(ValueError, match="delta"):
+            check(eff, delta=delta)
+    assert all(v.passed for v in sd.check_A1(eff, delta=-1.0))
+
+
 # ---------------------------------------------------------------------------
 # interval arithmetic helper
 
