@@ -45,7 +45,7 @@ class DivisorExpression:
 
 VERDICTS = (FILTERED, LOWER_BOUNDED, TRANSVERSAL, VIOLATED)
 INTERVAL = "interval certificate"
-_CHUNK_ROWS = 1 << 14  # A2 lines per write, ~2 MB of text
+_CHUNK_ROWS = 1 << 13  # A2 rows per step of the writer and of open_rows; ~1 MB of text
 
 
 @dataclass
@@ -90,59 +90,64 @@ class HypothesisReport:
     def _line_chunks(self) -> Iterator[str]:
         """The JSON lines, ``_CHUNK_ROWS`` at a time, each line ending in "\\n".
 
-        Line r is head + k + tail, each taken from a text table built once:
-        the head by family kind, the k text by lattice point and the tail by
-        group, where rows with the same family, modes and verdict share a
-        group and each judged row has its own, holding its witness.  A chunk
-        is gathered by fancy indexing and joined once."""
+        Line r is head + k + tail.  The head comes from a text table by
+        family kind and the k text from one by lattice point; the tail is
+        built per chunk for each group of its rows with the same family,
+        modes and verdict (each judged row has its own, holding its witness)
+        from mode, block and verdict text tables.  Every table is built once
+        per write; a chunk is gathered by fancy indexing and joined once, so
+        no array but the table's own spans all rows."""
         t = self.table
-        own = np.zeros(len(t), dtype=np.int64)
-        own[list(self.witnesses)] = np.arange(1, len(self.witnesses) + 1)
-        # the family fixes kind, mode count and block
-        cols = [t.family, t.modes[:, 0], t.modes[:, 1], self.codes, own]
-        cols = [c - c.min(initial=0) for c in cols]
-        key = np.ravel_multi_index(cols, [int(c.max(initial=0)) + 1 for c in cols])
-        del cols
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
-        del key
-        tails = self._tails(first, np.flatnonzero(own[first]))
-        del own, first
+        judged_rows = np.array(sorted(self.witnesses), dtype=np.int64)
         kinds = np.array(['{"kind": %s, "k": ' % json.dumps(kind) for kind in KINDS], dtype=object)
         heads = kinds[t.fam_kind]
         ks = _k_text(t.lattice)
-        buf = np.empty((min(_CHUNK_ROWS, len(t)), 3), dtype=object)
-        for a in range(0, len(t), _CHUNK_ROWS):
-            rows = buf[:min(_CHUNK_ROWS, len(t) - a)]
-            b = a + len(rows)
-            rows[:, 0] = heads[t.family[a:b]]
-            rows[:, 1] = ks[t.lat[a:b]]
-            rows[:, 2] = tails[group[a:b]]
-            yield "".join(rows.ravel().tolist())
-
-    def _tails(self, first: np.ndarray, judged: np.ndarray) -> np.ndarray:
-        """Line text after k, ending in "\\n", for the groups whose first rows
-        are ``first``; ``judged`` are the groups whose row holds a witness."""
-        t = self.table
-        fam, codes, modes = t.family[first], self.codes[first], t.modes[first]
-        n, block = t.fam_n_modes[fam], t.fam_block[fam]
-        lo = int(modes.min(initial=0))
-        num = [str(v) for v in range(lo, int(modes.max(initial=0)) + 1)]
-        m0, m1 = modes[:, 0] - lo, modes[:, 1] - lo
-        one, two = n == 1, n == 2
-        text = np.full(len(first), ', "modes": []', dtype=object)
-        text[one] = np.array([', "modes": [%s]' % v for v in num], dtype=object)[m0[one]]
-        text[two] = (np.array([', "modes": [%s, ' % v for v in num], dtype=object)[m0[two]]
-                     + np.array([v + "]" for v in num], dtype=object)[m1[two]])
-        # block -1 (a scalar family) picks the last row, null
+        # mode text by mode - lo; block and verdict text by block and verdict
+        # code, where block -1 (a scalar family) picks the last row, null
+        lo = int(t.modes.min(initial=0))
+        num = [str(v) for v in range(lo, int(t.modes.max(initial=0)) + 1)]
+        one_mode = np.array([', "modes": [%s]' % v for v in num], dtype=object)
+        two_modes = (np.array([', "modes": [%s, ' % v for v in num], dtype=object),
+                     np.array([v + "]" for v in num], dtype=object))
         mid = np.array([[', "block": %s, "verdict": %s, "witness": ' % (b, json.dumps(v))
                          for v in VERDICTS]
                         for b in [json.dumps(label) for label in t.labels] + ["null"]],
                        dtype=object)
-        plain = [json.dumps(INTERVAL if v == LOWER_BOUNDED else None) + "}\n" for v in VERDICTS]
-        end = (mid + np.array(plain, dtype=object))[block, codes]
-        for g, i in zip(judged.tolist(), first[judged].tolist()):
-            end[g] = mid[block[g], codes[g]] + json.dumps(self.witnesses[i]) + "}\n"
-        return text + end
+        plain = mid + np.array([json.dumps(INTERVAL if v == LOWER_BOUNDED else None) + "}\n"
+                                for v in VERDICTS], dtype=object)
+
+        def tails(first: np.ndarray, judged: np.ndarray) -> np.ndarray:
+            """Line text after k for the groups whose first rows are
+            ``first``; ``judged`` are the groups whose row holds a witness."""
+            fam, codes = t.family[first], self.codes[first]
+            m0, m1 = (t.modes[first] - lo).T
+            n, block = t.fam_n_modes[fam], t.fam_block[fam]
+            one, two = n == 1, n == 2
+            text = np.full(len(first), ', "modes": []', dtype=object)
+            text[one] = one_mode[m0[one]]
+            text[two] = two_modes[0][m0[two]] + two_modes[1][m1[two]]
+            end = plain[block, codes]
+            for g, i in zip(judged.tolist(), first[judged].tolist()):
+                end[g] = mid[block[g], codes[g]] + json.dumps(self.witnesses[i]) + "}\n"
+            return text + end
+
+        buf = np.empty((min(_CHUNK_ROWS, len(t)), 3), dtype=object)
+        for a in range(0, len(t), _CHUNK_ROWS):
+            rows = buf[:min(_CHUNK_ROWS, len(t) - a)]
+            b = a + len(rows)
+            # the chunk's judged rows get own 1, 2, ...: a group each
+            own = np.zeros(len(rows), dtype=np.int64)
+            w0, w1 = np.searchsorted(judged_rows, (a, b))
+            own[judged_rows[w0:w1] - a] = np.arange(w0 + 1, w1 + 1)
+            # the family fixes kind, mode count and block
+            cols = [t.family[a:b], t.modes[a:b, 0], t.modes[a:b, 1], self.codes[a:b], own]
+            cols = [c - c.min() for c in cols]
+            key = np.ravel_multi_index(cols, [int(c.max()) + 1 for c in cols])
+            _, first, group = np.unique(key, return_index=True, return_inverse=True)
+            rows[:, 0] = heads[t.family[a:b]]
+            rows[:, 1] = ks[t.lat[a:b]]
+            rows[:, 2] = tails(a + first, np.flatnonzero(own[first]))[group]
+            yield "".join(rows.ravel().tolist())
 
     def summary(self) -> dict:
         return {
@@ -484,11 +489,11 @@ class DivisorTable:
         if rows is not None:
             lat, family, int_part = lat[rows], family[rows], int_part[rows]
         box, nu2 = spec.domain, spec.nu**2
-        kC = self.lattice @ self.omega_coef
+        kC = self.lattice[lat] @ self.omega_coef
         filtered = self.fam_filtered[family]
         lo, hi = np.zeros((2, len(lat)))
         for p, (i, j) in enumerate(_pairs(len(box))):
-            c = kC[lat, p] + self.fam_coef[family, p]
+            c = kC[:, p] + self.fam_coef[family, p]
             c[filtered] = 0.0
             small = box[i][0] * box[j][0]
             big = box[i][1] * box[j][1]
@@ -505,7 +510,10 @@ class DivisorTable:
         enclosure, c * small_p or c * big_p, is at most |c| big_p in size."""
         big = np.array([spec.domain[i][1] * spec.domain[j][1]
                         for i, j in _pairs(len(spec.domain))])
-        k_reach = np.max(np.abs(self.lattice @ self.omega_coef) @ big, initial=0.0)
+        k_reach = 0.0
+        for a in range(0, len(self.lattice), _CHUNK_ROWS):
+            kC = self.lattice[a:a + _CHUNK_ROWS] @ self.omega_coef
+            k_reach = max(k_reach, np.max(np.abs(kC, out=kC) @ big))
         return spec.nu**2 * (k_reach + np.abs(self.fam_coef) @ big) + self.fam_pad
 
     def open_rows(self, spec: TorusSpec, delta: float, strict: bool = False) -> np.ndarray:
@@ -519,10 +527,15 @@ class DivisorTable:
         reach + |delta|), which covers float rounding, so a row near the
         edge is bounded exactly; ``bounds`` runs only on the rows left over,
         and the open set is the one ``bounds`` on every row gives."""
-        reach = self.reach(spec)[self.family]
-        size = np.abs(self.int_part)
-        clear = size - reach > delta + 1e-9 * (size + reach + abs(delta))
-        rows = np.flatnonzero(~(clear | self.filtered))
+        reach = self.reach(spec)
+        left = np.empty(len(self), dtype=bool)
+        for a in range(0, len(self), _CHUNK_ROWS):
+            chunk = slice(a, a + _CHUNK_ROWS)
+            family, size = self.family[chunk], np.abs(self.int_part[chunk])
+            r = reach[family]
+            clear = size - r > delta + 1e-9 * (size + r + abs(delta))
+            left[chunk] = ~(clear | self.fam_filtered[family])
+        rows = np.flatnonzero(left)
         lo, hi = self.bounds(spec, rows)
         closed = ((lo > delta) | (hi < -delta)) if strict else ((lo >= delta) | (hi <= -delta))
         return rows[~closed]
@@ -594,30 +607,33 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     blocked = list({m for blk in eff.blocks for m in blk.modes})
     skip = iset + blocked
 
-    # every nonzero k with |k|_inf <= k_max, in itertools.product order
-    lattice = np.indices((max(2 * k_max + 1, 0),) * n).reshape(n, -1).T - k_max
+    # every nonzero k with |k|_inf <= k_max, in itertools.product order.
+    # int32 holds any lattice point, lattice index or mode the table can
+    # have, as the lattice and the mode range are arrays that long; sums
+    # and products over them are taken in int64
+    lattice = np.indices((max(2 * k_max + 1, 0),) * n, dtype=np.int32).reshape(n, -1).T - k_max
     lattice = lattice[lattice.any(axis=1)]
     L = len(lattice)
     mass = lattice.sum(axis=1)
-    mom = lattice @ np.array(internal)
-    I0 = lattice @ np.array([m * m for m in internal])
+    mom = lattice @ np.array(internal, dtype=np.int64)
+    I0 = lattice @ np.array([m * m for m in internal], dtype=np.int64)
     omegas = [rho_form(omega_coefficient, n, i) for i in range(n)]
     omega_coef = np.array([_coef(Q) for Q in omegas])
     families = []  # (kind, n_modes, block, pad, filtered, Lambda coefficients)
-    chunks = []
+    # per family, its row count and its entry of each column: an array over
+    # its rows, or one number shared by all of them
+    sizes = []
+    parts = {name: [] for name in ("key", "lat", "mode0", "mode1", "int_part")}
 
     def emit(idx, kind, modes, int_part=None, Q=None, pad=0.0, slot=0, sub=0, block=-1):
         """A family of rows over lattice indices ``idx``; int_part None
         marks them filtered."""
-        rows = len(idx)
-        m = np.zeros((rows, 2), dtype=np.int64)
-        for c, v in enumerate(modes):
-            m[:, c] = v
         filtered = int_part is None
-        chunks.append(dict(
-            key=(((block + 1) * L + idx) * 8 + slot) * (2 * mode_max + 1) + sub, lat=idx,
-            family=np.full(rows, len(families), dtype=np.int32), modes=m,
-            int_part=np.zeros(rows, dtype=np.int64) if filtered else int_part))
+        sizes.append(len(idx))
+        key = (((block + 1) * L + idx.astype(np.int64)) * 8 + slot) * (2 * mode_max + 1) + sub
+        m = (*modes, 0, 0)
+        for name, v in zip(parts, (key, idx, m[0], m[1], 0 if filtered else int_part)):
+            parts[name].append(v)
         families.append((KINDS.index(kind), len(modes), block, pad, filtered,
                          np.zeros(omega_coef.shape[1]) if filtered else _coef(Q)))
 
@@ -630,7 +646,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
 
     # slots order the families of one k: OmegaK 0, single 1 (block branches
     # 0-1 by role), pairs 2, differences 3, block branch +- Lambda_j 4-7
-    every = np.arange(L)
+    every = np.arange(L, dtype=np.int32)
     emit(every, OMEGA_K, (), I0, none)
 
     # Omega.k + Lambda_j : a single eta factor, mass forces sum(k) = -1
@@ -653,6 +669,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
         r, c = np.nonzero(ok)
         j, l = jj[c], ll[r, c]
         emit(idx[r], kind, (j, l), I0[idx[r]] + j * j + sgn * l * l, Q, slot=slot, sub=c)
+    del ll, ok
 
     # coupled-block divisor families
     for b, blk in enumerate(eff.blocks):
@@ -712,17 +729,29 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
                                  (role,), I0[idx] + role * role + sgn * j * j,
                                  branch_Q + sgn * lam, branch_pad, slot, block=b)
 
-    order = np.argsort(np.concatenate([c.pop("key") for c in chunks]), kind="stable")
-    # each column is gathered once, releasing its per-family pieces as it goes
-    cols = {name: np.concatenate([c.pop(name) for c in chunks])[order]
-            for name in ("lat", "family", "modes", "int_part")}
+    del mass, mom, I0  # I0 now lives on only as a family's integer part
+    order = np.argsort(np.concatenate(parts.pop("key")), kind="stable")
+
+    def column(entries, dtype):
+        """A column in row order, from one entry per family."""
+        pieces = [np.broadcast_to(v, (size,)) for v, size in zip(entries, sizes)]
+        return np.concatenate(pieces, dtype=dtype, casting="same_kind")[order]
+
+    # each column is gathered once, releasing its per-family entries as it
+    # goes, widest first
+    int_part = column(parts.pop("int_part"), np.int64)
+    modes = np.empty((len(order), 2), dtype=np.int32)
+    modes[:, 0] = column(parts.pop("mode0"), np.int32)
+    modes[:, 1] = column(parts.pop("mode1"), np.int32)
+    lat = column(parts.pop("lat"), np.int32)
     kind, n_modes, block, pad, filtered, coef = zip(*families)
     return DivisorTable(
-        lattice, labels=tuple(f"{blk.kind}{blk.modes}" for blk in eff.blocks),
+        lattice, lat=lat, family=column(range(len(families)), np.int32), modes=modes,
+        int_part=int_part, labels=tuple(f"{blk.kind}{blk.modes}" for blk in eff.blocks),
         omega_coef=omega_coef, fam_kind=np.array(kind, dtype=np.int8),
         fam_n_modes=np.array(n_modes, dtype=np.int8), fam_block=np.array(block),
         fam_pad=np.array(pad, dtype=float), fam_filtered=np.array(filtered),
-        fam_coef=np.array(coef), **cols)
+        fam_coef=np.array(coef))
 
 
 def _resident(k: tuple[int, ...], k_max: int, L: int) -> np.ndarray:
@@ -766,7 +795,7 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
     delta = _delta(spec, delta)
     grid = _domain_grid(spec, grid_resolution)
     table = enumerate_A2_expressions(eff, k_max)
-    codes = np.where(table.filtered, 0, 1).astype(np.int8)  # FILTERED, LOWER_BOUNDED
+    codes = (~table.filtered).astype(np.int8)  # FILTERED 0, LOWER_BOUNDED 1
     witnesses = {}
     for r in table.open_rows(spec, delta).tolist():
         verdict, witnesses[r] = _judge(table.expression(r).k, int(table.int_part[r]),

@@ -353,6 +353,38 @@ def test_a2_table_holds_family_constants_once():
     assert peak < 2.5 * held
 
 
+def test_a2_certificate_holds_at_most_twice_its_table():
+    # the table keeps int32 lattice indices, families and modes and int64
+    # integer parts, under 32 bytes a row; enumerating and certifying it
+    # (the open-row screen runs _CHUNK_ROWS rows at a time) never holds more
+    # than twice that at once
+    eff = flagship_eff(domain="D1")
+    tracemalloc.start()
+    try:
+        rep = sd.check_A2(eff, k_max=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = rep.table
+    held = sum(getattr(table, f.name).nbytes for f in dataclasses.fields(table)
+               if isinstance(getattr(table, f.name), np.ndarray))
+    assert len(table) == 178471
+    assert held < 32 * len(table)
+    assert peak < 2 * held
+
+
+def test_open_rows_do_not_depend_on_chunk_size(monkeypatch):
+    eff = golden_eff("D1")
+    table = sd.enumerate_A2_expressions(eff, k_max=4)
+    cases = [(delta, strict) for delta in (0.0, eff.spec.nu**2, 0.5) for strict in (False, True)]
+    want = [table.open_rows(eff.spec, delta, strict) for delta, strict in cases]
+    assert all(len(rows) > 0 for rows in want)
+    for rows in (7, 1000, len(table) + 1):
+        monkeypatch.setattr(sd, "_CHUNK_ROWS", rows)
+        for (delta, strict), w in zip(cases, want):
+            assert np.array_equal(table.open_rows(eff.spec, delta, strict), w)
+
+
 @pytest.mark.parametrize("name,fraction", [("D1", 0.1796875), ("D2", 0.0)])
 def test_measure_scan_golden(name, fraction):
     assert sd.measure_scan(golden_eff(name), k_max=6) == fraction
