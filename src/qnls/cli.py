@@ -246,11 +246,16 @@ def _grid(cfg: RunConfig) -> sim.GridSpec:
 def cmd_simulate(cfg: RunConfig) -> int:
     spec = _spec(cfg)
     grid = _grid(cfg)
+    t_end = cfg.t_end if cfg.t_end is not None else 40.0 / cfg.nu**2
+    # an un-stopped run samples its start and then after every sample_every
+    # steps and its last, 1 + ceil(n_steps / sample_every) samples: a run
+    # too short to fit is refused before it starts
+    n_steps = sim.step_count(grid, t_end, cfg.sample_every)
+    sim.require_fit_samples(1 + -(-n_steps // cfg.sample_every))
     seeds = cfg.seed_modes or tuple(
         m for b in _blocks(cfg) for m in b.modes)[:2]
     state = sim.prepare_torus_state(spec, seeds, cfg.seed_amp_scale * np.sqrt(cfg.nu),
                                     grid, seed=cfg.seed)
-    t_end = cfg.t_end if cfg.t_end is not None else 40.0 / cfg.nu**2
     traj = sim.evolve(state, grid, t_end, cfg.sample_every, internal=cfg.internal,
                       watch=seeds, mass_tol=cfg.mass_tol,
                       stop_ext_mass=2 * sim.saturation_mass(cfg.nu, cfg.rho))

@@ -5,12 +5,15 @@ the external variables, a frequency shift to every external mode plus a
 finite number of 2x2 couplings, one per catalogued external pair.  This
 module assembles every block with one builder, from the internal
 frequencies Omega, the external shift lambda and the block's resonant
-monomial, diagonalizes it by a direct eigensolve of the linearized flow, and
-classifies the torus as elliptic or hyperbolic.
+monomial, and classifies the torus as elliptic or hyperbolic.  A block's
+type follows from its structure (zeta_s eta_t pairs are Hermitian, so
+elliptic) or from the exact sign of C^2 - a^2, its coupling against its gap
+(the pair-creation and self-coupled blocks).  The spectrum, a direct
+eigensolve of the linearized flow, is reported and decides nothing.
 
 All rho-polynomial coefficients are assembled in exact rational arithmetic
 when the actions are rational, once per torus (see ``TorusSpec``); floats
-appear only at eigensolve time.
+appear only in the reported entries and spectra.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .resonance import RESONANT_EXPONENTS, ExternalPair, ResonanceCatalog
 
 
 class DegenerateBlock(Exception):
-    """Block discriminant vanishes within tolerance; spectrum type undecided."""
+    """A block's coupling equals its gap exactly (C^2 = a^2): the block is
+    parabolic, neither elliptic nor hyperbolic."""
 
 
 class PreconditionViolated(Exception):
@@ -241,6 +245,9 @@ def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
     their (real, imaginary) order, so the upper half is the representatives.
     A defective repeated eigenvalue that the eigensolver splits past the
     snap can break that pairing.
+
+    The values are reported only: no block's classification reads them, so
+    such a split can move a reported eigenvalue but not a verdict.
     """
     coeff = np.asarray(coeff, dtype=float)
     if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1] or coeff.shape[0] % 2:
@@ -261,9 +268,9 @@ def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
 
 ELLIPTIC = "Elliptic"
 HYPERBOLIC = "Hyperbolic"
-DEGENERATE = "Degenerate"
-# kinds whose zeta_s eta_t coupling conserves energy: Hermitian 2x2 forms;
-# the frame shift -k.Omega that makes the coupling autonomous moves Lambda_s
+# kinds whose zeta_s eta_t coupling conserves energy: Hermitian 2x2 forms,
+# so elliptic; the frame shift -k.Omega that makes the coupling autonomous
+# moves Lambda_s
 _ENERGY_CONSERVING = ("A", "C", "TwoMode")
 # The E block stores 2c for the reference closed form's coupling
 # c = nu^2 rho_1 sqrt(rho_2 rho_3), count 1, although its monomial's ordered
@@ -304,19 +311,6 @@ class SpectralBlock:
     @property
     def max_im(self) -> float:
         return max(abs(l.imag) for l in self.eigenvalues)
-
-
-def _classify(eigenvalues, nu: float) -> str:
-    """Complex when |Im| exceeds 1e-3*nu^2; Degenerate inside the band
-    between numerical noise and that threshold."""
-    scale = max(1.0, max(abs(l) for l in eigenvalues))
-    noise = 1e-12 * scale
-    im = max(abs(l.imag) for l in eigenvalues)
-    if im > 1e-3 * nu * nu:
-        return HYPERBOLIC
-    if im <= noise:
-        return ELLIPTIC
-    return DEGENERATE
 
 
 def _ordered_count(j_side: Sequence[int], l_side: Sequence[int]) -> int:
@@ -407,14 +401,18 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
     - coupling: ``block_coupling``;
     - diagonal: Lambda_t = t^2 + nu^2 lambda.  A zeta_s eta_t pair (A, C,
       TwoMode) orders its roles so that k.witness = s - t and moves
-      Lambda_s = s^2 + nu^2 lambda by the frame shift -k.Omega; it is a
-      Hermitian form, always elliptic.  The creation pair B has
-      Lambda_s = t^2 + nu^2 (-k.omega - lambda), the self block E
-      Lambda_s = nu^2 (lambda + k.omega/2);
-    - spectrum: ``generic_block_spectrum`` of ``block_hessian``.  B and E
-      are hyperbolic iff a^2 < coupling^2, with a = (Lambda_t - Lambda_s)/2
-      for B and Lambda_s for E; a discriminant within rounding of zero
-      raises DegenerateBlock.
+      Lambda_s = s^2 + nu^2 lambda by the frame shift -k.Omega.  The
+      creation pair B has Lambda_s = t^2 + nu^2 (-k.omega - lambda), the
+      self block E Lambda_s = nu^2 (lambda + k.omega/2);
+    - classification, by structure: a zeta_s eta_t pair is a Hermitian form,
+      always elliptic.  B and E are hyperbolic iff C^2 > a^2, with C the
+      coupling count nu^2 rho_a sqrt(rho_b rho_c) over witness (a, b, c) and
+      the gap a = (Lambda_t - Lambda_s)/2 for B, Lambda_s for E, which is
+      nu^2 g with g = ``b_gap_coefficient`` of rho in witness order.  So the
+      sign of count^2 rho_a^2 rho_b rho_c - g^2 decides, in exact rationals
+      and free of nu; C^2 = a^2 exactly raises DegenerateBlock;
+    - spectrum: ``generic_block_spectrum`` of ``block_hessian``, reported
+      only.
     """
     k = RESONANT_EXPONENTS[kind]
     idx = [spec.internal.index(m) for m in witness]
@@ -432,26 +430,24 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
         frame_shift = sum(-e * spec.omega[i] for e, i in zip(k, idx))
         diag = (s * s + spec.lambda_shift + frame_shift, lam_t)
     elif kind == "B":
-        lam_s = t * t + nu2 * spec.float_of(lambda r: lambda_coefficient(r) - _twice_gap(r, idx))
-        diag = (lam_s, lam_t)
-        a = (lam_t - lam_s) / 2
-        # for exact rho the gap is decided exactly, over the integers n_i
-        if spec._rho_num is not None and _twice_gap(spec._rho_num, idx) == 0:
-            a = 0.0
+        diag = (t * t + nu2 * spec.float_of(lambda r: lambda_coefficient(r) - _twice_gap(r, idx)),
+                lam_t)
     else:
-        a = nu2 * spec.float_of(lambda r: _twice_gap(r, idx)) / 2
-        diag = (a,)
-
-    degenerate = False
+        diag = (nu2 * spec.float_of(lambda r: _twice_gap(r, idx)) / 2,)
+    cls = ELLIPTIC
     if not conserving:
-        disc = a * a - coupling * coupling
-        scale = max(a * a, coupling * coupling, (1e-3 * nu2) ** 2)
-        if disc != 0.0 and abs(disc) < 1e-12 * scale:
-            raise DegenerateBlock(
-                f"set-{kind} discriminant {disc} within tolerance of zero for modes {(s, t)}")
-        degenerate = disc == 0.0 and coupling != 0.0
+        # homogeneous of degree 4, so the integers d*rho of an exact rho
+        # give its sign, as does a float rho read exactly as Fraction(rho)
+        n = spec._rho_num or [Fraction(r) for r in spec.rho]
+        ra, rb, rc = (n[i] for i in idx)
+        g = b_gap_coefficient((ra, rb, rc))
+        excess = coupling_count(kind, witness, s, t) ** 2 * ra * ra * rb * rc - g * g
+        if excess == 0:
+            raise DegenerateBlock(f"set-{kind} coupling equals its gap, C^2 = a^2, "
+                                  f"for modes {(s, t)}")
+        if excess > 0:
+            cls = HYPERBOLIC
     eig = generic_block_spectrum(block_hessian(kind, diag, coupling))
-    cls = DEGENERATE if degenerate else _classify(eig, spec.nu)
     return SpectralBlock(kind, (s,) if kind == "E" else (s, t), tuple(eig), cls,
                          diag, coupling, tuple(witness), tuple(net))
 

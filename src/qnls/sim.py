@@ -35,6 +35,8 @@ from numpy.fft import _pocketfft_umath as _pfu
 from .normal_form import TorusSpec
 
 SATURATION_FRACTION = 1e-2
+# the fewest samples fit_growth_rate fits a rate to
+MIN_FIT_SAMPLES = 50
 
 
 def saturation_mass(nu: float, rho: Sequence) -> float:
@@ -221,6 +223,28 @@ def prepare_torus_state(spec: TorusSpec, seed_modes: Sequence[int],
     return FourierState(a, 0.0)
 
 
+def step_count(grid: GridSpec, t_end: float, sample_every: int = 1) -> int:
+    """The steps ``evolve`` takes to ``t_end``, once it has refused dt < 0
+    (which ``step`` accepts), ``sample_every < 1``, a non-finite ``t_end``
+    and one shorter than a step."""
+    if grid.dt < 0:
+        raise ValueError("evolve integrates forward in time: dt must be positive")
+    if sample_every < 1:
+        raise ValueError("sample_every must be at least 1")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    n_steps = int(round(t_end / grid.dt))
+    if n_steps < 1:
+        raise ValueError("t_end shorter than one step")
+    return n_steps
+
+
+def require_fit_samples(n_samples: int) -> None:
+    """Refuse a growth fit on fewer than MIN_FIT_SAMPLES samples."""
+    if n_samples < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit")
+
+
 def evolve(state: FourierState, grid: GridSpec, t_end: float,
            sample_every: int = 1, internal: Sequence[int] = (),
            watch: Sequence[int] = (), mass_tol: float = 1e-6,
@@ -231,20 +255,12 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     phase algebra).  Aborts with BlowUp when the relative mass drift exceeds
     ``mass_tol`` (inf: no guard); stops early once the external mass passes
     ``stop_ext_mass`` (saturation cut for growth runs).  Integrates forward
-    only: dt < 0 (which ``step`` accepts), ``sample_every < 1``, a non-finite
-    ``t_end`` and a NaN or negative ``mass_tol`` are refused up front.
+    only: what ``step_count`` refuses and a NaN or negative ``mass_tol`` are
+    refused up front.
     """
-    if grid.dt < 0:
-        raise ValueError("evolve integrates forward in time: dt must be positive")
-    if sample_every < 1:
-        raise ValueError("sample_every must be at least 1")
-    if not math.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
+    n_steps = step_count(grid, t_end, sample_every)
     if not mass_tol >= 0:
         raise ValueError(f"mass_tol must be nonnegative, got {mass_tol}")
-    n_steps = int(round(t_end / grid.dt))
-    if n_steps < 1:
-        raise ValueError("t_end shorter than one step")
     K = grid.K
     iidx = np.array([m + K for m in internal], dtype=int)
     mask_ext = np.ones(2 * K + 1, dtype=bool)
@@ -288,8 +304,7 @@ def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
     When the growth threshold is never reached the trajectory is declared
     stable: rate 0 with flag WindowNotFound.
     """
-    if len(traj.times) < 50:
-        raise ValueError("need at least 50 samples to fit")
+    require_fit_samples(len(traj.times))
     ext = traj.ext_mass
     # The t=0 sample precedes the quasi-static dressing of the perturbation;
     # the first evolved sample is the meaningful reference level.

@@ -479,15 +479,11 @@ class DivisorTable:
             Q[i, j] = Q[j, i] = c if i == j else c / 2
         return Q
 
-    def bounds(self, spec: TorusSpec,
-               rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Interval enclosure over the rho domain of every divisor, or of the
-        divisors of ``rows``: ``_interval`` on all of them at once,
-        accumulated in its order, so each bound is bit-identical to the
-        scalar one."""
-        lat, family, int_part = self.lat, self.family, self.int_part
-        if rows is not None:
-            lat, family, int_part = lat[rows], family[rows], int_part[rows]
+    def bounds(self, spec: TorusSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interval enclosure over the rho domain of the divisors of ``rows``:
+        ``_interval`` on all of them at once, accumulated in its order, so
+        each bound is bit-identical to the scalar one."""
+        lat, family, int_part = self.lat[rows], self.family[rows], self.int_part[rows]
         box, nu2 = spec.domain, spec.nu**2
         kC = self.lattice[lat] @ self.omega_coef
         filtered = self.fam_filtered[family]

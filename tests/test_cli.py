@@ -15,6 +15,7 @@ import pytest
 
 from qnls import cli
 from qnls import normal_form as nf
+from qnls import sim
 from test_small_divisors import A2_LINES_SHA256
 
 _SCRATCH = tempfile.mkdtemp(prefix="qnls-cli-")
@@ -70,8 +71,6 @@ def test_benchmark_traced_names_exist():
 # public names with no caller in src/qnls or perfbench/, each kept on purpose
 API_ONLY = {
     "sim.step": "the public one-step API; evolve runs the same kernel",
-    "normal_form.b_gap_coefficient": "the public statement of the gap polynomial, "
-                                     "which _block evaluates through _twice_gap",
 }
 
 
@@ -142,8 +141,9 @@ def test_non_finite_run_parameter_is_an_error(args, message, tmp_path):
 
 
 def test_degenerate_block_is_refused(monkeypatch, capsys):
-    # the discriminant test decides "undecided", so the command refuses the
-    # torus, as for a failed precondition, instead of dying in a traceback
+    # a parabolic block (C^2 = a^2 exactly) has no type, so the command
+    # refuses the torus, as for a failed precondition, instead of dying in a
+    # traceback
     def degenerate(*args, **kwargs):
         raise nf.DegenerateBlock("set-E discriminant within tolerance of zero")
     monkeypatch.setattr(nf, "classify_torus", degenerate)
@@ -359,3 +359,17 @@ def test_simulate_smoke(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t,mass,momentum,energy")
     assert len(lines) > 2
+
+
+def test_simulate_refuses_an_unfittable_run_before_it_steps(monkeypatch, capsys, tmp_path):
+    # 400 steps sampled every 10 give 41 samples, below the fit's 50: the
+    # run is refused up front instead of after all 400 steps
+    def run(self, n):
+        raise AssertionError("the split-step kernel ran")
+    monkeypatch.setattr(sim._SplitStep, "run", run)
+    code = cli.main(["simulate", "-p", "0", "-q", "1", "--rho", "1,1", "--K", "4",
+                     "--N", "32", "--dt", "0.01", "--t-end", "4", "--seed-modes", "2",
+                     "--sample-every", "10", "--out", str(tmp_path)])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr() == ("", "error: need at least 50 samples to fit\n")
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Effective-Hamiltonian frequency shifts, block spectra, classification."""
 
 import cmath
+import functools
 import hashlib
 import itertools
 import math
@@ -348,14 +349,44 @@ def test_e_block_hyperbolicity_threshold():
         np.sqrt((lam_s + 2 * c) * (lam_s - 2 * c)))
 
 
-def test_classification_tolerance_band():
-    nu = 0.1
-    # clearly above threshold: hyperbolic
-    assert nf._classify([complex(1.0, 2e-3 * nu**2)], nu) == nf.HYPERBOLIC
-    # numerically real: elliptic
-    assert nf._classify([complex(1.0, 0.0)], nu) == nf.ELLIPTIC
-    # in between: degenerate band
-    assert nf._classify([complex(1.0, 0.4e-3 * nu**2)], nu) == nf.DEGENERATE
+# (-2, -1, 2) at rho = (x, 1, 1), nu = 1/100: its E block over (-1, 2, -2)
+# is parabolic, C^2 = a^2, at a root just below X0, hyperbolic below it
+X0 = 5.476189632163516
+
+
+@pytest.mark.parametrize("kind", [Fraction, float])
+def test_near_parabolic_e_block_is_decided_exactly(kind):
+    # near the root the eigenvalues' imaginary parts fall below
+    # 1e-3 nu^2 = 1e-7, where a float band on them read Stable or refused
+    # the torus; the exact sign of C^2 - a^2 reads Unstable at every offset
+    internal = (-2, -1, 2)
+    cat = rs.enumerate_sets(internal)
+    for offset in (1e-8, 1e-9, 1e-12, 1e-14, 0.0):
+        spec = nf.TorusSpec(internal, (kind(X0 - offset), 1, 1), Fraction(1, 100))
+        eff, cls = nf.classify_torus(spec, cat)
+        (blk,) = [b for b in eff.blocks if b.kind == "E"]
+        assert blk.hyperbolic == (offset > 0), offset
+        assert cls.verdict == ("Unstable" if offset > 0 else "Stable"), offset
+
+
+@pytest.mark.parametrize("internal,rho,kind", [
+    (FLAGSHIP, (21, 1, 64), "B"),
+    (FLAGSHIP, (21.0, 1.0, 64.0), "B"),
+    ((-2, -1, 2), (Fraction(160801, 3249), Fraction(44197, 3249), 1), "E"),
+], ids=["B", "B-float", "E"])
+def test_degenerate_block_only_at_exact_parabola(internal, rho, kind):
+    # count^2 rho_a^2 rho_b rho_c = g^2 exactly (for the flagship's B block
+    # 18 * 21 * 8 = 3024 = g); 1e-12 away on either side the block is
+    # decided, once elliptic and once hyperbolic
+    cat = rs.enumerate_sets(internal)
+    with pytest.raises(nf.DegenerateBlock, match="C\\^2 = a\\^2"):
+        nf.classify_torus(nf.TorusSpec(internal, rho, Fraction(1, 100)), cat)
+    seen = set()
+    for step in (Fraction(1, 10**12), -Fraction(1, 10**12)):
+        spec = nf.TorusSpec(internal, (rho[0] + step, *rho[1:]), Fraction(1, 100))
+        (blk,) = [b for b in nf.classify_torus(spec, cat)[0].blocks if b.kind == kind]
+        seen.add(blk.classification)
+    assert seen == {nf.ELLIPTIC, nf.HYPERBOLIC}
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +528,18 @@ def test_exact_rho_sweep_golden():
     assert _exact_rho_sweep_digest() == EXACT_RHO_SWEEP_SHA256
 
 
-def _instability_net():
-    """sha256 over every B- or E-bearing three-mode set with |m| <= 15,
-    classified at ten Fraction rho in [1/6, 10] each, drawn from a fixed
-    seed, nu = 1/100: per torus its verdict, hyperbolic modes and each
-    block's kind, modes, witness and classification.  Also returns the
-    number of sets, of Unstable tori and of hyperbolic B and E blocks."""
+@functools.cache
+def _net(as_float: bool) -> list:
+    """The instability net: every B- or E-bearing three-mode set with
+    |m| <= 15, classified at ten Fraction rho in [1/6, 10] each, drawn from
+    a fixed seed, nu = 1/100, or with ``as_float`` at the same rho as floats.
+    One (internal, rho, outcome) per torus, rho the Fraction draw and outcome
+    the (eff, cls) pair or the refusal's exception."""
     import random
     from itertools import combinations
 
     rng = random.Random(20261019)
-    h = hashlib.sha256()
-    sets = unstable = 0
-    hyperbolic = {"B": 0, "E": 0}
+    tori = []
     for internal in combinations(range(-15, 16), 3):
         try:
             cat = rs.enumerate_sets(internal)
@@ -517,22 +547,38 @@ def _instability_net():
             continue
         if not (cat.set_B or cat.set_E):
             continue
-        sets += 1
         for _ in range(10):
             rho = tuple(Fraction(rng.randint(10, 600), 60) for _ in internal)
-            h.update(f"{internal}|{rho}\n".encode())
             try:
-                spec = nf.TorusSpec(internal, rho, Fraction(1, 100))
-                eff, cls = nf.classify_torus(spec, cat)
+                spec = nf.TorusSpec(internal, tuple(map(float, rho)) if as_float else rho,
+                                    Fraction(1, 100))
+                outcome = nf.classify_torus(spec, cat)
             except (nf.PreconditionViolated, nf.DegenerateBlock) as exc:
-                h.update(f"refused {type(exc).__name__}\n".encode())
-                continue
-            h.update(repr((cls.verdict, cls.hyperbolic_modes)).encode())
-            unstable += cls.verdict == "Unstable"
-            for b in eff.blocks:
-                h.update(repr((b.kind, b.modes, b.witness, b.classification)).encode())
-                if b.hyperbolic:
-                    hyperbolic[b.kind] += 1
+                outcome = exc
+            tori.append((internal, rho, outcome))
+    return tori
+
+
+def _instability_net():
+    """sha256 over the net: per torus its verdict, hyperbolic modes and each
+    block's kind, modes, witness and classification.  Also returns the
+    number of sets, of Unstable tori and of hyperbolic B and E blocks."""
+    h = hashlib.sha256()
+    unstable = 0
+    hyperbolic = {"B": 0, "E": 0}
+    for internal, rho, outcome in _net(False):
+        h.update(f"{internal}|{rho}\n".encode())
+        if isinstance(outcome, Exception):
+            h.update(f"refused {type(outcome).__name__}\n".encode())
+            continue
+        eff, cls = outcome
+        h.update(repr((cls.verdict, cls.hyperbolic_modes)).encode())
+        unstable += cls.verdict == "Unstable"
+        for b in eff.blocks:
+            h.update(repr((b.kind, b.modes, b.witness, b.classification)).encode())
+            if b.hyperbolic:
+                hyperbolic[b.kind] += 1
+    sets = len({internal for internal, _, _ in _net(False)})
     return h.hexdigest(), sets, unstable, hyperbolic
 
 
@@ -546,6 +592,44 @@ def test_instability_net_golden():
     digest, sets, unstable, hyperbolic = _instability_net()
     assert (sets, unstable, hyperbolic) == (714, 211, {"B": 200, "E": 11})
     assert digest == INSTABILITY_NET_SHA256
+
+
+def _net_spectra() -> str:
+    """sha256 over the net: per torus each block's kind, modes,
+    classification and reported eigenvalues, Re and Im as float.hex."""
+    h = hashlib.sha256()
+    for internal, rho, outcome in _net(False):
+        h.update(f"{internal}|{rho}\n".encode())
+        if isinstance(outcome, Exception):
+            h.update(f"refused {type(outcome).__name__}\n".encode())
+            continue
+        for b in outcome[0].blocks:
+            h.update(repr((b.kind, b.modes, b.classification, _bits(b.eigenvalues))).encode())
+    return h.hexdigest()
+
+
+# recorded while the classification still read the eigenvalues, through a
+# 1e-3 nu^2 band on their imaginary parts: deciding by the exact sign of
+# C^2 - a^2 instead must leave every reported value as it was
+NET_SPECTRA_SHA256 = "c0c30cf32a8a0a8c47f7f812aded6606844a0d10a3d563404b43d0c7c875a6ac"
+
+
+def test_net_spectra_golden():
+    assert _net_spectra() == NET_SPECTRA_SHA256
+
+
+@pytest.mark.parametrize("as_float", [False, True], ids=["fraction", "float"])
+def test_net_classification_agrees_with_reported_max_im(as_float):
+    # the exact decision and the eigensolve agree wherever both can speak:
+    # no net block is near C^2 = a^2, and a hyperbolic one's max_im is at
+    # least 1.5e-4, far above the eigensolve's noise
+    blocks = 0
+    for internal, rho, outcome in _net(as_float):
+        assert not isinstance(outcome, Exception), (internal, rho, outcome)
+        for b in outcome[0].blocks:
+            blocks += 1
+            assert b.hyperbolic == (b.max_im > 0), (internal, rho, b)
+    assert blocks == 20860
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,7 @@ def test_table_bounds_match_scalar_interval(name):
     table = sd.enumerate_A2_expressions(eff, k_max=4)
     rows = np.flatnonzero(~table.filtered)
     assert len(rows) > 1000
-    lo, hi = table.bounds(spec)
+    lo, hi = table.bounds(spec, np.arange(len(table)))
     want_lo, want_hi = [], []
     for r in rows:
         qlo, qhi = sd._interval(table.form(r), spec.domain)
@@ -414,7 +414,7 @@ OPEN_ROW_DELTAS = (None, 0.0, 1e-3, 0.5, -1.0)  # None: nu^2
 def assert_open_rows_match_bounds(table, spec):
     """``open_rows`` against the mask of ``bounds`` on every row, in both
     senses, and each row's reach against its enclosure."""
-    lo, hi = table.bounds(spec)
+    lo, hi = table.bounds(spec, np.arange(len(table)))
     # no edge lies beyond the reach, up to the screen's rounding margin at
     # delta 0: the two can tie exactly, as on a point box
     reach = table.reach(spec)[table.family]
@@ -471,7 +471,7 @@ def test_open_rows_on_the_screen_edge():
             fam_n_modes=np.zeros(1, dtype=np.int8), fam_block=np.array([-1]),
             fam_pad=rng.uniform(0, 1, 1), fam_filtered=np.array([False]),
             fam_coef=-sign * rng.uniform(0, 5, (1, 3)))
-        lo, hi = table.bounds(spec)
+        lo, hi = table.bounds(spec, np.arange(len(table)))
         for edge in (lo if sign > 0 else -hi):
             for delta in (edge, np.nextafter(edge, np.inf)):
                 want = np.flatnonzero((lo < delta) & (hi > -delta))
