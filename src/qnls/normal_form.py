@@ -287,7 +287,9 @@ class SpectralBlock:
     the matrix, so it is derived on access rather than held by every block.
     ``witness`` lists the internal modes the kind's resonant exponents act on,
     and ``k`` is that monomial's net exponent vector over the internal
-    modes, in internal order.
+    modes, in internal order.  ``margin`` is (C^2 - a^2) / nu^4 of a B or E
+    block, exact and then rounded once (its sign is the classification),
+    None for a Hermitian pair; ``nu2`` is the spec's nu^2.
     """
 
     kind: str
@@ -298,6 +300,8 @@ class SpectralBlock:
     coupling: float
     witness: tuple[int, ...]
     k: tuple[int, ...]
+    margin: float | None
+    nu2: object
 
     @property
     def coeff(self) -> np.ndarray:
@@ -310,7 +314,13 @@ class SpectralBlock:
 
     @property
     def max_im(self) -> float:
-        return max(abs(l.imag) for l in self.eigenvalues)
+        """The largest |Im| of the spectrum; for a hyperbolic block whose
+        imaginary parts fell below the spectrum's snap, nu^2 sqrt(margin),
+        its exact rate rounded."""
+        im = max(abs(l.imag) for l in self.eigenvalues)
+        if im == 0.0 and self.hyperbolic:
+            return float(self.nu2) * math.sqrt(self.margin)
+        return im
 
 
 def _ordered_count(j_side: Sequence[int], l_side: Sequence[int]) -> int:
@@ -434,7 +444,7 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
                 lam_t)
     else:
         diag = (nu2 * spec.float_of(lambda r: _twice_gap(r, idx)) / 2,)
-    cls = ELLIPTIC
+    cls, margin = ELLIPTIC, None
     if not conserving:
         # homogeneous of degree 4, so the integers d*rho of an exact rho
         # give its sign, as does a float rho read exactly as Fraction(rho)
@@ -447,9 +457,10 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
                                   f"for modes {(s, t)}")
         if excess > 0:
             cls = HYPERBOLIC
+        margin = float(excess / spec._rho_den**4)
     eig = generic_block_spectrum(block_hessian(kind, diag, coupling))
     return SpectralBlock(kind, (s,) if kind == "E" else (s, t), tuple(eig), cls,
-                         diag, coupling, tuple(witness), tuple(net))
+                         diag, coupling, tuple(witness), tuple(net), margin, nu2)
 
 
 # The builders classify_torus calls, one per catalog family, each through

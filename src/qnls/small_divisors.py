@@ -46,6 +46,7 @@ class DivisorExpression:
 VERDICTS = (FILTERED, LOWER_BOUNDED, TRANSVERSAL, VIOLATED)
 INTERVAL = "interval certificate"
 _CHUNK_ROWS = 1 << 13  # A2 rows per step of the writer and of open_rows; ~1 MB of text
+_GRID_CELLS = 1 << 16  # divisor values per stacked grid pass; 512 KB
 
 
 @dataclass
@@ -90,63 +91,52 @@ class HypothesisReport:
     def _line_chunks(self) -> Iterator[str]:
         """The JSON lines, ``_CHUNK_ROWS`` at a time, each line ending in "\\n".
 
-        Line r is head + k + tail.  The head comes from a text table by
-        family kind and the k text from one by lattice point; the tail is
-        built per chunk for each group of its rows with the same family,
-        modes and verdict (each judged row has its own, holding its witness)
-        from mode, block and verdict text tables.  Every table is built once
-        per write; a chunk is gathered by fancy indexing and joined once, so
-        no array but the table's own spans all rows."""
+        Line r is three pieces gathered from text tables built once per write:
+        '{"kind": K, "k": [a, b, ' by kind and all k components but the last,
+        'c], "modes": [j, ' by the last and a two-mode list's first mode, and
+        'l], "block": B, "verdict": V, "witness": W}' by last mode, block and
+        verdict (index -1: no mode, block null); a judged row's holds its own
+        witness.  A chunk is joined once: no array but the table's spans all rows."""
         t = self.table
-        judged_rows = np.array(sorted(self.witnesses), dtype=np.int64)
-        kinds = np.array(['{"kind": %s, "k": ' % json.dumps(kind) for kind in KINDS], dtype=object)
-        heads = kinds[t.fam_kind]
-        ks = _k_text(t.lattice)
-        # mode text by mode - lo; block and verdict text by block and verdict
-        # code, where block -1 (a scalar family) picks the last row, null
-        lo = int(t.modes.min(initial=0))
-        num = [str(v) for v in range(lo, int(t.modes.max(initial=0)) + 1)]
-        one_mode = np.array([', "modes": [%s]' % v for v in num], dtype=object)
-        two_modes = (np.array([', "modes": [%s, ' % v for v in num], dtype=object),
-                     np.array([v + "]" for v in num], dtype=object))
-        mid = np.array([[', "block": %s, "verdict": %s, "witness": ' % (b, json.dumps(v))
-                         for v in VERDICTS]
-                        for b in [json.dumps(label) for label in t.labels] + ["null"]],
-                       dtype=object)
-        plain = mid + np.array([json.dumps(INTERVAL if v == LOWER_BOUNDED else None) + "}\n"
-                                for v in VERDICTS], dtype=object)
-
-        def tails(first: np.ndarray, judged: np.ndarray) -> np.ndarray:
-            """Line text after k for the groups whose first rows are
-            ``first``; ``judged`` are the groups whose row holds a witness."""
-            fam, codes = t.family[first], self.codes[first]
-            m0, m1 = (t.modes[first] - lo).T
-            n, block = t.fam_n_modes[fam], t.fam_block[fam]
-            one, two = n == 1, n == 2
-            text = np.full(len(first), ', "modes": []', dtype=object)
-            text[one] = one_mode[m0[one]]
-            text[two] = two_modes[0][m0[two]] + two_modes[1][m1[two]]
-            end = plain[block, codes]
-            for g, i in zip(judged.tolist(), first[judged].tolist()):
-                end[g] = mid[block[g], codes[g]] + json.dumps(self.witnesses[i]) + "}\n"
-            return text + end
+        n = t.lattice.shape[1]
+        judged = np.array(sorted(self.witnesses), dtype=np.int64)
+        k_lo, k_num = _numerals(t.lattice)
+        m_lo, m_num = _numerals(t.modes)
+        two_lo, two_num = _numerals(t.modes[:, 0][(t.fam_n_modes == 2)[t.family]])
+        heads = (_texts('{"kind": %s, "k": [' % json.dumps(kind) for kind in KINDS)[:, None]
+                 + _texts("".join(p) for p in itertools.product(
+                     [v + ", " for v in k_num], repeat=n - 1)))
+        opens = (_texts(v + '], "modes": [' for v in k_num)[:, None]
+                 + _texts([v + ", " for v in two_num] + [""]))
+        marks = _texts([v + "]" for v in m_num] + ["]"])
+        tails = _texts([', "block": %s, "verdict": %s, "witness": ' % (b, json.dumps(v))
+                        for v in VERDICTS]
+                       for b in [json.dumps(label) for label in t.labels] + ["null"])
+        plain = marks[:, None, None] + (tails + _texts(
+            json.dumps(INTERVAL if v == LOWER_BOUNDED else None) + "}\n" for v in VERDICTS))
+        # per lattice point, its column of heads and its row of opens
+        k = t.lattice - k_lo
+        k_head = np.ravel_multi_index(tuple(k[:, :-1].T), (len(k_num),) * (n - 1))
+        k_last = k[:, -1]
 
         buf = np.empty((min(_CHUNK_ROWS, len(t)), 3), dtype=object)
         for a in range(0, len(t), _CHUNK_ROWS):
             rows = buf[:min(_CHUNK_ROWS, len(t) - a)]
             b = a + len(rows)
-            # the chunk's judged rows get own 1, 2, ...: a group each
-            own = np.zeros(len(rows), dtype=np.int64)
-            w0, w1 = np.searchsorted(judged_rows, (a, b))
-            own[judged_rows[w0:w1] - a] = np.arange(w0 + 1, w1 + 1)
-            # the family fixes kind, mode count and block
-            cols = [t.family[a:b], t.modes[a:b, 0], t.modes[a:b, 1], self.codes[a:b], own]
-            cols = [c - c.min() for c in cols]
-            key = np.ravel_multi_index(cols, [int(c.max()) + 1 for c in cols])
-            _, first, group = np.unique(key, return_index=True, return_inverse=True)
-            rows[:, 0] = heads[t.family[a:b]]
-            rows[:, 1] = ks[t.lat[a:b]]
-            rows[:, 2] = tails(a + first, np.flatnonzero(own[first]))[group]
+            fam, lat, codes = t.family[a:b], t.lat[a:b], self.codes[a:b]
+            size, block = t.fam_n_modes[fam], t.fam_block[fam]
+            m0, m1 = (t.modes[a:b] - m_lo).T
+            two = size == 2
+            first = np.where(two, t.modes[a:b, 0] - two_lo, -1)
+            last = np.where(two, m1, np.where(size == 1, m0, -1))
+            rows[:, 0] = heads[t.fam_kind[fam], k_head[lat]]
+            rows[:, 1] = opens[k_last[lat], first]
+            rows[:, 2] = plain[last, block, codes]
+            w0, w1 = np.searchsorted(judged, (a, b))
+            for r in judged[w0:w1].tolist():
+                i = r - a
+                rows[i, 2] = (marks[last[i]] + tails[block[i], codes[i]]
+                              + json.dumps(self.witnesses[r]) + "}\n")
             yield "".join(rows.ravel().tolist())
 
     def summary(self) -> dict:
@@ -368,16 +358,8 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
         out.append(A1Verdict("abs(Im Lambda) for hyperbolic modes", m >= delta, m - delta))
     else:
         out.append(A1Verdict("abs(Im Lambda) for hyperbolic modes (vacuous)", True, math.inf))
-    cross = math.inf
-    by_cluster: dict[int, list[float]] = {}
-    for lam, key in elliptic:
-        by_cluster.setdefault(key, []).append(lam)
-    keys = sorted(by_cluster)
-    for i, ka in enumerate(keys):
-        for kb in keys[i + 1:]:
-            for la in by_cluster[ka]:
-                for lb in by_cluster[kb]:
-                    cross = min(cross, abs(la - lb))
+    cross = min((abs(la - lb) for la, ka in elliptic for lb, kb in elliptic if ka < kb),
+                default=math.inf)
     out.append(A1Verdict("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)",
                          cross >= delta
                          and (_A1_MODE_CUTOFF + 1)**2 - _A1_MODE_CUTOFF**2 - 2 * a0.bound > delta,
@@ -404,19 +386,14 @@ def _coef(Q: np.ndarray) -> np.ndarray:
     return np.array([Q[i, j] + (Q[j, i] if j != i else 0.0) for i, j in _pairs(len(Q))])
 
 
-def _k_text(lattice: np.ndarray) -> np.ndarray:
-    """JSON text of every lattice point, "[a, b, c]" for n = 3, as an object
-    array: a table of "[a, b, " prefixes indexed by all but the last
-    component, plus a "c]" suffix table indexed by the last."""
-    n = lattice.shape[1]
-    lo = int(lattice.min(initial=0))
-    num = [str(v) for v in range(lo, int(lattice.max(initial=0)) + 1)]
-    prefixes = np.array(["[" + "".join(p) for p in itertools.product(
-        [v + ", " for v in num], repeat=n - 1)], dtype=object)
-    suffixes = np.array([v + "]" for v in num], dtype=object)
-    idx = lattice - lo
-    return (prefixes[np.ravel_multi_index(tuple(idx[:, :-1].T), (len(num),) * (n - 1))]
-            + suffixes[idx[:, -1]])
+def _numerals(values: np.ndarray) -> tuple[int, list[str]]:
+    """min(values, 0) and the text of each integer up to max(values, 0)."""
+    lo = int(values.min(initial=0))
+    return lo, [str(v) for v in range(lo, int(values.max(initial=0)) + 1)]
+
+
+def _texts(strings) -> np.ndarray:
+    return np.array(list(strings), dtype=object)
 
 
 @dataclass
@@ -468,34 +445,46 @@ class DivisorTable:
 
     def form(self, r: int) -> np.ndarray:
         """The symmetric quadratic form Q of row r."""
+        return self.forms(np.array([r]))[0]
+
+    def forms(self, rows: np.ndarray) -> np.ndarray:
+        """The forms Q of ``rows``, stacked (rows, n, n)."""
         n = self.lattice.shape[1]
-        Q = np.zeros((n, n))
-        f = self.family[r]
-        if self.fam_filtered[f]:
-            return Q
-        # integral Omega coefficients: the product is exact in any order
-        coef = self.lattice[self.lat[r]] @ self.omega_coef + self.fam_coef[f]
-        for c, (i, j) in zip(coef, _pairs(n)):
-            Q[i, j] = Q[j, i] = c if i == j else c / 2
+        Q = np.empty((len(rows), n, n))
+        for c, (i, j) in zip(self.coefs(rows).T, _pairs(n)):
+            Q[:, i, j] = Q[:, j, i] = c if i == j else c / 2
         return Q
+
+    def divisors(self, spec: TorusSpec, rows: np.ndarray, grid: np.ndarray) -> Iterator[tuple]:
+        """(rows, forms, divisors) per batch of ``rows``: each row's divisor
+        int_part + nu^2 rho.Q.rho at every grid point, from one stacked pass
+        per batch of at most ``_GRID_CELLS`` values."""
+        size = max(1, _GRID_CELLS // len(grid))
+        for a in range(0, len(rows), size):
+            batch = rows[a:a + size]
+            Q = self.forms(batch)
+            yield batch, Q, self.int_part[batch, None] + spec.nu**2 * _quads(Q, grid)
+
+    def coefs(self, rows: np.ndarray) -> np.ndarray:
+        """The form coefficients (``_coef``) of ``rows``; 0 for a filtered row."""
+        family = self.family[rows]
+        # integral Omega coefficients: the product is exact in any order
+        coef = self.lattice[self.lat[rows]] @ self.omega_coef + self.fam_coef[family]
+        coef[self.fam_filtered[family]] = 0.0
+        return coef
 
     def bounds(self, spec: TorusSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Interval enclosure over the rho domain of the divisors of ``rows``:
         ``_interval`` on all of them at once, accumulated in its order, so
         each bound is bit-identical to the scalar one."""
-        lat, family, int_part = self.lat[rows], self.family[rows], self.int_part[rows]
         box, nu2 = spec.domain, spec.nu**2
-        kC = self.lattice[lat] @ self.omega_coef
-        filtered = self.fam_filtered[family]
-        lo, hi = np.zeros((2, len(lat)))
-        for p, (i, j) in enumerate(_pairs(len(box))):
-            c = kC[:, p] + self.fam_coef[family, p]
-            c[filtered] = 0.0
+        lo, hi = np.zeros((2, len(rows)))
+        for c, (i, j) in zip(self.coefs(rows).T, _pairs(len(box))):
             small = box[i][0] * box[j][0]
             big = box[i][1] * box[j][1]
             lo += np.where(c > 0, c * small, c * big)
             hi += np.where(c > 0, c * big, c * small)
-        pad = self.fam_pad[family]
+        int_part, pad = self.int_part[rows], self.fam_pad[self.family[rows]]
         return int_part + nu2 * lo - pad, int_part + nu2 * hi + pad
 
     def reach(self, spec: TorusSpec) -> np.ndarray:
@@ -558,12 +547,12 @@ def _candidate_directions(n: int, k: tuple[int, ...]) -> list[np.ndarray]:
     return cands
 
 
-def _judge(k: tuple[int, ...], int_part: int, Q: np.ndarray, spec: TorusSpec,
+def _judge(k: tuple[int, ...], Q: np.ndarray, vals: np.ndarray, spec: TorusSpec,
            delta: float, grid: np.ndarray):
     """(verdict, witness) of an expression the interval certificate left
-    open: grid minimum first, then transversality along candidate directions."""
+    open, from its form Q and its divisor ``vals`` at the grid points: grid
+    minimum first, then transversality along candidate directions."""
     nu2 = spec.nu**2
-    vals = int_part + nu2 * _quad(Q, grid)
     avals = np.abs(vals)
     if float(avals.min()) >= delta:
         return LOWER_BOUNDED, "grid minimum"
@@ -574,11 +563,25 @@ def _judge(k: tuple[int, ...], int_part: int, Q: np.ndarray, spec: TorusSpec,
     if ng > 0:
         cands.append(g / ng)
         cands.append(-g / ng)
+    grid_Q = grid @ Q
     for z in cands:
-        d = 2.0 * nu2 * (grid @ Q @ z)
+        d = 2.0 * nu2 * (grid_Q @ z)
         if float(np.min(d)) >= delta:
             return TRANSVERSAL, [float(x) for x in z]
     return VIOLATED, [float(x) for x in grid[imin]]
+
+
+def _quads(Q: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """rho.Q.rho, (forms, points), of the stacked forms Q: (rho_i Q_ij) rho_j
+    summed in (i, j) order, as ``_quad``'s einsum sums on every grid but a
+    two-mode one of one or two points (there it sums each i's terms first)."""
+    out = np.zeros((len(Q), len(grid)))
+    term = np.empty_like(out)
+    for i, j in itertools.product(range(grid.shape[1]), repeat=2):
+        np.multiply(Q[:, i, j, None], grid[:, i], out=term)
+        term *= grid[:, j]
+        out += term
+    return out
 
 
 def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTable:
@@ -793,10 +796,10 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
     table = enumerate_A2_expressions(eff, k_max)
     codes = (~table.filtered).astype(np.int8)  # FILTERED 0, LOWER_BOUNDED 1
     witnesses = {}
-    for r in table.open_rows(spec, delta).tolist():
-        verdict, witnesses[r] = _judge(table.expression(r).k, int(table.int_part[r]),
-                                       table.form(r), spec, delta, grid)
-        codes[r] = VERDICTS.index(verdict)
+    for rows, forms, divisors in table.divisors(spec, table.open_rows(spec, delta), grid):
+        for r, Q, vals in zip(rows.tolist(), forms, divisors):
+            verdict, witnesses[r] = _judge(table.expression(r).k, Q, vals, spec, delta, grid)
+            codes[r] = VERDICTS.index(verdict)
     tail = ("beyond k_max the transversality polynomials grow linearly in |k| "
             "while integer parts dominate; certified analytically, not scanned")
     return HypothesisReport(delta, k_max, table, codes, witnesses, tail)
@@ -811,13 +814,9 @@ def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
     spec = eff.spec
     delta = _delta(spec, delta)
     grid = _domain_grid(spec, grid_resolution)
-    nu2 = spec.nu**2
     table = enumerate_A2_expressions(eff, k_max)
     excluded = np.zeros(grid.shape[0], dtype=bool)
-    for r in table.open_rows(spec, delta, strict=True).tolist():
-        vals = int(table.int_part[r]) + nu2 * _quad(table.form(r), grid)
-        if delta == 0:
-            excluded |= (vals == 0)
-        else:
-            excluded |= (np.abs(vals) < delta)
+    for _, _, vals in table.divisors(spec, table.open_rows(spec, delta, strict=True), grid):
+        near = (vals == 0) if delta == 0 else (np.abs(vals) < delta)
+        excluded |= near.any(axis=0)
     return float(np.mean(excluded))

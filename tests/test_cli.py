@@ -15,8 +15,10 @@ import pytest
 
 from qnls import cli
 from qnls import normal_form as nf
+from qnls import resonance as rs
 from qnls import sim
-from test_small_divisors import A2_LINES_SHA256
+from qnls import small_divisors as sd
+from test_small_divisors import A2_LINES_SHA256, FLAGSHIP
 
 _SCRATCH = tempfile.mkdtemp(prefix="qnls-cli-")
 
@@ -66,6 +68,24 @@ def test_benchmark_traced_names_exist():
         for name in names:
             attr = getattr(importlib.import_module(f"qnls.{module}"), name, None)
             assert callable(attr), f"qnls.{module}.{name}"
+
+
+def test_hypotheses_match_the_benchmark_reference(tmp_path, capsys):
+    # the certify-flagship workload's gate, read from its reference: the
+    # a2_verdicts.jsonl digests of the flagship on D2 and D1 at the default
+    # k_max and grid, and measure_scan on its D1 torus
+    ref = json.loads((_PERFBENCH / "reference.json").read_text())
+    ref = ref["certify-flagship"]["full"]["all"]
+    for dom, rho in (("D2", "2,1,9"), ("D1", "1.5,1.2,1.8")):
+        out = tmp_path / dom
+        assert cli.main(["hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", rho,
+                         "--domain", dom, "--out", str(out)]) == cli.EXIT_OK
+        data = (out / "a2_verdicts.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == ref[dom]["digest"], dom
+    capsys.readouterr()
+    spec = nf.TorusSpec(FLAGSHIP, (1.5, 1.2, 1.8), 0.01, domain=nf.domain_D1())
+    eff, _ = nf.classify_torus(spec, rs.enumerate_sets(FLAGSHIP))
+    assert sd.measure_scan(eff) == ref["measure_scan_D1"]
 
 
 # public names with no caller in src/qnls or perfbench/, each kept on purpose

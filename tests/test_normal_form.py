@@ -369,6 +369,32 @@ def test_near_parabolic_e_block_is_decided_exactly(kind):
         assert cls.verdict == ("Unstable" if offset > 0 else "Stable"), offset
 
 
+def test_hyperbolic_rate_survives_the_spectrum_snap():
+    # at X0 - 1e-14 the E block's imaginary parts (~1.5e-10) fall below
+    # generic_block_spectrum's 1e-10 snap for a float x, but not for the
+    # same x as a Fraction; the reported rate is then nu^2 sqrt(margin),
+    # the exact (C^2 - a^2) / nu^4 rounded once
+    internal = (-2, -1, 2)
+    cat = rs.enumerate_sets(internal)
+    found = {}
+    for kind in (Fraction, float):
+        spec = nf.TorusSpec(internal, (kind(X0 - 1e-14), 1, 1), Fraction(1, 100))
+        eff, cls = nf.classify_torus(spec, cat)
+        (blk,) = [b for b in eff.blocks if b.kind == "E"]
+        found[kind] = blk, cls
+    blk, cls = found[float]
+    assert max(abs(l.imag) for l in blk.eigenvalues) == 0.0
+    assert cls.verdict == "Unstable" and cls.max_im == blk.max_im > 0
+    # the Fraction x's eigensolve is itself 1.0e-3 off the exact rate here
+    assert blk.max_im == pytest.approx(found[Fraction][1].max_im, rel=2e-3)
+    rho = dict(zip(internal, (Fraction(X0 - 1e-14), 1, 1)))
+    ra, rb, rc = (rho[m] for m in blk.witness)
+    excess = (nf.coupling_count("E", blk.witness, *blk.modes, *blk.modes) ** 2 * ra * ra * rb * rc
+              - nf.b_gap_coefficient((ra, rb, rc)) ** 2)
+    assert blk.margin == float(excess) > 0
+    assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
+
+
 @pytest.mark.parametrize("internal,rho,kind", [
     (FLAGSHIP, (21, 1, 64), "B"),
     (FLAGSHIP, (21.0, 1.0, 64.0), "B"),
@@ -630,6 +656,23 @@ def test_net_classification_agrees_with_reported_max_im(as_float):
             blocks += 1
             assert b.hyperbolic == (b.max_im > 0), (internal, rho, b)
     assert blocks == 20860
+
+
+@pytest.mark.parametrize("as_float", [False, True], ids=["fraction", "float"])
+def test_net_hyperbolic_rate_is_the_exact_margin(as_float):
+    # a B or E block's margin (C^2 - a^2) / nu^4 has the sign of its type,
+    # and a hyperbolic block's reported rate is nu^2 sqrt(margin)
+    hyperbolic = 0
+    for internal, rho, outcome in _net(as_float):
+        for b in outcome[0].blocks:
+            if b.kind not in ("B", "E"):
+                assert b.margin is None
+                continue
+            assert (b.margin > 0) == b.hyperbolic, (internal, rho, b)
+            if b.hyperbolic:
+                hyperbolic += 1
+                assert b.max_im == pytest.approx(1e-4 * math.sqrt(b.margin), rel=1e-9)
+    assert hyperbolic == 211
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,54 @@ def test_measure_scan_golden(name, fraction):
     assert sd.measure_scan(golden_eff(name), k_max=6) == fraction
 
 
+# Every A2 verdict path, recorded at the per-row grid evaluation: flagship D1
+# at k_max 6 and grid 16 judges 14 rows Transversal and one by its grid
+# minimum at delta = nu^2, and 9 Violated and 6 Transversal at 200 nu^2; the
+# sha256 of the whole a2_verdicts text, and the verdict counts.
+A2_PATHS_SHA256 = {
+    1: ("a5abe70514c2a25981538eac57b546a9ddb57456d245d5167a6fd8bcd67d3de5",
+        {sd.LOWER_BOUNDED: 11914, sd.FILTERED: 2087, sd.TRANSVERSAL: 14}),
+    200: ("dbd958a71ecf5827cd363150c74fe6db6998cd5e740a77b059a6de2e32a7c201",
+          {sd.LOWER_BOUNDED: 11913, sd.FILTERED: 2087, sd.TRANSVERSAL: 6, sd.VIOLATED: 9}),
+}
+
+
+@pytest.mark.parametrize("scale", sorted(A2_PATHS_SHA256))
+def test_a2_json_lines_golden_on_every_verdict_path(scale):
+    eff = golden_eff("D1")
+    rep = sd.check_A2(eff, delta=scale * eff.spec.nu**2, k_max=6, grid_resolution=16)
+    digest, counts = A2_PATHS_SHA256[scale]
+    assert rep.counts() == counts
+    assert list(rep.witnesses.values()).count("grid minimum") == (scale == 1)
+    assert hashlib.sha256(a2_lines(rep).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("scale,fraction", [(0, 0.126220703125), (1, 0.1796875), (200, 1.0)])
+def test_measure_scan_golden_over_delta(scale, fraction):
+    # recorded at the per-row grid evaluation; delta = scale * nu^2
+    eff = golden_eff("D1")
+    assert sd.measure_scan(eff, delta=scale * eff.spec.nu**2, k_max=6) == fraction
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_grid_pass_matches_einsum_bit_for_bit(n):
+    # seeded symmetric forms with entries from 1e-3 to 1e6 in size, every
+    # third form in quarter integers, on the domain grids of 1 to 32 points
+    # a side; two-mode grids from 2 a side, since on a grid of one or two
+    # points einsum sums each i's terms first
+    rng = np.random.default_rng(25)
+    internal, box = ((0, 1), ((0.5, 2.0), (0.75, 1.25))) if n == 2 else (FLAGSHIP, nf.domain_D1())
+    spec = nf.TorusSpec(internal, tuple(hi for _, hi in box), 0.01, domain=box)
+    Q = rng.choice((-1, 1), (12, n, n)) * 10.0 ** rng.uniform(-3, 6, (12, n, n))
+    Q = (Q + Q.transpose(0, 2, 1)) / 2
+    Q[::3] = np.round(4 * Q[::3]) / 4
+    for resolution in range(1 if n == 3 else 2, 33):
+        grid = sd._domain_grid(spec, resolution)
+        got = sd._quads(Q, grid)
+        for q, row in zip(Q, got):
+            assert row.tobytes() == sd._quad(q, grid).tobytes(), resolution
+
+
 @pytest.mark.parametrize("name", ["D1", "D2"])
 def test_table_bounds_match_scalar_interval(name):
     # the vectorised certificate equals the scalar one bit for bit
