@@ -244,21 +244,9 @@ def _grid(cfg: RunConfig) -> sim.GridSpec:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    spec = _spec(cfg)
-    grid = _grid(cfg)
-    t_end = cfg.t_end if cfg.t_end is not None else 40.0 / cfg.nu**2
-    # an un-stopped run samples its start and then after every sample_every
-    # steps and its last, 1 + ceil(n_steps / sample_every) samples: a run
-    # too short to fit is refused before it starts
-    n_steps = sim.step_count(grid, t_end, cfg.sample_every)
-    sim.require_fit_samples(1 + -(-n_steps // cfg.sample_every))
-    seeds = cfg.seed_modes or tuple(
-        m for b in _blocks(cfg) for m in b.modes)[:2]
-    state = sim.prepare_torus_state(spec, seeds, cfg.seed_amp_scale * np.sqrt(cfg.nu),
-                                    grid, seed=cfg.seed)
-    traj = sim.evolve(state, grid, t_end, cfg.sample_every, internal=cfg.internal,
-                      watch=seeds, mass_tol=cfg.mass_tol,
-                      stop_ext_mass=2 * sim.saturation_mass(cfg.nu, cfg.rho))
+    seeds = cfg.seed_modes or tuple(m for b in _blocks(cfg) for m in b.modes)[:2]
+    traj = sim.growth_run(_spec(cfg), _grid(cfg), seeds, cfg.sample_every, cfg.mass_tol,
+                          t_end=cfg.t_end, seed_amp_scale=cfg.seed_amp_scale, seed=cfg.seed)
     fit = sim.fit_growth_rate(traj, cfg.nu, cfg.rho, grow_factor=cfg.grow_factor)
     _write(cfg, "trajectory.csv", traj.to_csv())
     _write(cfg, "growth_fit.json", fit.to_json() + "\n")
@@ -273,17 +261,13 @@ def _blocks(cfg: RunConfig):
 
 
 def cmd_scaling(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
-    slope, fits = sim.scaling_experiment(
-        cfg.internal, cfg.rho, cfg.scaling_nus, grid, cfg.seed_modes,
+    slope, fits, _ = sim.scaling_experiment(
+        cfg.internal, cfg.rho, cfg.scaling_nus, _grid(cfg), cfg.seed_modes,
         seed_amp_scale=cfg.seed_amp_scale, sample_every=cfg.sample_every,
         grow_factor=cfg.scaling_grow_factor, mass_tol=cfg.mass_tol,
         seed=cfg.seed)
-    out = {
-        "slope": slope,
-        "rates": {str(nu): fits[nu].rate for nu in cfg.scaling_nus},
-    }
-    text = json.dumps(out, indent=2)
+    rates = {str(nu): fits[nu].rate for nu in cfg.scaling_nus}
+    text = json.dumps({"slope": slope, "rates": rates}, indent=2)
     _write(cfg, "scaling.json", text + "\n")
     print(text)
     return EXIT_OK

@@ -223,7 +223,7 @@ def prepare_torus_state(spec: TorusSpec, seed_modes: Sequence[int],
     return FourierState(a, 0.0)
 
 
-def step_count(grid: GridSpec, t_end: float, sample_every: int = 1) -> int:
+def _step_count(grid: GridSpec, t_end: float, sample_every: int = 1) -> int:
     """The steps ``evolve`` takes to ``t_end``, once it has refused dt < 0
     (which ``step`` accepts), ``sample_every < 1``, a non-finite ``t_end``
     and one shorter than a step."""
@@ -239,7 +239,7 @@ def step_count(grid: GridSpec, t_end: float, sample_every: int = 1) -> int:
     return n_steps
 
 
-def require_fit_samples(n_samples: int) -> None:
+def _require_fit_samples(n_samples: int) -> None:
     """Refuse a growth fit on fewer than MIN_FIT_SAMPLES samples."""
     if n_samples < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit")
@@ -255,10 +255,10 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     phase algebra).  Aborts with BlowUp when the relative mass drift exceeds
     ``mass_tol`` (inf: no guard); stops early once the external mass passes
     ``stop_ext_mass`` (saturation cut for growth runs).  Integrates forward
-    only: what ``step_count`` refuses and a NaN or negative ``mass_tol`` are
+    only: what ``_step_count`` refuses and a NaN or negative ``mass_tol`` are
     refused up front.
     """
-    n_steps = step_count(grid, t_end, sample_every)
+    n_steps = _step_count(grid, t_end, sample_every)
     if not mass_tol >= 0:
         raise ValueError(f"mass_tol must be nonnegative, got {mass_tol}")
     K = grid.K
@@ -304,11 +304,11 @@ def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
     When the growth threshold is never reached the trajectory is declared
     stable: rate 0 with flag WindowNotFound.
     """
-    require_fit_samples(len(traj.times))
+    _require_fit_samples(len(traj.times))
     ext = traj.ext_mass
     # The t=0 sample precedes the quasi-static dressing of the perturbation;
     # the first evolved sample is the meaningful reference level.
-    base = ext[1] if len(ext) > 1 else ext[0]
+    base = ext[1]
     sat = saturation_mass(nu, rho)
     start_hits = np.nonzero(ext >= grow_factor * base)[0]
     start_hits = start_hits[start_hits > 0]
@@ -327,51 +327,66 @@ def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
     mags_end = traj.mags[i1].copy()
     for m in traj.internal:
         mags_end[m + K] = 0.0
+    # dominant modes: the fewest largest external modes holding 90% of their mass
     order = np.argsort(mags_end)[::-1]
-    total = mags_end.sum()
-    dom, acc = [], 0.0
-    for idx in order:
-        dom.append(int(idx) - K)
-        acc += mags_end[idx]
-        if acc >= 0.9 * total:
-            break
-    return GrowthFit(float(slope), float(np.sqrt(cov[0, 0])),
-                     (float(t[0]), float(t[-1])), tuple(sorted(dom)))
+    n = int(np.searchsorted(np.cumsum(mags_end[order]), 0.9 * mags_end.sum())) + 1
+    return GrowthFit(float(slope), float(np.sqrt(cov[0, 0])), (float(t[0]), float(t[-1])),
+                     tuple(sorted(int(i) - K for i in order[:n])))
 
 
 class WindowNotFound(Exception):
     pass
 
 
+def _growth_horizon(nu: float, grid: GridSpec, sample_every: int,
+                    t_end: float | None = None) -> float:
+    """A growth run's horizon, ``t_end`` or by default 40 / nu^2.  Refuses a
+    run too short to fit: un-stopped, it takes 1 + ceil(steps / sample_every)
+    samples (its start, one every ``sample_every`` steps, and its last)."""
+    t_end = 40.0 / nu**2 if t_end is None else t_end
+    n_steps = _step_count(grid, t_end, sample_every)
+    _require_fit_samples(1 + -(-n_steps // sample_every))
+    return t_end
+
+
+def growth_run(spec: TorusSpec, grid: GridSpec, seed_modes: Sequence[int],
+               sample_every: int, mass_tol: float, t_end: float | None = None,
+               seed_amp_scale: float = 1e-8, seed: int = 0) -> Trajectory:
+    """The torus ``spec`` seeded on ``seed_modes`` with amplitude
+    seed_amp_scale * sqrt(nu) and phases from ``seed``, evolved to ``t_end``
+    (default 40 / nu^2) watching the seed modes, and stopped once the external
+    mass reaches 2 * saturation_mass.  A run too short to fit never steps."""
+    t_end = _growth_horizon(spec.nu, grid, sample_every, t_end)
+    state = prepare_torus_state(spec, seed_modes, seed_amp_scale * np.sqrt(spec.nu),
+                                grid, seed=seed)
+    return evolve(state, grid, t_end, sample_every, internal=spec.internal,
+                  watch=seed_modes, mass_tol=mass_tol,
+                  stop_ext_mass=2.0 * saturation_mass(spec.nu, spec.rho))
+
+
 def scaling_experiment(internal: Sequence[int], rho: Sequence[float],
                        nu_list: Sequence[float], grid: GridSpec,
                        seed_modes: Sequence[int], seed_amp_scale: float = 1e-8,
                        sample_every: int = 20, grow_factor: float = 100.0,
-                       mass_tol: float = 1e-6, seed: int = 0) -> tuple[float, dict]:
-    """Fit growth rates across nu and return the log-log slope (expected 2).
-
-    Each run uses seed amplitude seed_amp_scale * sqrt(nu) and a horizon of
-    40 / nu^2, stopping early at saturation.
-    """
+                       mass_tol: float = 1e-6, seed: int = 0) -> tuple[float, dict, dict]:
+    """The log-log slope (expected 2) of the growth rate against nu, fitted
+    to a ``growth_run`` at each nu, with the fits and the trajectories keyed
+    by nu.  Every nu is checked before the first run steps."""
     if len(nu_list) < 3:
         raise ValueError("need at least 3 nu values")
-    fits = {}
     for nu in nu_list:
         if nu * max(rho) > 0.2:
             raise ValueError(f"nu*max(rho) = {nu * max(rho):.3f} too large")
         if nu * max(rho) > 0.1:
             warnings.warn("nu*max(rho) exceeds 0.1; perturbative accuracy degrades")
+        _growth_horizon(nu, grid, sample_every)
+    fits, trajs = {}, {}
+    for nu in nu_list:
         spec = TorusSpec(tuple(internal), tuple(rho), nu)
-        state = prepare_torus_state(spec, seed_modes, seed_amp_scale * np.sqrt(nu),
-                                    grid, seed=seed)
-        traj = evolve(state, grid, 40.0 / nu**2, sample_every,
-                      internal=internal, mass_tol=mass_tol,
-                      stop_ext_mass=2.0 * saturation_mass(nu, rho))
-        fit = fit_growth_rate(traj, nu, rho, grow_factor=grow_factor)
+        traj = trajs[nu] = growth_run(spec, grid, seed_modes, sample_every, mass_tol,
+                                      seed_amp_scale=seed_amp_scale, seed=seed)
+        fit = fits[nu] = fit_growth_rate(traj, nu, rho, grow_factor=grow_factor)
         if fit.flag:
             raise WindowNotFound(f"no growth window at nu={nu}")
-        fits[nu] = fit
-    x = np.log([nu for nu in nu_list])
-    y = np.log([fits[nu].rate for nu in nu_list])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope, fits
+    rates = [fits[nu].rate for nu in nu_list]
+    return float(np.polyfit(np.log(nu_list), np.log(rates), 1)[0]), fits, trajs

@@ -5,8 +5,10 @@ dynamical runs are shared through module-scoped fixtures.
 """
 
 import cmath
+import inspect
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,45 +33,59 @@ def report(num, ok, detail=""):
 # ---------------------------------------------------------------------------
 # shared expensive runs
 
-@pytest.fixture(scope="module")
-def unstable_run():
-    cfg = cli.PRESETS["thm3-unstable"]
-    grid = sim.GridSpec(cfg["K"], cfg["N"], cfg["dt"])
-    spec = nf.TorusSpec(FLAGSHIP, cfg["rho"], cfg["nu"])
-    state = sim.prepare_torus_state(spec, cfg["seed_modes"],
-                                    1e-8 * math.sqrt(cfg["nu"]), grid)
-    sat = 1e-2 * cfg["nu"] * min(cfg["rho"])
-    t0 = time.perf_counter()
-    traj = sim.evolve(state, grid, cfg["t_end"], cfg["sample_every"],
-                      internal=FLAGSHIP, watch=cfg["seed_modes"],
-                      mass_tol=cfg["mass_tol"], stop_ext_mass=2 * sat)
-    fit = sim.fit_growth_rate(traj, cfg["nu"], cfg["rho"])
-    return fit, time.perf_counter() - t0
+def preset(name):
+    return replace(cli.RunConfig(), **cli.PRESETS[name])
+
+
+# the 9c scaling run; its nu = 0.01 member is the thm3-unstable preset's run
+SCALING = dict(internal=FLAGSHIP, rho=(2.0, 1.0, 9.0), nu_list=[0.005, 0.01, 0.02],
+               grid=sim.GridSpec(32, 256, 5e-3), seed_modes=(1, 9), sample_every=40,
+               grow_factor=10.0, mass_tol=1e-3)
 
 
 @pytest.fixture(scope="module")
 def scaling_run():
-    grid = sim.GridSpec(32, 256, 5e-3)
     t0 = time.perf_counter()
-    slope, fits = sim.scaling_experiment(
-        FLAGSHIP, (2.0, 1.0, 9.0), [0.005, 0.01, 0.02], grid, (1, 9),
-        sample_every=40, grow_factor=10.0, mass_tol=1e-3)
-    return slope, fits, time.perf_counter() - t0
+    slope, _, trajs = sim.scaling_experiment(**SCALING)
+    return slope, trajs, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def unstable_run(scaling_run):
+    # the scaling run's nu = 0.01 trajectory, fitted as the preset fits it
+    cfg = preset("thm3-unstable")
+    t0 = time.perf_counter()
+    fit = sim.fit_growth_rate(scaling_run[1][cfg.nu], cfg.nu, cfg.rho,
+                              grow_factor=cfg.grow_factor)
+    return fit, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def stable_run():
-    cfg = cli.PRESETS["thm2-stable"]
-    grid = sim.GridSpec(cfg["K"], cfg["N"], cfg["dt"])
-    spec = nf.TorusSpec((0, 1), cfg["rho"], cfg["nu"])
-    state = sim.prepare_torus_state(spec, cfg["seed_modes"],
-                                    1e-8 * math.sqrt(cfg["nu"]), grid)
+    cfg = preset("thm2-stable")
+    spec = nf.TorusSpec(cfg.internal, cfg.rho, cfg.nu)
     t0 = time.perf_counter()
-    traj = sim.evolve(state, grid, cfg["t_end"], cfg["sample_every"],
-                      internal=(0, 1), watch=cfg["seed_modes"],
-                      mass_tol=cfg["mass_tol"])
-    fit = sim.fit_growth_rate(traj, cfg["nu"], cfg["rho"])
+    traj = sim.growth_run(spec, sim.GridSpec(cfg.K, cfg.N, cfg.dt), cfg.seed_modes,
+                          cfg.sample_every, cfg.mass_tol, t_end=cfg.t_end)
+    fit = sim.fit_growth_rate(traj, cfg.nu, cfg.rho)
     return traj, fit, time.perf_counter() - t0
+
+
+def test_thm3_unstable_preset_is_the_scaling_runs_nu_001_member():
+    # 9a/9b read the scaling fixture's nu = 0.01 trajectory as the
+    # thm3-unstable run: a preset that drifts from that run fails here
+    cfg = preset("thm3-unstable")
+    defaults = inspect.signature(sim.scaling_experiment).parameters
+    assert cfg.nu in SCALING["nu_list"]
+    assert cfg.internal == SCALING["internal"]
+    assert sim.GridSpec(cfg.K, cfg.N, cfg.dt) == SCALING["grid"]
+    assert cfg.rho == SCALING["rho"]
+    assert cfg.seed_modes == SCALING["seed_modes"]
+    assert cfg.sample_every == SCALING["sample_every"]
+    assert cfg.mass_tol == SCALING["mass_tol"]
+    assert cfg.t_end == 40.0 / cfg.nu**2
+    assert cfg.seed == defaults["seed"].default
+    assert cfg.seed_amp_scale == defaults["seed_amp_scale"].default
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +285,7 @@ def test_criterion_09b_unstable_rate_consistent_constant(unstable_run):
 
 @pytest.mark.slow
 def test_criterion_09c_nu_scaling(unstable_run, scaling_run):
-    slope, fits, t_scal = scaling_run
+    slope, _, t_scal = scaling_run
     _, t_sim = unstable_run
     total = t_sim + t_scal
     ok = 1.7 <= slope <= 2.3 and total < 300.0

@@ -393,3 +393,20 @@ def test_simulate_refuses_an_unfittable_run_before_it_steps(monkeypatch, capsys,
     assert code == cli.EXIT_IO
     assert capsys.readouterr() == ("", "error: need at least 50 samples to fit\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("every", ["10000000", "500000"], ids=["every-nu", "last-nu"])
+def test_scaling_refuses_an_unfittable_run_before_it_steps(monkeypatch, capsys, tmp_path,
+                                                          every):
+    # the default nus 0.005, 0.01 and 0.02 run 1.6e8, 4e7 and 1e7 steps: sampled
+    # every 1e7 steps none gives the fit its 50 samples, and every 5e5 steps
+    # only the last falls short; either way no run steps
+    def run(self, n):
+        raise AssertionError("the split-step kernel ran")
+    monkeypatch.setattr(sim._SplitStep, "run", run)
+    code = cli.main(["scaling", "-p", "0", "-q", "1", "--rho", "1,1", "--K", "4",
+                     "--N", "32", "--dt", "0.01", "--sample-every", every,
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr() == ("", "error: need at least 50 samples to fit\n")
+    assert list(tmp_path.iterdir()) == []

@@ -211,18 +211,27 @@ def test_trajectory_csv_golden(internal, rho, nu, grid_args, seed_modes, every,
     assert hashlib.sha256(traj.to_csv().encode()).hexdigest() == digest
 
 
-def test_trajectory_stop_path_golden():
+def _stop_path_by_hand(spec, grid):
+    state = sim.prepare_torus_state(spec, (1, 9), 1e-2 * np.sqrt(spec.nu), grid, seed=0)
+    return sim.evolve(state, grid, 40.0 / spec.nu**2, 40, internal=spec.internal,
+                      watch=(1, 9), mass_tol=1e-3,
+                      stop_ext_mass=2 * sim.saturation_mass(spec.nu, spec.rho))
+
+
+def _stop_path_growth_run(spec, grid):
+    return sim.growth_run(spec, grid, (1, 9), 40, 1e-3, seed_amp_scale=1e-2)
+
+
+@pytest.mark.parametrize("run", [_stop_path_by_hand, _stop_path_growth_run],
+                         ids=["by-hand", "growth_run"])
+def test_trajectory_stop_path_golden(run):
     # the growth-unstable benchmark torus with seed amplitude 1e-2 sqrt(nu)
     # reaches the saturation cut after 34,680 steps (868 samples); sha256 of
     # Trajectory.to_csv() and GrowthFit.to_json(), recorded with conserved()
-    # sampling a zero-padded copy of the band; numpy 2.4.6 on x86-64
+    # sampling a zero-padded copy of the band; numpy 2.4.6 on x86-64.
+    # growth_run is the hand-wired seed, horizon and stop, bit for bit
     internal, rho, nu = (-3, 10, -6), (2.0, 1.0, 9.0), 0.02
-    grid = sim.GridSpec(32, 256, 5e-3)
-    spec = nf.TorusSpec(internal, rho, nu)
-    state = sim.prepare_torus_state(spec, (1, 9), 1e-2 * np.sqrt(nu), grid, seed=0)
-    traj = sim.evolve(state, grid, 40.0 / nu**2, 40, internal=internal,
-                      watch=(1, 9), mass_tol=1e-3,
-                      stop_ext_mass=2 * sim.saturation_mass(nu, rho))
+    traj = run(nf.TorusSpec(internal, rho, nu), sim.GridSpec(32, 256, 5e-3))
     fit = sim.fit_growth_rate(traj, nu, rho, grow_factor=10.0)
     assert len(traj.times) == 868
     assert traj.ext_mass[-1] >= 2 * sim.saturation_mass(nu, rho) > traj.ext_mass[-2]
@@ -369,6 +378,40 @@ def test_fit_growth_rate_synthetic():
     assert not fit.flag
     assert fit.rate == pytest.approx(rate, rel=1e-6)
     assert fit.dominant_modes == (1,)
+
+
+def _dominant_by_running_sum(mags_end, internal, K):
+    """The fewest largest external modes holding 90% of their |a_j|^2, added
+    one at a time: the reference for fit_growth_rate's cumulative sum."""
+    mags_end = mags_end.copy()
+    for m in internal:
+        mags_end[m + K] = 0.0
+    total = mags_end.sum()
+    dom, acc = [], 0.0
+    for idx in np.argsort(mags_end)[::-1]:
+        dom.append(int(idx) - K)
+        acc += mags_end[idx]
+        if acc >= 0.9 * total:
+            break
+    return tuple(sorted(dom))
+
+
+def test_dominant_modes_match_the_running_sum():
+    # heavy-tailed random spectra, so the 90% cut falls after one to many modes
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 4000.0, 400)
+    ext = 1e-16 * np.exp(5e-3 * times)
+    grid = sim.GridSpec(8, 64, 0.01)
+    sizes = set()
+    for _ in range(200):
+        mags = rng.exponential(size=(len(times), 17)) ** rng.uniform(1, 8)
+        traj = sim.Trajectory(grid, (0,), times, np.ones_like(times),
+                              np.zeros_like(times), np.ones_like(times),
+                              np.ones((len(times), 1)), ext, mags, ())
+        dom = sim.fit_growth_rate(traj, 0.01, (1.0,)).dominant_modes
+        assert dom == _dominant_by_running_sum(mags[-1], (0,), grid.K)
+        sizes.add(len(dom))
+    assert min(sizes) == 1 and max(sizes) > 8
 
 
 def test_fit_growth_rate_no_window():
