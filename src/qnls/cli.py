@@ -244,9 +244,9 @@ def _grid(cfg: RunConfig) -> sim.GridSpec:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    seeds = cfg.seed_modes or tuple(m for b in _blocks(cfg) for m in b.modes)[:2]
-    traj = sim.growth_run(_spec(cfg), _grid(cfg), seeds, cfg.sample_every, cfg.mass_tol,
-                          t_end=cfg.t_end, seed_amp_scale=cfg.seed_amp_scale, seed=cfg.seed)
+    traj = sim.growth_run(_spec(cfg), _grid(cfg), _seed_modes(cfg), cfg.sample_every,
+                          cfg.mass_tol, t_end=cfg.t_end, seed_amp_scale=cfg.seed_amp_scale,
+                          seed=cfg.seed)
     fit = sim.fit_growth_rate(traj, cfg.nu, cfg.rho, grow_factor=cfg.grow_factor)
     _write(cfg, "trajectory.csv", traj.to_csv())
     _write(cfg, "growth_fit.json", fit.to_json() + "\n")
@@ -254,15 +254,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _blocks(cfg: RunConfig):
+def _seed_modes(cfg: RunConfig) -> tuple[int, ...]:
+    """The configured seed modes or, when there are none, the first two
+    modes of the torus's hyperbolic blocks (the ones that grow), else of
+    all its blocks; classified at the torus's point."""
+    if cfg.seed_modes:
+        return cfg.seed_modes
     cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
-    eff, _ = nf.classify_torus(_spec(cfg), cat, band=cfg.band)
-    return eff.blocks
+    blocks = nf.classify_torus(_spec(cfg), cat, band=cfg.band)[0].blocks
+    growing = [b for b in blocks if b.hyperbolic] or blocks
+    return tuple(m for b in growing for m in b.modes)[:2]
 
 
 def cmd_scaling(cfg: RunConfig) -> int:
     slope, fits, _ = sim.scaling_experiment(
-        cfg.internal, cfg.rho, cfg.scaling_nus, _grid(cfg), cfg.seed_modes,
+        cfg.internal, cfg.rho, cfg.scaling_nus, _grid(cfg), _seed_modes(cfg),
         seed_amp_scale=cfg.seed_amp_scale, sample_every=cfg.sample_every,
         grow_factor=cfg.scaling_grow_factor, mass_tol=cfg.mass_tol,
         seed=cfg.seed)

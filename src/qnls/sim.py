@@ -194,14 +194,6 @@ def conserved(state: FourierState, grid: GridSpec) -> ConservedSnapshot:
     return _SplitStep(grid, state.a).sample()[1]
 
 
-def step(state: FourierState, grid: GridSpec) -> FourierState:
-    """One Strang split step: exact linear half phase, exact nonlinear phase
-    in physical space, linear half phase; band truncation dealiases."""
-    kernel = _SplitStep(grid, state.a)
-    kernel.run(1)
-    return FourierState(kernel.coefficients(), state.t + grid.dt)
-
-
 def prepare_torus_state(spec: TorusSpec, seed_modes: Sequence[int],
                         seed_amp: float, grid: GridSpec,
                         seed: int = 0) -> FourierState:

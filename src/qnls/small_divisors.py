@@ -66,11 +66,6 @@ class HypothesisReport:
         v = VERDICTS[self.codes[i]]
         return v, self.witnesses.get(i, INTERVAL if v == LOWER_BOUNDED else None)
 
-    @property
-    def verdicts(self) -> list:
-        """(DivisorExpression, verdict, witness) per row, in enumeration order."""
-        return [(self.table.expression(i), *self.verdict(i)) for i in range(len(self.table))]
-
     def counts(self) -> dict[str, int]:
         """Verdict counts, keyed in order of first appearance."""
         codes, first, counts = np.unique(self.codes, return_index=True, return_counts=True)
@@ -152,27 +147,28 @@ class HypothesisReport:
 # quadratic forms in rho (the nu^-2 coefficients of all divisor expressions),
 # each read off a normal_form polynomial by ``rho_form``
 
-def _quad(Q: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.einsum("gi,ij,gj->g", grid, Q, grid)
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Upper-triangle index pairs (i, j), i <= j, in row-major order."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _interval(Q: np.ndarray, box: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Interval bound of rho.Q.rho over a positive box, term by term."""
-    lo = hi = 0.0
-    n = Q.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            c = Q[i, j] + (Q[j, i] if j != i else 0.0)
-            if c == 0.0:
-                continue
-            small = box[i][0] * box[j][0]
-            big = box[i][1] * box[j][1]
-            if c > 0:
-                lo += c * small
-                hi += c * big
-            else:
-                lo += c * big
-                hi += c * small
+def _coef(Q: np.ndarray) -> np.ndarray:
+    """The coefficients of rho.Q.rho over ``_pairs``: Q_ii, and Q_ij + Q_ji for i < j."""
+    return np.array([Q[i, j] + (Q[j, i] if j != i else 0.0) for i, j in _pairs(len(Q))])
+
+
+def _enclose(coefs: np.ndarray,
+             box: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Interval enclosure (lo, hi) over a positive box of the forms whose
+    ``_coef`` vectors are stacked along the last axis of ``coefs``, term by
+    term: c rho_i rho_j lies between c times the products of the pair's
+    lower and of its upper edges.  Terms are added in ``_pairs`` order."""
+    lo, hi = np.zeros((2, *coefs.shape[:-1]))
+    for c, (i, j) in zip(coefs.T, _pairs(len(box))):
+        small = box[i][0] * box[j][0]
+        big = box[i][1] * box[j][1]
+        lo += np.where(c > 0, c * small, c * big)
+        hi += np.where(c > 0, c * big, c * small)
     return lo, hi
 
 
@@ -278,19 +274,21 @@ def _domain_grid(spec: TorusSpec, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def check_A0(eff: EffectiveHamiltonian, grid_resolution: int = 8) -> A0Result:
+def check_A0(eff: EffectiveHamiltonian) -> A0Result:
     """Sup of |Lambda - (matched mode)^2| against C = nu^2 * max over the
     domain of the external-shift polynomial.
 
-    Scalar shifts are identical for every mode; pair-creation blocks
-    contribute their eigenvalue real parts (matched against the nearest
-    block-mode square).  Energy-conserving couplings live in the
-    perturbation, not the normal form, so their modes enter as scalars.
+    The maximum is the enclosure's upper end: every coefficient of the
+    shift polynomial is nonnegative, so on the positive box it is the
+    polynomial at the box's upper corner, exactly.  Scalar shifts are
+    identical for every mode; pair-creation blocks contribute their
+    eigenvalue real parts (matched against the nearest block-mode square).
+    Energy-conserving couplings live in the perturbation, not the normal
+    form, so their modes enter as scalars.
     """
     spec = eff.spec
-    nu2 = spec.nu**2
-    grid = _domain_grid(spec, grid_resolution)
-    bound = nu2 * float(np.max(_quad(rho_form(lambda_coefficient, len(spec.internal)), grid)))
+    _, hi = _enclose(_coef(rho_form(lambda_coefficient, len(spec.internal))), spec.domain)
+    bound = spec.nu**2 * float(hi)
     sup = spec.lambda_shift
     note = ""
     for blk in eff.blocks:
@@ -376,16 +374,6 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
 KINDS = (OMEGA_K, OMEGA_K_PLUS_LAMBDA, OMEGA_K_PLUS_PLUS, OMEGA_K_PLUS_MINUS)
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    """Upper-triangle index pairs in ``_interval``'s order."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _coef(Q: np.ndarray) -> np.ndarray:
-    """The coefficients ``_interval`` multiplies: Q_ii, and Q_ij + Q_ji for i < j."""
-    return np.array([Q[i, j] + (Q[j, i] if j != i else 0.0) for i, j in _pairs(len(Q))])
-
-
 def _numerals(values: np.ndarray) -> tuple[int, list[str]]:
     """min(values, 0) and the text of each integer up to max(values, 0)."""
     lo = int(values.min(initial=0))
@@ -429,10 +417,6 @@ class DivisorTable:
         return len(self.lat)
 
     @property
-    def pad(self) -> np.ndarray:
-        return self.fam_pad[self.family]
-
-    @property
     def filtered(self) -> np.ndarray:
         return self.fam_filtered[self.family]
 
@@ -442,10 +426,6 @@ class DivisorTable:
         return DivisorExpression(KINDS[self.fam_kind[f]], tuple(self.lattice[self.lat[r]].tolist()),
                                  tuple(self.modes[r, :self.fam_n_modes[f]].tolist()),
                                  self.labels[block] if block >= 0 else None)
-
-    def form(self, r: int) -> np.ndarray:
-        """The symmetric quadratic form Q of row r."""
-        return self.forms(np.array([r]))[0]
 
     def forms(self, rows: np.ndarray) -> np.ndarray:
         """The forms Q of ``rows``, stacked (rows, n, n)."""
@@ -475,16 +455,9 @@ class DivisorTable:
 
     def bounds(self, spec: TorusSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Interval enclosure over the rho domain of the divisors of ``rows``:
-        ``_interval`` on all of them at once, accumulated in its order, so
-        each bound is bit-identical to the scalar one."""
-        box, nu2 = spec.domain, spec.nu**2
-        lo, hi = np.zeros((2, len(rows)))
-        for c, (i, j) in zip(self.coefs(rows).T, _pairs(len(box))):
-            small = box[i][0] * box[j][0]
-            big = box[i][1] * box[j][1]
-            lo += np.where(c > 0, c * small, c * big)
-            hi += np.where(c > 0, c * big, c * small)
-        int_part, pad = self.int_part[rows], self.fam_pad[self.family[rows]]
+        the integer part, nu^2 times ``_enclose`` of the form, and the pad."""
+        lo, hi = _enclose(self.coefs(rows), spec.domain)
+        int_part, pad, nu2 = self.int_part[rows], self.fam_pad[self.family[rows]], spec.nu**2
         return int_part + nu2 * lo - pad, int_part + nu2 * hi + pad
 
     def reach(self, spec: TorusSpec) -> np.ndarray:
@@ -573,8 +546,7 @@ def _judge(k: tuple[int, ...], Q: np.ndarray, vals: np.ndarray, spec: TorusSpec,
 
 def _quads(Q: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """rho.Q.rho, (forms, points), of the stacked forms Q: (rho_i Q_ij) rho_j
-    summed in (i, j) order, as ``_quad``'s einsum sums on every grid but a
-    two-mode one of one or two points (there it sums each i's terms first)."""
+    summed in (i, j) order."""
     out = np.zeros((len(Q), len(grid)))
     term = np.empty_like(out)
     for i, j in itertools.product(range(grid.shape[1]), repeat=2):
@@ -689,9 +661,11 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
             # a = (Lambda_t - Lambda_s)/2 = nu^2 (lambda + k.omega/2) and
             # b = Lambda_t - a, over nu^2
             gap = lam + 0.5 * sum(e * Q for e, Q in zip(blk.k, omegas))
-            pad1 = _pad_b_root(spec, blk, gap)
-            # slack for the frame ambiguity of chart-dependent nu^2 shifts
-            slack = spec.nu**2 * max(abs(v) for v in _interval(2 * gap, spec.domain))
+            amax = spec.nu**2 * float(np.max(np.abs(_enclose(_coef(gap), spec.domain))))
+            pad1 = _pad_b_root(spec, blk, amax)
+            # slack for the frame ambiguity of chart-dependent nu^2 shifts:
+            # the bound on |2a|, exactly twice amax
+            slack = 2 * amax
             branch_Q, branch_pad = lam - gap, pad1 + slack
             # eigenvalue pair sum: trace of the block, creation pair
             pair((mass == -2) & (mom + s_role + t_role == 0), OMEGA_K_PLUS_PLUS, blk.modes,
@@ -767,13 +741,11 @@ def _resident(k: tuple[int, ...], k_max: int, L: int) -> np.ndarray:
     return mask
 
 
-def _pad_b_root(spec: TorusSpec, blk, gap: np.ndarray) -> float:
+def _pad_b_root(spec: TorusSpec, blk, amax: float) -> float:
     """Uniform bound on |sqrt(a^2 - c^2)| of the pair-creation block over the
-    domain (covers both the real and the imaginary branch); ``gap`` is a's
-    form over nu^2, and the coupling c, increasing in every rho, is bounded
-    by its value at the domain's upper corner."""
-    alo, ahi = _interval(gap, spec.domain)
-    amax = max(abs(alo), abs(ahi)) * spec.nu**2
+    domain (covers both the real and the imaginary branch); ``amax`` bounds
+    |a| there, and the coupling c, increasing in every rho, is bounded by
+    its value at the domain's upper corner."""
     corner = TorusSpec(spec.internal, tuple(hi for _, hi in spec.domain), spec.nu)
     return math.hypot(amax, block_coupling(corner, blk.kind, *blk.modes, blk.witness))
 

@@ -88,12 +88,6 @@ def test_hypotheses_match_the_benchmark_reference(tmp_path, capsys):
     assert sd.measure_scan(eff) == ref["measure_scan_D1"]
 
 
-# public names with no caller in src/qnls or perfbench/, each kept on purpose
-API_ONLY = {
-    "sim.step": "the public one-step API; evolve runs the same kernel",
-}
-
-
 def _used_names(node):
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
@@ -125,7 +119,7 @@ def test_library_names_have_a_library_caller():
                     continue
                 if not any(name in used for at, used in uses.items() if at != (module, i)):
                     uncalled.add(f"{module}.{name}")
-    assert uncalled == set(API_ONLY), sorted(uncalled ^ set(API_ONLY))
+    assert not uncalled, sorted(uncalled)
 
 
 @pytest.mark.parametrize("args", [
@@ -275,6 +269,25 @@ def test_hypotheses_streamed_lines_golden(tmp_path):
     assert (tmp_path / "empty" / "a2_verdicts.jsonl").read_bytes() == b"\n"
 
 
+# sha256 of hypotheses.json for the flagship at k_max 4 on the point box,
+# D1 and D2; recorded when A0's bound was the maximum over an 8-per-side grid
+HYPOTHESES_JSON_SHA256 = {
+    "point": ("2,1,9", "11fdd1f9e26042424bf8af0190b5c77f2b0506be91abd3e814f9386367078564"),
+    "D1": ("1.5,1.2,1.8", "6e3a508128070016cb5eda12e0ef3f191b5ada658129286f36601bb69547c385"),
+    "D2": ("2,1,9", "4b78cab815afdf4fd0cba24ae8ca1e0222d8a9cdeedaab858eda61887e7b8bc2"),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(HYPOTHESES_JSON_SHA256))
+def test_hypotheses_json_golden(domain, tmp_path, capsys):
+    rho, digest = HYPOTHESES_JSON_SHA256[domain]
+    assert cli.main(["hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", rho,
+                     "--domain", domain, "--kmax", "4", "--out", str(tmp_path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    data = (tmp_path / "hypotheses.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 @pytest.mark.parametrize("res", ["0", "1"])
 def test_hypotheses_refuses_a_grid_below_two_points(res):
     # one point per dimension is the box's lower corner, no grid minimum
@@ -379,6 +392,32 @@ def test_simulate_smoke(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("t,mass,momentum,energy")
     assert len(lines) > 2
+
+
+class _Seeded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("torus,seeds", [
+    (("-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9"), (1, 9)),
+    (("-p", "0", "-q", "2", "--rho", "1.3,0.7", "--nu", "0.05"), (3, -1)),
+    ((), ()),
+], ids=["flagship", "two-mode-block", "no-block"])
+def test_default_seed_modes(monkeypatch, torus, seeds):
+    # with no --seed-modes, simulate and scaling both seed the first two
+    # modes of the hyperbolic blocks (the flagship's B(1, 9), not its first
+    # block A(-14, 18)), else the first two of all blocks
+    def growth_run(spec, grid, seed_modes, *args, **kwargs):
+        raise _Seeded(tuple(seed_modes))
+
+    def scaling_experiment(internal, rho, nus, grid, seed_modes, **kwargs):
+        raise _Seeded(tuple(seed_modes))
+    monkeypatch.setattr(sim, "growth_run", growth_run)
+    monkeypatch.setattr(sim, "scaling_experiment", scaling_experiment)
+    for command in ("simulate", "scaling"):
+        with pytest.raises(_Seeded) as got:
+            cli.main([command, *torus])
+        assert got.value.args == (seeds,), command
 
 
 def test_simulate_refuses_an_unfittable_run_before_it_steps(monkeypatch, capsys, tmp_path):

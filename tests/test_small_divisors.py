@@ -23,6 +23,39 @@ import paper_appendix as pa
 FLAGSHIP = (-3, 10, -6)
 
 
+def _quad(Q, grid):
+    """rho.Q.rho at every grid point by einsum: the reference that the
+    stacked ``sd._quads`` reproduces bit for bit."""
+    return np.einsum("gi,ij,gj->g", grid, Q, grid)
+
+
+def _interval(Q, box):
+    """Interval bound of rho.Q.rho over a positive box, term by term: the
+    scalar reference that ``sd._enclose`` reproduces bit for bit."""
+    lo = hi = 0.0
+    n = Q.shape[0]
+    for i in range(n):
+        for j in range(i, n):
+            c = Q[i, j] + (Q[j, i] if j != i else 0.0)
+            if c == 0.0:
+                continue
+            small = box[i][0] * box[j][0]
+            big = box[i][1] * box[j][1]
+            if c > 0:
+                lo += c * small
+                hi += c * big
+            else:
+                lo += c * big
+                hi += c * small
+    return lo, hi
+
+
+def verdict_rows(rep):
+    """(DivisorExpression, verdict, witness) per row of an A2 report, in
+    enumeration order."""
+    return [(rep.table.expression(i), *rep.verdict(i)) for i in range(len(rep.table))]
+
+
 def flagship_eff(rho=(1.5, 1.2, 1.8), nu=0.01, domain="D1", band=20):
     cat = rs.enumerate_sets(FLAGSHIP)
     dom = {"D1": nf.domain_D1(), "D2": nf.domain_D2(), None: None}[domain]
@@ -155,15 +188,33 @@ def test_a0_two_mode_bound():
     assert res.passed
 
 
-def test_a0_grid_max_matches_corner():
-    eff = flagship_eff(domain="D2")
-    res = sd.check_A0(eff, grid_resolution=9)
-    corners = []
-    for r1 in eff.spec.domain[0]:
-        for r2 in eff.spec.domain[1]:
-            for r3 in eff.spec.domain[2]:
-                corners.append(nf.lambda_coefficient((r1, r2, r3)))
-    assert res.bound == pytest.approx(eff.spec.nu**2 * max(corners), rel=1e-9)
+_A0_CATALOGS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(internal=st.sampled_from([(0, 1), (0, 2), FLAGSHIP, (-5, -3, 3)]),
+       lows=st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3),
+       widths=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+       nu=st.floats(1e-3, 0.02), seed=st.integers(0, 2**32 - 1))
+def test_a0_bound_is_the_box_maximum(internal, lows, widths, nu, seed):
+    # on a positive box the bound is nu^2 lambda at the box's upper corner,
+    # the largest value of lambda there: no sampled point exceeds it
+    n = len(internal)
+    box = tuple((lo, lo + w) for lo, w in zip(lows[:n], widths[:n]))
+    if internal not in _A0_CATALOGS:
+        _A0_CATALOGS[internal] = rs.enumerate_sets(internal)
+    spec = nf.TorusSpec(internal, tuple(lo for lo, _ in box), nu, domain=box)
+    try:
+        eff, _ = nf.classify_torus(spec, _A0_CATALOGS[internal], band=10)
+    except nf.DegenerateBlock:
+        assume(False)
+    bound = sd.check_A0(eff).bound
+    tol = 1e-13 * bound
+    corner = nu**2 * nf.lambda_coefficient([hi for _, hi in box])
+    assert bound <= corner + tol
+    rng = np.random.default_rng(seed)
+    for rho in rng.uniform([lo for lo, _ in box], [hi for _, hi in box], (20, n)):
+        assert nu**2 * nf.lambda_coefficient(rho) <= bound + tol
 
 
 def test_a1_hyperbolic_block():
@@ -208,7 +259,7 @@ def test_a2_refinement_stable():
     for res, grid_res in ((16, 16), (32, 32)):
         rep = sd.check_A2(eff, k_max=4, grid_resolution=grid_res)
         by_key[res] = {(e.kind, e.k, e.modes, e.block): v
-                       for e, v, _ in rep.verdicts}
+                       for e, v, _ in verdict_rows(rep)}
     assert by_key[16] == by_key[32]
 
 
@@ -234,7 +285,7 @@ def test_a2_case2_single_family_filtered_out():
 def test_a2_every_admissible_expression_once():
     eff = flagship_eff()
     rep = sd.check_A2(eff, k_max=3, grid_resolution=8)
-    keys = [(e.kind, e.k, e.modes, e.block) for e, _, _ in rep.verdicts]
+    keys = [(e.kind, e.k, e.modes, e.block) for e, _, _ in verdict_rows(rep)]
     assert len(keys) == len(set(keys))
 
 
@@ -249,7 +300,7 @@ def test_a2_json_lines():
     eff = flagship_eff()
     rep = sd.check_A2(eff, k_max=2, grid_resolution=8)
     lines = a2_lines(rep).splitlines()
-    assert len(lines) == len(rep.verdicts)
+    assert len(lines) == len(verdict_rows(rep))
     row = json.loads(lines[0])
     assert set(row) == {"kind", "k", "modes", "block", "verdict", "witness"}
 
@@ -296,7 +347,7 @@ def test_a2_json_lines_match_verdict_rows(name):
     rep = sd.check_A2(golden_eff(name), k_max=A2_LINES_SHA256[name][1])
     want = [json.dumps({"kind": e.kind, "k": list(e.k), "modes": list(e.modes),
                         "block": e.block, "verdict": v, "witness": w})
-            for e, v, w in rep.verdicts]
+            for e, v, w in verdict_rows(rep)]
     assert a2_lines(rep) == "".join(line + "\n" for line in want)
     # every configuration but D2 has judged rows with their own witness
     assert (sd.TRANSVERSAL in rep.counts()) == (name != "D2")
@@ -435,7 +486,7 @@ def test_stacked_grid_pass_matches_einsum_bit_for_bit(n):
         grid = sd._domain_grid(spec, resolution)
         got = sd._quads(Q, grid)
         for q, row in zip(Q, got):
-            assert row.tobytes() == sd._quad(q, grid).tobytes(), resolution
+            assert row.tobytes() == _quad(q, grid).tobytes(), resolution
 
 
 @pytest.mark.parametrize("name", ["D1", "D2"])
@@ -447,11 +498,12 @@ def test_table_bounds_match_scalar_interval(name):
     rows = np.flatnonzero(~table.filtered)
     assert len(rows) > 1000
     lo, hi = table.bounds(spec, np.arange(len(table)))
+    pad = table.fam_pad[table.family]
     want_lo, want_hi = [], []
     for r in rows:
-        qlo, qhi = sd._interval(table.form(r), spec.domain)
-        want_lo.append(int(table.int_part[r]) + spec.nu**2 * qlo - float(table.pad[r]))
-        want_hi.append(int(table.int_part[r]) + spec.nu**2 * qhi + float(table.pad[r]))
+        qlo, qhi = _interval(table.forms(np.array([r]))[0], spec.domain)
+        want_lo.append(int(table.int_part[r]) + spec.nu**2 * qlo - float(pad[r]))
+        want_hi.append(int(table.int_part[r]) + spec.nu**2 * qhi + float(pad[r]))
     assert lo[rows].tobytes() == np.array(want_lo).tobytes()
     assert hi[rows].tobytes() == np.array(want_hi).tobytes()
 
@@ -627,9 +679,9 @@ def test_a2_block_facts_over_the_instability_net():
                 assert np.array_equal(coef, sd._coef(lam - gap)), (internal, blk)
             r1, r2, r3 = (domain[internal.index(m)][1] for m in blk.witness)
             cmax = nf.coupling_count("B", blk.witness, *blk.modes) * nu2 * r1 * math.sqrt(r2 * r3)
-            amax = max(abs(v) for v in sd._interval(gap, domain)) * nu2
+            amax = max(abs(v) for v in _interval(gap, domain)) * nu2
             root = math.hypot(amax, cmax)
-            slack = nu2 * max(abs(v) for v in sd._interval(2 * gap, domain))
+            slack = nu2 * max(abs(v) for v in _interval(2 * gap, domain))
             # pads: the trace pair, the difference pair, and every branch family
             pads = set(table.fam_pad[mine & ~table.fam_filtered].tolist())
             assert pads == {slack, 2 * root, root + slack}, (internal, blk)
@@ -689,7 +741,7 @@ def test_non_finite_delta_is_refused(delta):
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic helper
+# interval enclosure
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=9, max_size=9),
@@ -697,8 +749,9 @@ def test_non_finite_delta_is_refused(delta):
 def test_interval_encloses_samples(entries, lows):
     Q = np.array(entries).reshape(3, 3)
     box = [(lo, lo + 0.1) for lo in lows]
-    lo, hi = sd._interval(Q, box)
+    lo, hi = sd._enclose(sd._coef(Q), box)
+    assert (lo, hi) == _interval(Q, box)
     rng = np.random.default_rng(0)
     pts = np.array([[rng.uniform(a, b) for a, b in box] for _ in range(20)])
-    vals = np.einsum("gi,ij,gj->g", pts, Q, pts)
+    vals = _quad(Q, pts)
     assert lo <= vals.min() + 1e-9 and vals.max() <= hi + 1e-9
