@@ -205,7 +205,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 def cmd_hypotheses(cfg: RunConfig) -> int:
     if cfg.preset == "paper-appendixA-setA":
         sols = sd.conic_search(sd.setA_conic_system(),
-                               cfg.bound if cfg.bound else 1000)
+                               1000 if cfg.bound is None else cfg.bound)
         text = json.dumps([{"k": list(k), "j": j} for k, j in sols], indent=2)
         _write(cfg, "conic.json", text + "\n")
         print(text)
@@ -304,14 +304,14 @@ def _plain(v):
 
 
 def _discrepancy_notes(cat) -> list[str]:
-    notes = []
-    if cat.set_A:
-        pairs = [(p.s, p.t) for p in cat.set_A]
-        notes.append(
-            "family-A pairs computed as "
+    """The (-3, 10, -6) torus's note: an earlier published account lists
+    other family-A members for it.  Other tori get none."""
+    if sorted(cat.internal) != [-6, -3, 10] or not cat.set_A:
+        return []
+    pairs = [(p.s, p.t) for p in cat.set_A]
+    return ["family-A pairs computed as "
             f"{pairs}; an earlier published account lists different members "
-            "for the (-3,10,-6) configuration")
-    return notes
+            "for the (-3,10,-6) configuration"]
 
 
 COMMANDS = ("resonances", "normal-form", "classify", "hypotheses", "simulate", "scaling",
@@ -376,7 +376,8 @@ def main(argv=None) -> int:
     except (nf.PreconditionViolated, nf.DegenerateBlock) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (sim.BlowUp, sim.WindowNotFound, sd.EmptyRange, ValueError, OSError) as exc:
+    except (sim.BlowUp, sim.WindowNotFound, sd.EmptyRange, ValueError, OverflowError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -11,9 +11,9 @@ elliptic) or from the exact sign of C^2 - a^2, its coupling against its gap
 (the pair-creation and self-coupled blocks).  The spectrum, a direct
 eigensolve of the linearized flow, is reported and decides nothing.
 
-All rho-polynomial coefficients are assembled in exact rational arithmetic
-when the actions are rational, once per torus (see ``TorusSpec``); floats
-appear only in the reported entries and spectra.
+All rho-polynomial coefficients are counted from the resonant sextic terms
+and evaluated exactly once per torus, a float rho as the rational it stores
+(see ``TorusSpec``); floats appear only in reported entries and spectra.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -59,9 +59,9 @@ class TorusSpec:
     omega: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # nu^2 * lambda(rho): the shift shared by every uncoupled external mode
     lambda_shift: float = field(init=False, repr=False, compare=False)
-    # rho_i = _rho_num[i] / _rho_den when every rho_i is an int or a Fraction,
-    # else _rho_num is None
-    _rho_num: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    # rho_i = _rho_num[i] / _rho_den exactly; a float rho_i is the rational
+    # it stores
+    _rho_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _rho_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,11 +94,10 @@ class TorusSpec:
         put = object.__setattr__
         put(self, "rho_float", rho_float)
         put(self, "domain", dom or tuple((r, r) for r in rho_float))
-        num, den = None, 1
-        if all(isinstance(r, (int, Fraction)) for r in self.rho):
-            den = math.lcm(*(r.denominator for r in self.rho))
-            num = tuple(r.numerator * (den // r.denominator) for r in self.rho)
-        put(self, "_rho_num", num)
+        exact = [(r.numerator, r.denominator) if isinstance(r, (int, Fraction))
+                 else f.as_integer_ratio() for r, f in zip(self.rho, rho_float)]
+        den = math.lcm(*(d for _, d in exact))
+        put(self, "_rho_num", tuple(n * (den // d) for n, d in exact))
         put(self, "_rho_den", den)
         nu2 = self.nu**2
         put(self, "omega", tuple(
@@ -108,17 +107,13 @@ class TorusSpec:
         put(self, "lambda_shift", nu2 * self.float_of(lambda_coefficient))
 
     def float_of(self, poly: Callable[[Sequence], object]) -> float:
-        """float(poly(rho)) for a homogeneous quadratic ``poly``.
-
-        For exact rho, poly is evaluated on the integers n_i with
-        rho_i = n_i / d: poly(n) / d^2 is the same rational as poly(rho), and
-        int / int rounds it correctly, as Fraction.__float__ does, so the
-        float is the same bit for bit.  Otherwise poly runs in the arithmetic
-        of rho, as float(poly(rho)).
-        """
-        if self._rho_num is None:
-            return float(poly(self.rho))
-        return poly(self._rho_num) / (self._rho_den * self._rho_den)
+        """float(poly(rho)) for a homogeneous quadratic ``poly``: poly(n) / d^2
+        over the integers n_i = d rho_i, the same rational rounded once, as
+        Fraction.__float__ rounds it; ValueError outside the float range."""
+        try:
+            return poly(self._rho_num) / (self._rho_den * self._rho_den)
+        except OverflowError:
+            raise ValueError("rho too large: a rho-polynomial overflows a float") from None
 
 
 def domain_D1() -> tuple:
@@ -131,29 +126,45 @@ def domain_D2() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Frequency and external-shift polynomials.  These are evaluated with the
-# arithmetic of their inputs: exact for int/Fraction rho, float otherwise.
+# Frequency and external-shift polynomials, counted from the resonant sextic
+# terms.  They run in the arithmetic of their inputs.
+
+def _ordered_count(j_side: Sequence[int], l_side: Sequence[int]) -> int:
+    return len(set(permutations(j_side))) * len(set(permutations(l_side)))
+
+
+@lru_cache(maxsize=2)
+def _shift_terms(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The terms (c, a, b) of Omega_0 .. Omega_{n-1} and then of lambda, each
+    polynomial the sum of c rho_a rho_b, over n internal modes.
+
+    Z6 = sum_S N(S)^2 rho^S over the sides S, multisets of three internal
+    indices, N(S) their ordered count (``_z6_counts``).  Omega_i = dZ6/drho_i
+    takes, for each pair P, the side S = P + {i} with factor S.count(i);
+    lambda fills each side with a pair P and one external factor.
+    """
+    pairs = list(combinations_with_replacement(range(n), 2))
+    omega = []
+    for i in range(n):
+        sides = [tuple(sorted(p + (i,))) for p in pairs]
+        omega.append(tuple((s.count(i) * _ordered_count(s, s), *p) for s, p in zip(sides, pairs)))
+    ext = (n,)  # the external factor, a label no internal index takes
+    return (*omega, tuple((_ordered_count(p + ext, p + ext), *p) for p in pairs))
+
+
+def _quadratic(terms: Sequence[tuple[int, int, int]], rho: Sequence):
+    return sum(c * rho[a] * rho[b] for c, a, b in terms)
+
 
 def omega_coefficient(rho: Sequence, i: int):
-    """nu^-2 coefficient of the frequency shift of internal mode i:
-    3*(rho_i^2 + sum_{j!=i} (3 rho_j^2 + 6 rho_i rho_j) + 12 prod-cross)."""
-    others = [rho[j] for j in range(len(rho)) if j != i]
-    val = rho[i] * rho[i]
-    for r in others:
-        val = val + 3 * r * r + 6 * rho[i] * r
-    if len(others) == 2:
-        val = val + 12 * others[0] * others[1]
-    return 3 * val
+    """nu^-2 coefficient of the frequency shift of internal mode i, dZ6/drho_i."""
+    return _quadratic(_shift_terms(len(rho))[i], rho)
 
 
 def lambda_coefficient(rho: Sequence):
-    """nu^-2 coefficient of the shift of an uncoupled external mode:
-    9*(sum rho_i^2 + 4 sum_{i<j} rho_i rho_j)."""
-    val = sum(r * r for r in rho)
-    for i in range(len(rho)):
-        for j in range(i + 1, len(rho)):
-            val = val + 4 * rho[i] * rho[j]
-    return 9 * val
+    """nu^-2 coefficient of the shift of an uncoupled external mode: Z6's
+    count with one external factor on each side."""
+    return _quadratic(_shift_terms(len(rho))[-1], rho)
 
 
 @lru_cache(maxsize=16)
@@ -177,31 +188,13 @@ def rho_form(poly: Callable[..., object], n: int, *args) -> np.ndarray:
     return Q
 
 
-def z6_internal_coefficients(spec: TorusSpec) -> Mapping[tuple[int, ...], int]:
-    """Multinomial coefficient of each internal action monomial in the
-    resonant sextic part, keyed by the exponent vector over internal modes.
-
-    Computed by counting ordered index selections on both sides of the
-    resonance (the oracle); the result is the 1 / 9 / 36 pattern.  It
-    depends only on the mode count, so it is counted once per count and
-    returned read-only.
-    """
-    return _z6_counts(len(spec.internal))
-
-
 @lru_cache(maxsize=2)
 def _z6_counts(n: int) -> Mapping[tuple[int, ...], int]:
-    per_multiset: dict[tuple[int, ...], int] = {}
-    for sel in product(range(n), repeat=3):
-        key = tuple(sorted(sel))
-        per_multiset[key] = per_multiset.get(key, 0) + 1
-    counts: dict[tuple[int, ...], int] = {}
-    for key, cnt in per_multiset.items():
-        expo = [0] * n
-        for i in key:
-            expo[i] += 1
-        counts[tuple(expo)] = cnt * cnt  # ordered j-side times ordered l-side
-    return MappingProxyType(counts)
+    """N(S)^2 of each side S of the resonant sextic part, keyed by S's
+    exponent vector over n internal modes, S in lexicographic order: the
+    1 / 9 / 36 pattern, read-only."""
+    return MappingProxyType({tuple(s.count(i) for i in range(n)): _ordered_count(s, s)
+                             for s in combinations_with_replacement(range(n), 3)})
 
 
 def constant_metadata(spec: TorusSpec) -> float:
@@ -213,7 +206,7 @@ def constant_metadata(spec: TorusSpec) -> float:
     nu_rho = [nu * r for r in rho]
     z06 = sum(
         c * math.prod(x ** e for x, e in zip(nu_rho, expo))
-        for expo, c in z6_internal_coefficients(spec).items()
+        for expo, c in _z6_counts(len(spec.internal)).items()
     )
     return z06 + sum(m * m * nu * r for m, r in zip(spec.internal, rho))
 
@@ -321,10 +314,6 @@ class SpectralBlock:
         if im == 0.0 and self.hyperbolic:
             return float(self.nu2) * math.sqrt(self.margin)
         return im
-
-
-def _ordered_count(j_side: Sequence[int], l_side: Sequence[int]) -> int:
-    return len(set(permutations(j_side))) * len(set(permutations(l_side)))
 
 
 def _pair_coeff(lam_s: float, lam_t: float, c: float, sign: int) -> np.ndarray:
@@ -446,10 +435,8 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
         diag = (nu2 * spec.float_of(lambda r: _twice_gap(r, idx)) / 2,)
     cls, margin = ELLIPTIC, None
     if not conserving:
-        # homogeneous of degree 4, so the integers d*rho of an exact rho
-        # give its sign, as does a float rho read exactly as Fraction(rho)
-        n = spec._rho_num or [Fraction(r) for r in spec.rho]
-        ra, rb, rc = (n[i] for i in idx)
+        # homogeneous of degree 4, so the integers d*rho give its sign
+        ra, rb, rc = (spec._rho_num[i] for i in idx)
         g = b_gap_coefficient((ra, rb, rc))
         excess = coupling_count(kind, witness, s, t) ** 2 * ra * ra * rb * rc - g * g
         if excess == 0:

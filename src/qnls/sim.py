@@ -46,7 +46,8 @@ def saturation_mass(nu: float, rho: Sequence) -> float:
 
 
 class BlowUp(Exception):
-    """Relative mass drift exceeded tolerance: integrator failure."""
+    """Non-finite mass, or relative mass drift over tolerance: integrator
+    failure."""
 
 
 @dataclass(frozen=True)
@@ -244,11 +245,11 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     """Evolve to t_end, sampling every ``sample_every`` steps.
 
     Linear half phases of adjacent steps are fused between samples (exact
-    phase algebra).  Aborts with BlowUp when the relative mass drift exceeds
-    ``mass_tol`` (inf: no guard); stops early once the external mass passes
-    ``stop_ext_mass`` (saturation cut for growth runs).  Integrates forward
-    only: what ``_step_count`` refuses and a NaN or negative ``mass_tol`` are
-    refused up front.
+    phase algebra).  Aborts with BlowUp when a sample's mass is not finite
+    or its relative drift exceeds ``mass_tol`` (inf: no drift guard); stops
+    early once the external mass passes ``stop_ext_mass`` (saturation cut
+    for growth runs).  Integrates forward only: what ``_step_count`` refuses
+    and a NaN or negative ``mass_tol`` are refused up front.
     """
     n_steps = _step_count(grid, t_end, sample_every)
     if not mass_tol >= 0:
@@ -275,6 +276,8 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
         done += chunk
         t = state.t + done * grid.dt
         mass, ext = record(t)
+        if not math.isfinite(mass):
+            raise BlowUp(f"mass is {mass} at t={t:.3f}")
         if mass0 > 0 and abs(mass - mass0) > mass_tol * mass0:
             raise BlowUp(
                 f"relative mass drift {abs(mass - mass0) / mass0:.3e} "

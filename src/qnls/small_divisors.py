@@ -274,21 +274,26 @@ def _domain_grid(spec: TorusSpec, resolution: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def check_A0(eff: EffectiveHamiltonian) -> A0Result:
-    """Sup of |Lambda - (matched mode)^2| against C = nu^2 * max over the
-    domain of the external-shift polynomial.
+def _a0_bound(spec: TorusSpec) -> float:
+    """A0's C = nu^2 * max over the domain of the external-shift polynomial.
 
     The maximum is the enclosure's upper end: every coefficient of the
     shift polynomial is nonnegative, so on the positive box it is the
-    polynomial at the box's upper corner, exactly.  Scalar shifts are
-    identical for every mode; pair-creation blocks contribute their
-    eigenvalue real parts (matched against the nearest block-mode square).
-    Energy-conserving couplings live in the perturbation, not the normal
-    form, so their modes enter as scalars.
+    polynomial at the box's upper corner, exactly."""
+    _, hi = _enclose(_coef(rho_form(lambda_coefficient, len(spec.internal))), spec.domain)
+    return spec.nu**2 * float(hi)
+
+
+def check_A0(eff: EffectiveHamiltonian) -> A0Result:
+    """Sup of |Lambda - (matched mode)^2| against C = ``_a0_bound``.
+
+    Scalar shifts are identical for every mode; pair-creation blocks
+    contribute their eigenvalue real parts (matched against the nearest
+    block-mode square).  Energy-conserving couplings live in the
+    perturbation, not the normal form, so their modes enter as scalars.
     """
     spec = eff.spec
-    _, hi = _enclose(_coef(rho_form(lambda_coefficient, len(spec.internal))), spec.domain)
-    bound = spec.nu**2 * float(hi)
+    bound = _a0_bound(spec)
     sup = spec.lambda_shift
     note = ""
     for blk in eff.blocks:
@@ -332,7 +337,6 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
     """
     spec = eff.spec
     delta = _delta(spec, delta)
-    a0 = check_A0(eff)
 
     elliptic: list[tuple[float, int]] = []  # (Lambda, cluster key)
     hyperbolic_im: list[float] = []
@@ -358,10 +362,9 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
         out.append(A1Verdict("abs(Im Lambda) for hyperbolic modes (vacuous)", True, math.inf))
     cross = min((abs(la - lb) for la, ka in elliptic for lb, kb in elliptic if ka < kb),
                 default=math.inf)
+    tail_gap = (_A1_MODE_CUTOFF + 1)**2 - _A1_MODE_CUTOFF**2 - 2 * _a0_bound(spec)
     out.append(A1Verdict("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)",
-                         cross >= delta
-                         and (_A1_MODE_CUTOFF + 1)**2 - _A1_MODE_CUTOFF**2 - 2 * a0.bound > delta,
-                         cross - delta))
+                         cross >= delta and tail_gap > delta, cross - delta))
     min_sum = min(abs(la + lb) for i, (la, _) in enumerate(elliptic)
                   for lb, _ in elliptic[i:])
     out.append(A1Verdict("abs(Lambda_a + Lambda_b)", min_sum >= delta, min_sum - delta))

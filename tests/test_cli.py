@@ -224,6 +224,15 @@ def test_hypotheses_conic_preset_empty():
     assert json.loads(res.stdout) == []
 
 
+def test_hypotheses_conic_preset_bound_zero_is_an_empty_range(tmp_path):
+    # --bound 0 is a range, not "no bound": it used to search to 1000
+    res = run_cli("hypotheses", "--preset", "paper-appendixA-setA", "--bound", "0",
+                  "--out", str(tmp_path))
+    assert res.returncode == cli.EXIT_IO
+    assert res.stderr == "error: param_range must be positive, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hypotheses_flagship_pass():
     res = run_cli("hypotheses", "-p", "-3", "-q", "10", "-m", "-6",
                   "--rho", "1.5,1.2,1.8", "--nu", "0.01", "--domain", "D1",
@@ -449,3 +458,43 @@ def test_scaling_refuses_an_unfittable_run_before_it_steps(monkeypatch, capsys, 
     assert code == cli.EXIT_IO
     assert capsys.readouterr() == ("", "error: need at least 50 samples to fit\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rho,config,message", [
+    ("1e158,1e158", "", "error: rho too large"),
+    ("1,1", "seed_amp_scale = 1e80\n", "error: mass is nan at t=0.010"),
+], ids=["rho-overflows", "seed-overflows"])
+def test_simulate_non_finite_run_is_an_error(rho, config, message, tmp_path):
+    # a run whose samples turn NaN used to exit 0 with a WindowNotFound fit
+    # and a trajectory of NaN rows; a rho whose polynomials overflow a float
+    # is refused before the run, and a seed whose |u|^4 overflows stops at
+    # the first sample
+    (tmp_path / "run.cfg").write_text(config)
+    res = run_cli("simulate", "-p", "0", "-q", "1", "--rho", rho, "--K", "8", "--N", "64",
+                  "--dt", "0.01", "--t-end", "1", "--sample-every", "1", "--seed-modes", "2",
+                  "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out"))
+    assert res.returncode == cli.EXIT_IO
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1].startswith(message)
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_overflow_is_one_error_line(tmp_path):
+    # at rho = 1e120 the shifts are finite but the Z6 constant overflows
+    res = run_cli("classify", "-p", "0", "-q", "1", "--rho", "1e120,1e120",
+                  "--out", str(tmp_path))
+    assert res.returncode == cli.EXIT_IO
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("torus,notes", [
+    (("-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9"),
+     ["family-A pairs computed as [(-14, 18)]; an earlier published account lists "
+      "different members for the (-3,10,-6) configuration"]),
+    (("-p", "0", "-q", "2", "--rho", "1.3,0.7"), []),
+], ids=["flagship", "two-mode"])
+def test_report_notes_name_only_their_torus(torus, notes, tmp_path, capsys):
+    cli.main(["report", *torus, "--kmax", "2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert json.loads((tmp_path / "report.json").read_text())["notes"] == notes

@@ -49,6 +49,14 @@ def test_rho_float_must_be_positive_and_finite(r):
         nf.TorusSpec((0, 1), (r, 1), 0.1)
 
 
+@pytest.mark.parametrize("r", [1e160, 10**160], ids=["float", "int"])
+def test_rho_whose_shifts_overflow_is_refused(r):
+    # the exact shifts are computed on integers; above rho ~ 1e153 their
+    # int / int division overflows a float
+    with pytest.raises(ValueError, match="rho too large"):
+        nf.TorusSpec((0, 1), (r, 1), 0.1)
+
+
 def test_domain_given_must_contain_exact_rho():
     rho = (Fraction(7, 3), Fraction(1), Fraction(9))
     with pytest.raises(ValueError, match="domain must contain rho"):
@@ -103,8 +111,7 @@ def test_lambda_coefficient_value():
 
 
 def test_z6_internal_coefficient_pattern():
-    spec = nf.TorusSpec(FLAGSHIP, (2.0, 1.0, 9.0), 0.01)
-    coeffs = nf.z6_internal_coefficients(spec)
+    coeffs = nf._z6_counts(3)
     # ordered-count multiplicities: pure cube 1, (2,1) split 9, (1,1,1) 36
     assert coeffs[(3, 0, 0)] == 1
     assert coeffs[(2, 1, 0)] == 9
@@ -114,17 +121,19 @@ def test_z6_internal_coefficient_pattern():
 def test_z6_internal_coefficients_cannot_be_corrupted():
     # the pattern is counted once per mode count; a caller's edit of the
     # returned mapping must not reach the next call
-    spec = nf.TorusSpec(FLAGSHIP, (2.0, 1.0, 9.0), 0.01)
-    coeffs = nf.z6_internal_coefficients(spec)
+    coeffs = nf._z6_counts(3)
     try:
         coeffs[(3, 0, 0)] = 99
     except TypeError:
         pass
-    again = nf.z6_internal_coefficients(nf.TorusSpec((1, 4, -2), (1.0, 1.0, 1.0), 0.02))
+    again = nf._z6_counts(3)
     assert (again[(3, 0, 0)], again[(2, 1, 0)], again[(1, 1, 1)]) == (1, 9, 36)
     assert sorted(again.values()) == [1] * 3 + [9] * 6 + [36]
-    two = nf.z6_internal_coefficients(nf.TorusSpec((0, 1), (1.0, 1.0), 0.01))
+    two = nf._z6_counts(2)
     assert dict(two) == {(3, 0): 1, (2, 1): 9, (1, 2): 9, (0, 3): 1}
+    # in lexicographic order of the sides, the order constant_metadata sums in
+    assert list(two) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert list(again)[:4] == [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0)]
 
 
 def test_constant_metadata_two_mode():
@@ -370,29 +379,33 @@ def test_near_parabolic_e_block_is_decided_exactly(kind):
 
 
 def test_hyperbolic_rate_survives_the_spectrum_snap():
-    # at X0 - 1e-14 the E block's imaginary parts (~1.5e-10) fall below
-    # generic_block_spectrum's 1e-10 snap for a float x, but not for the
-    # same x as a Fraction; the reported rate is then nu^2 sqrt(margin),
-    # the exact (C^2 - a^2) / nu^4 rounded once
+    # 1 to 5 ulps below X0 the E block is hyperbolic, but its imaginary parts
+    # (under 1e-10) fall below generic_block_spectrum's 1e-10 snap; the
+    # reported rate is then nu^2 sqrt(margin), the exact (C^2 - a^2) / nu^4
+    # rounded once.  From 6 ulps on the eigensolve's rate clears the snap.
+    # A float x and the same x as a Fraction are the same torus.
     internal = (-2, -1, 2)
     cat = rs.enumerate_sets(internal)
-    found = {}
-    for kind in (Fraction, float):
-        spec = nf.TorusSpec(internal, (kind(X0 - 1e-14), 1, 1), Fraction(1, 100))
-        eff, cls = nf.classify_torus(spec, cat)
-        (blk,) = [b for b in eff.blocks if b.kind == "E"]
-        found[kind] = blk, cls
-    blk, cls = found[float]
-    assert max(abs(l.imag) for l in blk.eigenvalues) == 0.0
-    assert cls.verdict == "Unstable" and cls.max_im == blk.max_im > 0
-    # the Fraction x's eigensolve is itself 1.0e-3 off the exact rate here
-    assert blk.max_im == pytest.approx(found[Fraction][1].max_im, rel=2e-3)
-    rho = dict(zip(internal, (Fraction(X0 - 1e-14), 1, 1)))
-    ra, rb, rc = (rho[m] for m in blk.witness)
-    excess = (nf.coupling_count("E", blk.witness, *blk.modes, *blk.modes) ** 2 * ra * ra * rb * rc
-              - nf.b_gap_coefficient((ra, rb, rc)) ** 2)
-    assert blk.margin == float(excess) > 0
-    assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
+    x = X0
+    for ulps in range(1, 8):
+        x = math.nextafter(x, 0)
+        rho = dict(zip(internal, (Fraction(x), 1, 1)))
+        for kind in (Fraction, float):
+            spec = nf.TorusSpec(internal, (kind(x), 1, 1), Fraction(1, 100))
+            eff, cls = nf.classify_torus(spec, cat)
+            (blk,) = [b for b in eff.blocks if b.kind == "E"]
+            im = max(abs(l.imag) for l in blk.eigenvalues)
+            assert (im == 0.0) == (ulps <= 5), (ulps, kind)
+            assert cls.verdict == "Unstable" and cls.max_im == blk.max_im > 0
+            ra, rb, rc = (rho[m] for m in blk.witness)
+            excess = (nf.coupling_count("E", blk.witness, *blk.modes, *blk.modes) ** 2
+                      * ra * ra * rb * rc - nf.b_gap_coefficient((ra, rb, rc)) ** 2)
+            assert blk.margin == float(excess) > 0
+            if im == 0.0:
+                assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
+            else:
+                # the eigensolve of a nearly defective J.H is a few 1e-3 off
+                assert blk.max_im == im == pytest.approx(1e-4 * math.sqrt(excess), rel=5e-3)
 
 
 @pytest.mark.parametrize("internal,rho,kind", [
@@ -454,10 +467,11 @@ def test_scalar_lambdas_view_is_lambda_external(rho):
 
 # sha256 of EffectiveHamiltonian.to_json() for the flagship at rho=(2,1,9),
 # nu=0.01, band 20, and the (0, 2) torus at rho=(1.3, 0.7), nu=0.05, band 10
-# (constant Z6 + H2 for both mode counts)
+# (constant Z6 + H2 for both mode counts; the float rho is read exactly, so
+# the two-mode Omega_0 is the correctly rounded 0.06465000000000001)
 EFF_JSON_SHA256 = {
     "flagship": "65e8c0ec60ff1c113169e30a506c7a9718ec1acd70607ae631dc7459bd9c1338",
-    "two-mode": "4e27e1e780ecd6b6b538204b6c926964e28702e32a7dc87a5e27ec292854c232",
+    "two-mode": "c360f44baaacdd8a60e311b9bdf0d4edc128430ba6079f73a98567b2b4916d6b",
 }
 
 
@@ -788,6 +802,34 @@ def test_exact_rho_floats_bit_for_bit(case, nu):
             assert spec.float_of(lambda r: r[i] * r[j]) == float(rho[i] * rho[j])
     if len(rho) == 3:
         assert spec.float_of(_b_poly) == float(_b_poly(rho))
+
+
+_FLOAT_TORI = (FLAGSHIP, (-5, -3, 3), (-2, -1, 2), (0, 2), (0, 1))
+
+
+@functools.cache
+def _catalog(internal):
+    return rs.enumerate_sets(internal)
+
+
+def _classified_text(internal, rho, nu):
+    try:
+        eff, cls = nf.classify_torus(nf.TorusSpec(internal, rho, nu), _catalog(internal),
+                                     band=12)
+    except nf.DegenerateBlock as exc:
+        return str(exc)
+    return eff.to_json() + cls.to_json()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_FLOAT_TORI), st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3),
+       st.sampled_from((0.01, Fraction(1, 100), 0.05)))
+def test_float_rho_is_the_rational_it_stores(internal, draws, nu):
+    # a float rho and Fraction(rho) are one torus: the same effective
+    # Hamiltonian and classification, byte for byte
+    rho = tuple(draws[:len(internal)])
+    assert (_classified_text(internal, rho, nu)
+            == _classified_text(internal, tuple(map(Fraction, rho)), nu))
 
 
 # ---------------------------------------------------------------------------

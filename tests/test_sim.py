@@ -315,6 +315,14 @@ def test_evolve_rejects_nan_or_negative_mass_tol(tol):
     assert traj.mass[-1] < 0.1 * traj.mass[0]
 
 
+def test_evolve_stops_on_non_finite_mass():
+    # |u|^4 overflows, so the nonlinear phase and every later sample are
+    # NaN; a drift test against NaN is never true, even with no drift guard
+    grid = sim.GridSpec(4, 32, 0.01)
+    with np.errstate(all="ignore"), pytest.raises(sim.BlowUp, match="mass is nan at t=0.010"):
+        sim.evolve(single_mode(grid, 1, 1e80), grid, t_end=1.0, mass_tol=float("inf"))
+
+
 @pytest.mark.parametrize("every", [0, -3])
 def test_evolve_rejects_nonpositive_sample_every(every):
     # a step count below one per sample would never reach t_end
