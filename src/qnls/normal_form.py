@@ -11,9 +11,10 @@ elliptic) or from the exact sign of C^2 - a^2, its coupling against its gap
 (the pair-creation and self-coupled blocks).  The spectrum, a direct
 eigensolve of the linearized flow, is reported and decides nothing.
 
-All rho-polynomial coefficients are counted from the resonant sextic terms
-and evaluated exactly once per torus, a float rho as the rational it stores
-(see ``TorusSpec``); floats appear only in reported entries and spectra.
+Every frequency is a rho-form, one vector of integer coefficients counted
+from the resonant sextic terms (``shift_forms``, ``twice_gap_form``), and is
+evaluated exactly once per torus, a float rho as the rational it stores (see
+``TorusSpec``); floats appear only in reported entries and spectra.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class TorusSpec:
     """A 2- or 3-mode torus: internal modes, actions rho (|a_{m_i}|^2 = nu*rho_i),
     small parameter nu, and the rho-domain box the actions range over.
 
-    The exact rho-polynomials that every block builder needs (the internal
+    The exact rho-forms that every block builder needs (the internal
     frequencies and the external shift) are evaluated once, when the spec
     is made, and live as long as it does."""
 
@@ -55,7 +56,7 @@ class TorusSpec:
     nu: float
     domain: tuple[tuple[float, float], ...] = ()
     rho_float: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # internal frequencies m_i^2 + nu^2 * omega_coefficient(rho, i)
+    # internal frequencies m_i^2 + nu^2 Omega_i(rho), Omega_i from shift_forms
     omega: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # nu^2 * lambda(rho): the shift shared by every uncoupled external mode
     lambda_shift: float = field(init=False, repr=False, compare=False)
@@ -68,6 +69,8 @@ class TorusSpec:
         n = len(self.internal)
         if n not in (2, 3):
             raise ValueError("internal mode count must be 2 or 3")
+        if len(set(self.internal)) != n:
+            raise ValueError("internal modes must be distinct")
         if len(self.rho) != n:
             raise ValueError("rho length must match internal modes")
         # every float the torus is evaluated in comes from float(rho): NaN,
@@ -100,20 +103,16 @@ class TorusSpec:
         put(self, "_rho_num", tuple(n * (den // d) for n, d in exact))
         put(self, "_rho_den", den)
         nu2 = self.nu**2
-        put(self, "omega", tuple(
-            m * m + nu2 * self.float_of(lambda r, i=i: omega_coefficient(r, i))
-            for i, m in enumerate(self.internal)
-        ))
-        put(self, "lambda_shift", nu2 * self.float_of(lambda_coefficient))
+        *omega, lam = shift_forms(n)
+        put(self, "omega", tuple(m * m + nu2 * self.float_of(w)
+                                 for m, w in zip(self.internal, omega)))
+        put(self, "lambda_shift", nu2 * self.float_of(lam))
 
-    def float_of(self, poly: Callable[[Sequence], object]) -> float:
-        """float(poly(rho)) for a homogeneous quadratic ``poly``: poly(n) / d^2
-        over the integers n_i = d rho_i, the same rational rounded once, as
-        Fraction.__float__ rounds it; ValueError outside the float range."""
-        try:
-            return poly(self._rho_num) / (self._rho_den * self._rho_den)
-        except OverflowError:
-            raise ValueError("rho too large: a rho-polynomial overflows a float") from None
+    def float_of(self, coef: Sequence[int]) -> float:
+        """float of the form ``coef`` at rho: its value at the integers
+        n_i = d rho_i over d^2, the exact rational rounded once; ValueError
+        outside the float range."""
+        return _rounded(form_value(coef, self._rho_num), self._rho_den**2)
 
 
 def domain_D1() -> tuple:
@@ -126,89 +125,82 @@ def domain_D2() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Frequency and external-shift polynomials, counted from the resonant sextic
-# terms.  They run in the arithmetic of their inputs.
+# rho-forms: homogeneous quadratics in rho, each a vector of integer
+# coefficients over ``pairs(n)``, all counted from the resonant sextic terms.
 
 def _ordered_count(j_side: Sequence[int], l_side: Sequence[int]) -> int:
     return len(set(permutations(j_side))) * len(set(permutations(l_side)))
 
 
-@lru_cache(maxsize=2)
-def _shift_terms(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The terms (c, a, b) of Omega_0 .. Omega_{n-1} and then of lambda, each
-    polynomial the sum of c rho_a rho_b, over n internal modes.
-
-    Z6 = sum_S N(S)^2 rho^S over the sides S, multisets of three internal
-    indices, N(S) their ordered count (``_z6_counts``).  Omega_i = dZ6/drho_i
-    takes, for each pair P, the side S = P + {i} with factor S.count(i);
-    lambda fills each side with a pair P and one external factor.
-    """
-    pairs = list(combinations_with_replacement(range(n), 2))
-    omega = []
-    for i in range(n):
-        sides = [tuple(sorted(p + (i,))) for p in pairs]
-        omega.append(tuple((s.count(i) * _ordered_count(s, s), *p) for s, p in zip(sides, pairs)))
-    ext = (n,)  # the external factor, a label no internal index takes
-    return (*omega, tuple((_ordered_count(p + ext, p + ext), *p) for p in pairs))
-
-
-def _quadratic(terms: Sequence[tuple[int, int, int]], rho: Sequence):
-    return sum(c * rho[a] * rho[b] for c, a, b in terms)
-
-
-def omega_coefficient(rho: Sequence, i: int):
-    """nu^-2 coefficient of the frequency shift of internal mode i, dZ6/drho_i."""
-    return _quadratic(_shift_terms(len(rho))[i], rho)
-
-
-def lambda_coefficient(rho: Sequence):
-    """nu^-2 coefficient of the shift of an uncoupled external mode: Z6's
-    count with one external factor on each side."""
-    return _quadratic(_shift_terms(len(rho))[-1], rho)
-
-
-@lru_cache(maxsize=16)
-def rho_form(poly: Callable[..., object], n: int, *args) -> np.ndarray:
-    """Symmetric matrix Q with rho.Q.rho = poly(rho, *args) for a
-    homogeneous quadratic ``poly`` in n actions, read-only.
-
-    Q is read off poly by exact evaluation at integer points:
-    Q_ii = P(e_i) and Q_ij = (P(e_i + e_j) - P(e_i) - P(e_j)) / 2.
-    """
-    def at(*idx):
-        e = [0] * n
-        for i in idx:
-            e[i] += 1
-        return Fraction(poly(e, *args))
-
-    diag = [at(i) for i in range(n)]
-    Q = np.array([[diag[i] if i == j else (at(i, j) - diag[i] - diag[j]) / 2
-                   for j in range(n)] for i in range(n)], dtype=float)
-    Q.flags.writeable = False
-    return Q
-
-
-@lru_cache(maxsize=2)
+@cache
 def _z6_counts(n: int) -> Mapping[tuple[int, ...], int]:
     """N(S)^2 of each side S of the resonant sextic part, keyed by S's
-    exponent vector over n internal modes, S in lexicographic order: the
-    1 / 9 / 36 pattern, read-only."""
+    exponent vector over n modes, S in lexicographic order: the 1 / 9 / 36
+    pattern, read-only.  The one count of sextic sides."""
     return MappingProxyType({tuple(s.count(i) for i in range(n)): _ordered_count(s, s)
                              for s in combinations_with_replacement(range(n), 3)})
+
+
+@cache
+def pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The monomials rho_a rho_b of a form, a <= b in row-major order."""
+    return tuple((a, b) for a in range(n) for b in range(a, n))
+
+
+def form_value(coef: Sequence, rho: Sequence):
+    """sum c rho_a rho_b over ``pairs``, in the arithmetic of rho."""
+    return sum(c * rho[a] * rho[b] for c, (a, b) in zip(coef, pairs(len(rho))))
+
+
+@cache
+def shift_forms(n: int) -> tuple[tuple[int, ...], ...]:
+    """The nu^-2 frequency shifts Omega_0 .. Omega_{n-1} and then lambda as
+    forms: the gradient of Z6 = sum_e N(e)^2 rho^e (``_z6_counts``) over the
+    n internal modes and one external mode n, at zero external action.  The
+    coefficient of rho_a rho_b in dZ6/drho_i is e_i N(e)^2 at e = e_a + e_b + e_i."""
+    counts = _z6_counts(n + 1)
+    sides = [[tuple(map((a, b, i).count, range(n + 1))) for a, b in pairs(n)]
+             for i in range(n + 1)]
+    return tuple(tuple(e[i] * counts[e] for e in row) for i, row in enumerate(sides))
+
+
+@cache
+def twice_gap_form(k: tuple[int, ...]) -> tuple[int, ...]:
+    """2 lambda + k.Omega for the net exponents k over the internal modes:
+    twice the gap a / nu^2 of a pair-creation block, and twice the
+    self-coupled block's Lambda_s / nu^2."""
+    *omega, lam = shift_forms(len(k))
+    return tuple(2 * l + sum(e * w for e, w in zip(k, col)) for l, *col in zip(lam, *omega))
+
+
+def _rounded(num: int, den: int, what: str = "a rho-form") -> float:
+    """num / den rounded once, as Fraction.__float__ rounds it; ValueError
+    naming ``what`` outside the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError(f"rho too large: {what} overflows a float") from None
 
 
 def constant_metadata(spec: TorusSpec) -> float:
     """The additive constant split off by the normal form, the counted
     resonant Z6 plus H2 = sum m^2 nu rho at the torus, for two modes as for
-    three; metadata only (constants never affect spectra)."""
+    three; metadata only (constants never affect spectra).  ValueError when
+    it overflows a float."""
     nu = spec.nu
     rho = spec.rho_float
     nu_rho = [nu * r for r in rho]
-    z06 = sum(
-        c * math.prod(x ** e for x, e in zip(nu_rho, expo))
-        for expo, c in _z6_counts(len(spec.internal)).items()
-    )
-    return z06 + sum(m * m * nu * r for m, r in zip(spec.internal, rho))
+    try:
+        z06 = sum(
+            c * math.prod(x ** e for x, e in zip(nu_rho, expo))
+            for expo, c in _z6_counts(len(spec.internal)).items()
+        )
+    except OverflowError:
+        z06 = math.inf
+    constant = z06 + sum(m * m * nu * r for m, r in zip(spec.internal, rho))
+    if not math.isfinite(constant):
+        raise ValueError("rho too large: the normal form's constant overflows a float")
+    return constant
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +338,6 @@ def block_hessian(kind: str, diag: tuple[float, ...], coupling: float) -> np.nda
     return _pair_coeff(lam_s, lam_t, coupling, 1)
 
 
-def _twice_gap(rho: Sequence, idx: Sequence[int]):
-    """2 lambda + k.omega for the pair-creation exponents k over the witness
-    whose modes sit at internal indices ``idx``."""
-    k = RESONANT_EXPONENTS["B"]
-    return 2 * lambda_coefficient(rho) + sum(e * omega_coefficient(rho, i) for e, i in zip(k, idx))
-
-
-def b_gap_coefficient(rho: Sequence):
-    """Exact nu^-2 coefficient of a = (Lambda_t - Lambda_s)/2 of the
-    pair-creation block, rho in witness order: lambda + k.omega/2.  It is
-    also the self-coupled block's Lambda_s / nu^2."""
-    val = _twice_gap(rho, range(3))
-    return Fraction(val, 2) if isinstance(val, int) else val / 2
-
-
 def coupling_count(kind: str, witness: Sequence[int], s: int, t: int) -> int:
     """The factor of nu^2 prod rho_m^{|k_m|/2} in the stored coupling of a
     block: the ordered count of its resonant sextic monomial, whose negative
@@ -386,10 +363,11 @@ def block_coupling(spec: TorusSpec, kind: str, s: int, t: int, witness: Sequence
     full = [spec.internal.index(m) for e, m in zip(k, witness) if abs(e) == 2]
     half = [spec.internal.index(m) for e, m in zip(k, witness) if abs(e) == 1]
     coupling = coupling_count(kind, witness, s, t) * spec.nu**2
+    num, den2 = spec._rho_num, spec._rho_den**2
     if half:
         return coupling * spec.rho_float[full[0]] * math.sqrt(
-            spec.float_of(lambda r: r[half[0]] * r[half[1]]))
-    return coupling * spec.float_of(lambda r: r[full[0]] * r[full[1]])
+            _rounded(num[half[0]] * num[half[1]], den2))
+    return coupling * _rounded(num[full[0]] * num[full[1]], den2)
 
 
 def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...]) -> SpectralBlock:
@@ -407,9 +385,10 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
       always elliptic.  B and E are hyperbolic iff C^2 > a^2, with C the
       coupling count nu^2 rho_a sqrt(rho_b rho_c) over witness (a, b, c) and
       the gap a = (Lambda_t - Lambda_s)/2 for B, Lambda_s for E, which is
-      nu^2 g with g = ``b_gap_coefficient`` of rho in witness order.  So the
-      sign of count^2 rho_a^2 rho_b rho_c - g^2 decides, in exact rationals
-      and free of nu; C^2 = a^2 exactly raises DegenerateBlock;
+      nu^2 T / 2 with T the form ``twice_gap_form(k)``.  So the sign of the
+      integer 4 (C^2 - a^2) d^4 / nu^4 = 4 count^2 n_a^2 n_b n_c - T(n)^2
+      decides, over the integers n = d rho and free of nu; C^2 = a^2 exactly
+      raises DegenerateBlock;
     - spectrum: ``generic_block_spectrum`` of ``block_hessian``, reported
       only.
     """
@@ -425,26 +404,26 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
     coupling = block_coupling(spec, kind, s, t, witness)
 
     lam_t = t * t + spec.lambda_shift
+    cls, margin = ELLIPTIC, None
     if conserving:
         frame_shift = sum(-e * spec.omega[i] for e, i in zip(k, idx))
         diag = (s * s + spec.lambda_shift + frame_shift, lam_t)
-    elif kind == "B":
-        diag = (t * t + nu2 * spec.float_of(lambda r: lambda_coefficient(r) - _twice_gap(r, idx)),
-                lam_t)
     else:
-        diag = (nu2 * spec.float_of(lambda r: _twice_gap(r, idx)) / 2,)
-    cls, margin = ELLIPTIC, None
-    if not conserving:
-        # homogeneous of degree 4, so the integers d*rho give its sign
-        ra, rb, rc = (spec._rho_num[i] for i in idx)
-        g = b_gap_coefficient((ra, rb, rc))
-        excess = coupling_count(kind, witness, s, t) ** 2 * ra * ra * rb * rc - g * g
+        num, den2 = spec._rho_num, spec._rho_den**2
+        twice = form_value(twice_gap_form(tuple(net)), num)
+        if kind == "B":
+            lam = form_value(shift_forms(len(num))[-1], num)
+            diag = (t * t + nu2 * _rounded(lam - twice, den2), lam_t)
+        else:
+            diag = (nu2 * _rounded(twice, den2) / 2,)
+        ra, rb, rc = (num[i] for i in idx)
+        excess = 4 * coupling_count(kind, witness, s, t) ** 2 * ra * ra * rb * rc - twice * twice
         if excess == 0:
             raise DegenerateBlock(f"set-{kind} coupling equals its gap, C^2 = a^2, "
                                   f"for modes {(s, t)}")
         if excess > 0:
             cls = HYPERBOLIC
-        margin = float(excess / spec._rho_den**4)
+        margin = _rounded(excess, 4 * den2 * den2, f"the {kind} block's margin")
     eig = generic_block_spectrum(block_hessian(kind, diag, coupling))
     return SpectralBlock(kind, (s,) if kind == "E" else (s, t), tuple(eig), cls,
                          diag, coupling, tuple(witness), tuple(net), margin, nu2)
@@ -562,6 +541,8 @@ def classify_torus(spec: TorusSpec, catalog: ResonanceCatalog,
 
     if band is None:
         band = catalog.bound
+    if band < 0:
+        raise ValueError(f"band must be nonnegative, got {band}")
     eff = EffectiveHamiltonian(spec, constant_metadata(spec), band, blocks)
     hyp = sorted({m for b in blocks if b.hyperbolic for m in b.modes})
     max_im = max((b.max_im for b in blocks), default=0.0)

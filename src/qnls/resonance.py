@@ -177,9 +177,12 @@ def enumerate_sets(internal: Sequence[int], bound: int | None = None) -> Resonan
 
     ``bound`` caps |s|, |t| (default ``default_bound``); closed-form pair
     solutions beyond it raise BoundTooSmall rather than being dropped
-    silently.  One-mode solutions are not capped.
+    silently.  One-mode solutions are not capped.  Repeated internal modes
+    are refused (ValueError).
     """
     internal = tuple(internal)
+    if len(set(internal)) != len(internal):
+        raise ValueError("internal modes must be distinct")
     if bound is None:
         bound = default_bound(internal)
     squares = [m * m for m in internal]

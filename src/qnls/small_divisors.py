@@ -20,8 +20,8 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .normal_form import (EffectiveHamiltonian, TorusSpec, block_coupling, lambda_coefficient,
-                          omega_coefficient, rho_form)
+from .normal_form import (EffectiveHamiltonian, TorusSpec, block_coupling, pairs, shift_forms,
+                          twice_gap_form)
 from .resonance import default_bound
 
 LOWER_BOUNDED = "LowerBounded"
@@ -144,27 +144,18 @@ class HypothesisReport:
 
 
 # ---------------------------------------------------------------------------
-# quadratic forms in rho (the nu^-2 coefficients of all divisor expressions),
-# each read off a normal_form polynomial by ``rho_form``
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    """Upper-triangle index pairs (i, j), i <= j, in row-major order."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _coef(Q: np.ndarray) -> np.ndarray:
-    """The coefficients of rho.Q.rho over ``_pairs``: Q_ii, and Q_ij + Q_ji for i < j."""
-    return np.array([Q[i, j] + (Q[j, i] if j != i else 0.0) for i, j in _pairs(len(Q))])
-
+# rho-forms (the nu^-2 parts of all divisor expressions): coefficient
+# vectors over ``normal_form.pairs``, taken from ``shift_forms`` and
+# ``twice_gap_form``
 
 def _enclose(coefs: np.ndarray,
              box: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """Interval enclosure (lo, hi) over a positive box of the forms whose
-    ``_coef`` vectors are stacked along the last axis of ``coefs``, term by
-    term: c rho_i rho_j lies between c times the products of the pair's
-    lower and of its upper edges.  Terms are added in ``_pairs`` order."""
+    coefficient vectors are stacked along the last axis of ``coefs``, term
+    by term: c rho_i rho_j lies between c times the products of the pair's
+    lower and of its upper edges.  Terms are added in ``pairs`` order."""
     lo, hi = np.zeros((2, *coefs.shape[:-1]))
-    for c, (i, j) in zip(coefs.T, _pairs(len(box))):
+    for c, (i, j) in zip(coefs.T, pairs(len(box))):
         small = box[i][0] * box[j][0]
         big = box[i][1] * box[j][1]
         lo += np.where(c > 0, c * small, c * big)
@@ -275,12 +266,12 @@ def _domain_grid(spec: TorusSpec, resolution: int) -> np.ndarray:
 
 
 def _a0_bound(spec: TorusSpec) -> float:
-    """A0's C = nu^2 * max over the domain of the external-shift polynomial.
+    """A0's C = nu^2 * max over the domain of the external shift lambda.
 
     The maximum is the enclosure's upper end: every coefficient of the
-    shift polynomial is nonnegative, so on the positive box it is the
-    polynomial at the box's upper corner, exactly."""
-    _, hi = _enclose(_coef(rho_form(lambda_coefficient, len(spec.internal))), spec.domain)
+    lambda form is nonnegative, so on the positive box it is lambda at the
+    box's upper corner, exactly."""
+    _, hi = _enclose(np.array(shift_forms(len(spec.internal))[-1], dtype=float), spec.domain)
     return spec.nu**2 * float(hi)
 
 
@@ -351,24 +342,22 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
             key = min((abs(m) for m in blk.modes), key=lambda a: abs(lam.real - a * a))
             elliptic.append((lam.real, key))
 
-    out = []
-    min_abs = min(abs(l) for l, _ in elliptic)
-    out.append(A1Verdict("abs(Lambda) for elliptic modes", min_abs >= delta,
-                         min_abs - delta))
-    if hyperbolic_im:
-        m = min(hyperbolic_im)
-        out.append(A1Verdict("abs(Im Lambda) for hyperbolic modes", m >= delta, m - delta))
-    else:
-        out.append(A1Verdict("abs(Im Lambda) for hyperbolic modes (vacuous)", True, math.inf))
+    def least(name, values):
+        """The clause min(values) >= delta, vacuous when there are none."""
+        m = min(values, default=None)
+        if m is None:
+            return A1Verdict(f"{name} (vacuous)", True, math.inf)
+        return A1Verdict(name, m >= delta, m - delta)
+
     cross = min((abs(la - lb) for la, ka in elliptic for lb, kb in elliptic if ka < kb),
                 default=math.inf)
     tail_gap = (_A1_MODE_CUTOFF + 1)**2 - _A1_MODE_CUTOFF**2 - 2 * _a0_bound(spec)
-    out.append(A1Verdict("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)",
-                         cross >= delta and tail_gap > delta, cross - delta))
-    min_sum = min(abs(la + lb) for i, (la, _) in enumerate(elliptic)
-                  for lb, _ in elliptic[i:])
-    out.append(A1Verdict("abs(Lambda_a + Lambda_b)", min_sum >= delta, min_sum - delta))
-    return out
+    sums = [abs(la + lb) for i, (la, _) in enumerate(elliptic) for lb, _ in elliptic[i:]]
+    return [least("abs(Lambda) for elliptic modes", [abs(l) for l, _ in elliptic]),
+            least("abs(Im Lambda) for hyperbolic modes", hyperbolic_im),
+            A1Verdict("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)",
+                      cross >= delta and tail_gap > delta, cross - delta),
+            least("abs(Lambda_a + Lambda_b)", sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +387,7 @@ class DivisorTable:
     family[r]: the kind, mode count and block, a uniform pad for block
     eigenvalue terms the form does not capture, whether its rows are
     filtered, and the Lambda part of the nu^-2 quadratic form in rho.  The
-    form's coefficients (see ``_coef``) are omega_coef weighted by k plus
+    form's coefficients over ``pairs`` are omega_coef weighted by k plus
     that Lambda part; filtered rows carry no form.
     """
 
@@ -434,7 +423,7 @@ class DivisorTable:
         """The forms Q of ``rows``, stacked (rows, n, n)."""
         n = self.lattice.shape[1]
         Q = np.empty((len(rows), n, n))
-        for c, (i, j) in zip(self.coefs(rows).T, _pairs(n)):
+        for c, (i, j) in zip(self.coefs(rows).T, pairs(n)):
             Q[:, i, j] = Q[:, j, i] = c if i == j else c / 2
         return Q
 
@@ -449,7 +438,7 @@ class DivisorTable:
             yield batch, Q, self.int_part[batch, None] + spec.nu**2 * _quads(Q, grid)
 
     def coefs(self, rows: np.ndarray) -> np.ndarray:
-        """The form coefficients (``_coef``) of ``rows``; 0 for a filtered row."""
+        """The form coefficients of ``rows`` over ``pairs``; 0 for a filtered row."""
         family = self.family[rows]
         # integral Omega coefficients: the product is exact in any order
         coef = self.lattice[self.lat[rows]] @ self.omega_coef + self.fam_coef[family]
@@ -470,7 +459,7 @@ class DivisorTable:
         the upper edges of pair p.  On a positive box every term of the
         enclosure, c * small_p or c * big_p, is at most |c| big_p in size."""
         big = np.array([spec.domain[i][1] * spec.domain[j][1]
-                        for i, j in _pairs(len(spec.domain))])
+                        for i, j in pairs(len(spec.domain))])
         k_reach = 0.0
         for a in range(0, len(self.lattice), _CHUNK_ROWS):
             kC = self.lattice[a:a + _CHUNK_ROWS] @ self.omega_coef
@@ -564,8 +553,8 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
 
     The lattice with its mass sum(k), momentum, integer part and Omega form
     is built once as arrays.  Each family is a mask over it, combined with
-    spectral atoms: scalar Lambda_j (integer part j^2, the form of
-    ``lambda_coefficient``, no pad) or a coupled block's eigenvalue branches
+    spectral atoms: scalar Lambda_j (integer part j^2, the lambda form of
+    ``shift_forms``, no pad) or a coupled block's eigenvalue branches
     (role, form, pad).  Rows are sorted into nested-loop order: base
     families interleaved per k, then each block's families in ``eff.blocks``
     order; j ascends in a family.  External modes range over
@@ -575,8 +564,9 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     internal = spec.internal
     n = len(internal)
     mode_max = default_bound(internal)
-    lam = rho_form(lambda_coefficient, n)
-    none = np.zeros((n, n))
+    *omegas, lam = (np.array(f, dtype=float) for f in shift_forms(n))
+    omega_coef = np.array(omegas)
+    none = np.zeros_like(lam)
     iset = list(set(internal))
     blocked = list({m for blk in eff.blocks for m in blk.modes})
     skip = iset + blocked
@@ -591,15 +581,13 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     mass = lattice.sum(axis=1)
     mom = lattice @ np.array(internal, dtype=np.int64)
     I0 = lattice @ np.array([m * m for m in internal], dtype=np.int64)
-    omegas = [rho_form(omega_coefficient, n, i) for i in range(n)]
-    omega_coef = np.array([_coef(Q) for Q in omegas])
     families = []  # (kind, n_modes, block, pad, filtered, Lambda coefficients)
     # per family, its row count and its entry of each column: an array over
     # its rows, or one number shared by all of them
     sizes = []
     parts = {name: [] for name in ("key", "lat", "mode0", "mode1", "int_part")}
 
-    def emit(idx, kind, modes, int_part=None, Q=None, pad=0.0, slot=0, sub=0, block=-1):
+    def emit(idx, kind, modes, int_part=None, coef=None, pad=0.0, slot=0, sub=0, block=-1):
         """A family of rows over lattice indices ``idx``; int_part None
         marks them filtered."""
         filtered = int_part is None
@@ -609,14 +597,14 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
         for name, v in zip(parts, (key, idx, m[0], m[1], 0 if filtered else int_part)):
             parts[name].append(v)
         families.append((KINDS.index(kind), len(modes), block, pad, filtered,
-                         np.zeros(omega_coef.shape[1]) if filtered else _coef(Q)))
+                         none if filtered else coef))
 
-    def emit_with_scalar(idx, j, kind, lead, int_part, Q, pad, slot, block=-1):
+    def emit_with_scalar(idx, j, kind, lead, int_part, coef, pad, slot, block=-1):
         """Rows ending in scalar Lambda_j: filtered if j is internal, absent if blocked."""
         inner = np.isin(j, iset)
         emit(idx[inner], kind, (*lead, j[inner]), slot=slot, block=block)
         keep = ~np.isin(j, skip)
-        emit(idx[keep], kind, (*lead, j[keep]), int_part[keep], Q, pad, slot, block=block)
+        emit(idx[keep], kind, (*lead, j[keep]), int_part[keep], coef, pad, slot, block=block)
 
     # slots order the families of one k: OmegaK 0, single 1 (block branches
     # 0-1 by role), pairs 2, differences 3, block branch +- Lambda_j 4-7
@@ -634,15 +622,16 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     # Omega.k + Lambda_j - Lambda_l : one eta, one zeta; the scalar shifts
     # cancel exactly, and same-|mode| pairs share a cluster.
     jj = np.arange(-mode_max, mode_max + 1)
-    for sgn, mask, kind, Q, slot in ((1, mass == -2, OMEGA_K_PLUS_PLUS, 2 * lam, 2),
-                                     (-1, (mass == 0) & (mom != 0), OMEGA_K_PLUS_MINUS, none, 3)):
+    for sgn, mask, kind, coef, slot in ((1, mass == -2, OMEGA_K_PLUS_PLUS, 2 * lam, 2),
+                                        (-1, (mass == 0) & (mom != 0), OMEGA_K_PLUS_MINUS,
+                                         none, 3)):
         idx = every[mask]
         ll = -sgn * (mom[idx, None] + jj)  # momentum: mom + j + sgn * l = 0
         ok = (jj <= ll) if sgn > 0 else (np.abs(jj) != np.abs(ll))
         ok &= (np.abs(ll) <= mode_max) & ~np.isin(jj, skip) & ~np.isin(ll, skip)
         r, c = np.nonzero(ok)
         j, l = jj[c], ll[r, c]
-        emit(idx[r], kind, (j, l), I0[idx[r]] + j * j + sgn * l * l, Q, slot=slot, sub=c)
+        emit(idx[r], kind, (j, l), I0[idx[r]] + j * j + sgn * l * l, coef, slot=slot, sub=c)
     del ll, ok
 
     # coupled-block divisor families
@@ -651,11 +640,11 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
         # vanishes identically), so its families must not test it
         resident = _resident(blk.k, k_max, L)
 
-        def pair(mask, kind, modes, int_part, Q, pad, slot):
+        def pair(mask, kind, modes, int_part, coef, pad, slot):
             """A block's own pair family; its defining monomial is filtered."""
             emit(every[mask & resident], kind, modes, slot=slot, block=b)
             idx = every[mask & ~resident]
-            emit(idx, kind, modes, I0[idx] + int_part, Q, pad, slot, block=b)
+            emit(idx, kind, modes, I0[idx] + int_part, coef, pad, slot, block=b)
 
         # blk.modes is (s_role, t_role); an E block's one mode plays both
         s_role, t_role = blk.modes[0], blk.modes[-1]
@@ -663,13 +652,13 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
         if blk.kind == "B":
             # a = (Lambda_t - Lambda_s)/2 = nu^2 (lambda + k.omega/2) and
             # b = Lambda_t - a, over nu^2
-            gap = lam + 0.5 * sum(e * Q for e, Q in zip(blk.k, omegas))
-            amax = spec.nu**2 * float(np.max(np.abs(_enclose(_coef(gap), spec.domain))))
+            gap = np.array(twice_gap_form(blk.k), dtype=float) / 2
+            amax = spec.nu**2 * float(np.max(np.abs(_enclose(gap, spec.domain))))
             pad1 = _pad_b_root(spec, blk, amax)
             # slack for the frame ambiguity of chart-dependent nu^2 shifts:
             # the bound on |2a|, exactly twice amax
             slack = 2 * amax
-            branch_Q, branch_pad = lam - gap, pad1 + slack
+            branch_coef, branch_pad = lam - gap, pad1 + slack
             # eigenvalue pair sum: trace of the block, creation pair
             pair((mass == -2) & (mom + s_role + t_role == 0), OMEGA_K_PLUS_PLUS, blk.modes,
                  s_role**2 + t_role**2, 2 * (lam - gap), slack, 2)
@@ -679,8 +668,8 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
             # energy-conserving blocks (elliptic couplings): eigenvalue pairs
             # perturb (s_role^2, t_role^2); pad covers the rotation of the
             # block eigenvalues away from the scalar shifts.
-            branch_Q, branch_pad = lam, (abs(blk.eigenvalues[-1].real - blk.eigenvalues[0].real)
-                                         + 2 * abs(blk.coupling))
+            branch_coef, branch_pad = lam, (abs(blk.eigenvalues[-1].real - blk.eigenvalues[0].real)
+                                            + 2 * abs(blk.coupling))
             if blk.kind == "E":
                 # creation pair (s, s): divisor 2 Lambda_s + Omega.k
                 pair((mass == -2) & (mom + 2 * s_role == 0), OMEGA_K_PLUS_PLUS,
@@ -695,7 +684,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
             # even-gap two-mode torus these force half-integer lattice
             # components, removing the families entirely)
             idx = every[(mass == -1) & (mom + role == 0)]
-            emit(idx, OMEGA_K_PLUS_LAMBDA, (role,), I0[idx] + role * role, branch_Q,
+            emit(idx, OMEGA_K_PLUS_LAMBDA, (role,), I0[idx] + role * role, branch_coef,
                  branch_pad, r, block=b)
             # mixed: eigenvalue branch +- scalar Lambda_j
             for slot, sgn in ((4 + r, 1), (6 + r, -1)):
@@ -703,7 +692,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
                 j = -sgn * (mom[idx] + role)
                 emit_with_scalar(idx, j, OMEGA_K_PLUS_PLUS if sgn > 0 else OMEGA_K_PLUS_MINUS,
                                  (role,), I0[idx] + role * role + sgn * j * j,
-                                 branch_Q + sgn * lam, branch_pad, slot, block=b)
+                                 branch_coef + sgn * lam, branch_pad, slot, block=b)
 
     del mass, mom, I0  # I0 now lives on only as a family's integer part
     order = np.argsort(np.concatenate(parts.pop("key")), kind="stable")
@@ -753,6 +742,20 @@ def _pad_b_root(spec: TorusSpec, blk, amax: float) -> float:
     return math.hypot(amax, block_coupling(corner, blk.kind, *blk.modes, blk.witness))
 
 
+def _a2_inputs(eff: EffectiveHamiltonian, delta: float | None, k_max: int,
+               grid_resolution: int, least_resolution: int) -> tuple:
+    """(spec, delta, grid, table) of ``check_A2`` and ``measure_scan``.  A
+    grid under ``least_resolution`` points per dimension is refused, and so
+    is k_max < 1, whose empty lattice would certify nothing."""
+    if grid_resolution < least_resolution:
+        raise ValueError(f"grid_resolution must be at least {least_resolution} per dimension")
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    spec = eff.spec
+    return (spec, _delta(spec, delta), _domain_grid(spec, grid_resolution),
+            enumerate_A2_expressions(eff, k_max))
+
+
 def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
              k_max: int = 20, grid_resolution: int = 16) -> HypothesisReport:
     """Verdict for every admissible divisor with |k|_inf <= k_max.
@@ -763,12 +766,7 @@ def check_A2(eff: EffectiveHamiltonian, delta: float | None = None,
     then coordinate and gradient directions) handle the rest.
     grid_resolution is the grid's points per dimension, at least 2.
     """
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2 per dimension")
-    spec = eff.spec
-    delta = _delta(spec, delta)
-    grid = _domain_grid(spec, grid_resolution)
-    table = enumerate_A2_expressions(eff, k_max)
+    spec, delta, grid, table = _a2_inputs(eff, delta, k_max, grid_resolution, 2)
     codes = (~table.filtered).astype(np.int8)  # FILTERED 0, LOWER_BOUNDED 1
     witnesses = {}
     for rows, forms, divisors in table.divisors(spec, table.open_rows(spec, delta), grid):
@@ -784,12 +782,7 @@ def measure_scan(eff: EffectiveHamiltonian, delta: float | None = None,
                  k_max: int = 20, grid_resolution: int = 16) -> float:
     """Fraction of domain grid points where some admissible divisor falls
     below delta in magnitude (delta = 0 counts exact resonances)."""
-    if grid_resolution < 8:
-        raise ValueError("grid_resolution must be at least 8 per dimension")
-    spec = eff.spec
-    delta = _delta(spec, delta)
-    grid = _domain_grid(spec, grid_resolution)
-    table = enumerate_A2_expressions(eff, k_max)
+    spec, delta, grid, table = _a2_inputs(eff, delta, k_max, grid_resolution, 8)
     excluded = np.zeros(grid.shape[0], dtype=bool)
     for _, _, vals in table.divisors(spec, table.open_rows(spec, delta, strict=True), grid):
         near = (vals == 0) if delta == 0 else (np.abs(vals) < delta)

@@ -154,7 +154,9 @@ def test_criterion_03_family_identities():
 
 
 def test_criterion_04_gap_vanishes_exactly():
-    a = nf.b_gap_coefficient((Fraction(2), Fraction(1), Fraction(9)))
+    # the gap a / nu^2 of the B block, half its twice-gap form, over the
+    # witness (-3, 10, -6) = FLAGSHIP
+    a = Fraction(nf.form_value(nf.twice_gap_form(rs.RESONANT_EXPONENTS["B"]), (2, 1, 9)), 2)
     report(4, a == 0, f"a(2,1,9) = {a} (exact rational)")
 
 

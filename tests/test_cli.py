@@ -263,8 +263,8 @@ def test_hypotheses_writes_valid_json(tmp_path):
 
 
 def test_hypotheses_streamed_lines_golden(tmp_path):
-    # the file is the golden lines plus a final "\n", and "\n" alone for an
-    # empty table
+    # the file is the golden lines plus a final "\n"; k_max 0, whose table
+    # is empty, is refused before anything is written
     flagship_d2 = ("hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9",
                    "--nu", "0.01", "--domain", "D2", "--band", "20")
     digest, k_max = A2_LINES_SHA256["D2"]
@@ -274,8 +274,9 @@ def test_hypotheses_streamed_lines_golden(tmp_path):
     assert data.endswith(b"}\n")
     assert hashlib.sha256(data[:-1]).hexdigest() == digest
     res = run_cli(*flagship_d2, "--kmax", "0", "--out", str(tmp_path / "empty"))
-    assert res.returncode == cli.EXIT_OK, res.stderr
-    assert (tmp_path / "empty" / "a2_verdicts.jsonl").read_bytes() == b"\n"
+    assert res.returncode == cli.EXIT_IO
+    assert res.stderr == "error: k_max must be at least 1, got 0\n"
+    assert not (tmp_path / "empty").exists()
 
 
 # sha256 of hypotheses.json for the flagship at k_max 4 on the point box,
@@ -484,8 +485,57 @@ def test_overflow_is_one_error_line(tmp_path):
     res = run_cli("classify", "-p", "0", "-q", "1", "--rho", "1e120,1e120",
                   "--out", str(tmp_path))
     assert res.returncode == cli.EXIT_IO
-    assert "Traceback" not in res.stderr
-    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: ")
+    assert res.stderr == "error: rho too large: the normal form's constant overflows a float\n"
+
+
+def test_block_margin_overflow_names_the_block(tmp_path, capsys):
+    # at rho = 1e80 the shifts and the constant are finite, but the B
+    # block's (C^2 - a^2) / nu^4 is not
+    code = cli.main(["classify", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "1e80,1e80,1e80",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err == ("error: rho too large: the B block's margin "
+                                       "overflows a float\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "-p", "1", "-q", "1"),
+    ("classify", "-p", "0", "-q", "1", "-m", "0", "--rho", "1,1,1"),
+    ("resonances", "-p", "1", "-q", "1"),
+], ids=["two-mode", "three-mode", "resonances"])
+def test_repeated_internal_modes_are_one_error_line(args, tmp_path, capsys):
+    assert cli.main([*args, "--out", str(tmp_path)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "error: internal modes must be distinct\n"
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_hypotheses_refuses_an_empty_lattice(k_max, tmp_path, capsys):
+    # no lattice point, no A2 divisor: an empty table certifies nothing
+    code = cli.main(["hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9",
+                     "--kmax", k_max, "--out", str(tmp_path)])
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: k_max must be at least 1, got {k_max}\n"
+
+
+def test_classify_refuses_a_negative_band(tmp_path, capsys):
+    assert cli.main(["classify", "-p", "0", "-q", "1", "--band", "-5",
+                     "--out", str(tmp_path)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "error: band must be nonnegative, got -5\n"
+
+
+def test_hypotheses_band_without_elliptic_modes(tmp_path, capsys):
+    # band 0 around (0, 1) leaves no scalar mode and no block: A1's
+    # elliptic clauses are vacuous, as its hyperbolic clause is
+    code = cli.main(["hypotheses", "-p", "0", "-q", "1", "--band", "0", "--kmax", "2",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    a1 = json.loads((tmp_path / "hypotheses.json").read_text())["A1"]
+    assert [(v["name"], v["passed"], v["margin"]) for v in a1] == [
+        ("abs(Lambda) for elliptic modes (vacuous)", True, "inf"),
+        ("abs(Im Lambda) for hyperbolic modes (vacuous)", True, "inf"),
+        ("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)", True, "inf"),
+        ("abs(Lambda_a + Lambda_b) (vacuous)", True, "inf"),
+    ]
 
 
 @pytest.mark.parametrize("torus,notes", [

@@ -30,7 +30,7 @@ def flagship_eff(rho=(2.0, 1.0, 9.0), nu=0.01, domain=None, band=20):
 def test_omega_matches_coefficients():
     spec = nf.TorusSpec((0, 1), (2.0, 3.0), 0.1)
     for i, j in enumerate(spec.internal):
-        shift = nf.omega_coefficient(spec.rho, i)
+        shift = nf.form_value(nf.shift_forms(2)[i], spec.rho)
         assert spec.omega[i] == pytest.approx(j * j + 0.1**2 * shift)
 
 
@@ -93,20 +93,20 @@ def test_non_dyadic_exact_rho_classifies():
     eff, cls = nf.classify_torus(spec, rs.enumerate_sets(FLAGSHIP))
     blk = next(b for b in eff.blocks if b.kind == "B")
     r1, r2, r3 = (rho[FLAGSHIP.index(m)] for m in blk.witness)
-    gap = nf.b_gap_coefficient((r1, r2, r3))
+    gap = _b_gap_ref((r1, r2, r3))
     hyperbolic = 324 * r1 * r1 * r2 * r3 > gap * gap
     assert blk.classification == (nf.HYPERBOLIC if hyperbolic else nf.ELLIPTIC)
     assert cls.verdict == ("Unstable" if hyperbolic else "Stable")
 
 
 def test_omega_coefficient_exact_rational():
-    c = nf.omega_coefficient((Fraction(2), Fraction(1), Fraction(9)), 0)
+    c = nf.form_value(nf.shift_forms(3)[0], (Fraction(2), Fraction(1), Fraction(9)))
     assert isinstance(c, Fraction)
 
 
 def test_lambda_coefficient_value():
     # 9 * (sum rho^2 + 4 * sum_{i<j} rho_i rho_j)
-    assert nf.lambda_coefficient((2.0, 1.0, 9.0)) == pytest.approx(
+    assert nf.form_value(nf.shift_forms(3)[-1], (2.0, 1.0, 9.0)) == pytest.approx(
         9 * (4 + 1 + 81) + 36 * (2 + 9 + 18))
 
 
@@ -249,8 +249,9 @@ def test_trace_invariant():
 # blocks
 
 def test_b_gap_zero_exact():
-    assert nf.b_gap_coefficient((2, 1, 9)) == 0
-    assert isinstance(nf.b_gap_coefficient((2, 1, 9)), Fraction)
+    # twice the gap over the witness (-3, 10, -6), an exact integer at integer rho
+    twice = nf.form_value(nf.twice_gap_form(rs.RESONANT_EXPONENTS["B"]), (2, 1, 9))
+    assert twice == 0 and type(twice) is int
 
 
 def test_b_block_hyperbolic_at_a0_point():
@@ -399,7 +400,7 @@ def test_hyperbolic_rate_survives_the_spectrum_snap():
             assert cls.verdict == "Unstable" and cls.max_im == blk.max_im > 0
             ra, rb, rc = (rho[m] for m in blk.witness)
             excess = (nf.coupling_count("E", blk.witness, *blk.modes, *blk.modes) ** 2
-                      * ra * ra * rb * rc - nf.b_gap_coefficient((ra, rb, rc)) ** 2)
+                      * ra * ra * rb * rc - _e_lambda_s_ref((ra, rb, rc)) ** 2)
             assert blk.margin == float(excess) > 0
             if im == 0.0:
                 assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
@@ -444,6 +445,12 @@ def test_precondition_internal_mismatch():
     spec = nf.TorusSpec((0, 1, 2), (1.0, 1.0, 1.0), 0.01)
     with pytest.raises(nf.PreconditionViolated):
         nf.classify_torus(spec, cat)
+
+
+def test_internal_modes_must_be_distinct():
+    for internal in ((1, 1), (0, 1, 0)):
+        with pytest.raises(ValueError, match="internal modes must be distinct"):
+            nf.TorusSpec(internal, (1.0,) * len(internal), 0.01)
 
 
 def lambda_external(j: int, spec: nf.TorusSpec) -> float:
@@ -754,36 +761,48 @@ def _same(got, want, rho):
 @settings(max_examples=200, deadline=None)
 @given(_rho())
 def test_rho_polynomials_match_fraction_oracle(case):
+    # form_value runs in the arithmetic of rho
     kind, rho = case
-    for i in range(len(rho)):
-        got = nf.omega_coefficient(rho, i)
+    *omega, lam = nf.shift_forms(len(rho))
+    for i, form in enumerate(omega):
+        got = nf.form_value(form, rho)
         assert type(got) is kind
         assert _same(got, _omega_ref(rho, i), rho)
-    got = nf.lambda_coefficient(rho)
+    got = nf.form_value(lam, rho)
     assert type(got) is kind
     assert _same(got, _lambda_ref(rho), rho)
     if len(rho) == 3:
-        got = nf.b_gap_coefficient(rho)
-        assert type(got) is (float if kind is float else Fraction)
-        assert _same(got, _b_gap_ref(rho), rho)
+        got = nf.form_value(nf.twice_gap_form(rs.RESONANT_EXPONENTS["B"]), rho)
+        assert type(got) is kind
+        assert _same(got, 2 * _b_gap_ref(rho), rho)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_rho(kinds=(int, Fraction)))
 def test_rho_forms_match_fraction_oracle(case):
-    # the read-only matrices the divisors use give rho.Q.rho = P(rho) exactly
+    # the integer coefficient vectors over nf.pairs give the hand-typed
+    # polynomials exactly; the twice-gap form of a B witness that permutes
+    # the internal modes is the witness-order gap
     _, rho = case
     n = len(rho)
+    assert nf.pairs(n) == tuple(itertools.combinations_with_replacement(range(n), 2))
 
-    def quad(Q):
-        assert not Q.flags.writeable
-        return sum(Fraction(Q[i, j]) * rho[i] * rho[j] for i in range(n) for j in range(n))
+    def value(form):
+        assert all(type(c) is int for c in form)
+        return sum(c * Fraction(rho[a]) * rho[b] for c, (a, b) in zip(form, nf.pairs(n)))
 
-    for i in range(n):
-        assert quad(nf.rho_form(nf.omega_coefficient, n, i)) == _omega_ref(rho, i)
-    assert quad(nf.rho_form(nf.lambda_coefficient, n)) == _lambda_ref(rho)
+    *omega, lam = nf.shift_forms(n)
+    for i, form in enumerate(omega):
+        assert value(form) == _omega_ref(rho, i)
+    assert value(lam) == _lambda_ref(rho)
     if n == 3:
-        assert quad(nf.rho_form(nf.b_gap_coefficient, 3)) == _b_gap_ref(rho)
+        for idx in itertools.permutations(range(3)):
+            k = [0] * 3
+            for e, i in zip(rs.RESONANT_EXPONENTS["B"], idx):
+                k[i] += e
+            want = 2 * _b_gap_ref([rho[i] for i in idx])
+            assert value(nf.twice_gap_form(tuple(k))) == want == 2 * _e_lambda_s_ref(
+                [rho[i] for i in idx])
 
 
 @settings(max_examples=200, deadline=None)
@@ -794,14 +813,15 @@ def test_exact_rho_floats_bit_for_bit(case, nu):
     _, rho = case
     internal = tuple(range(len(rho)))
     spec = nf.TorusSpec(internal, rho, nu)
-    assert spec.omega == tuple(m * m + nu**2 * float(nf.omega_coefficient(rho, i))
+    assert spec.omega == tuple(m * m + nu**2 * float(_omega_ref(rho, i))
                                for i, m in enumerate(internal))
-    assert spec.lambda_shift == nu**2 * float(nf.lambda_coefficient(rho))
-    for i in internal:
-        for j in internal:
-            assert spec.float_of(lambda r: r[i] * r[j]) == float(rho[i] * rho[j])
+    assert spec.lambda_shift == nu**2 * float(_lambda_ref(rho))
+    for p in nf.pairs(len(rho)):
+        unit = [int(q == p) for q in nf.pairs(len(rho))]
+        assert spec.float_of(unit) == float(Fraction(rho[p[0]]) * rho[p[1]])
     if len(rho) == 3:
-        assert spec.float_of(_b_poly) == float(_b_poly(rho))
+        # _b_poly's coefficients over the pairs (0,0) (0,1) (0,2) (1,1) (1,2) (2,2)
+        assert spec.float_of((-1, -6, 6, 1, 12, 5)) == float(_b_poly([Fraction(r) for r in rho]))
 
 
 _FLOAT_TORI = (FLAGSHIP, (-5, -3, 3), (-2, -1, 2), (0, 2), (0, 1))
@@ -859,12 +879,13 @@ def test_omega_and_lambda_are_counted_sextic_terms(case):
     for i in range(n):
         d_z6 = sum(_orderings(e) ** 2 * e[i] * _monomial(rho, [x - (j == i) for j, x in enumerate(e)])
                    for e in _exponents(n, 3) if e[i])
-        assert nf.omega_coefficient(rho, i) == d_z6
-    assert nf.lambda_coefficient(rho) == sum(_orderings((*e, 1)) ** 2 * _monomial(rho, e)
-                                             for e in _exponents(n, 2))
+        assert nf.form_value(nf.shift_forms(n)[i], rho) == d_z6
+    assert nf.form_value(nf.shift_forms(n)[-1], rho) == sum(
+        _orderings((*e, 1)) ** 2 * _monomial(rho, e) for e in _exponents(n, 2))
     if n == 3:
         # the pair-creation gap is also the self-coupled block's Lambda_s
-        assert nf.b_gap_coefficient(rho) == _e_lambda_s_ref(rho)
+        twice = nf.form_value(nf.twice_gap_form(rs.RESONANT_EXPONENTS["B"]), rho)
+        assert twice == 2 * _e_lambda_s_ref(rho)
 
 
 def test_block_couplings_are_ordered_counts():

@@ -50,6 +50,19 @@ def _interval(Q, box):
     return lo, hi
 
 
+def _coef(Q):
+    """The coefficients of rho.Q.rho over ``nf.pairs``: Q_ii, and Q_ij + Q_ji for i < j."""
+    return np.array([Q[i, j] + (Q[j, i] if j != i else 0.0) for i, j in nf.pairs(len(Q))])
+
+
+def _matrix(form, n):
+    """The symmetric Q with rho.Q.rho the form ``form`` over ``nf.pairs(n)``."""
+    Q = np.empty((n, n))
+    for c, (i, j) in zip(form, nf.pairs(n)):
+        Q[i, j] = Q[j, i] = c if i == j else c / 2
+    return Q
+
+
 def verdict_rows(rep):
     """(DivisorExpression, verdict, witness) per row of an A2 report, in
     enumeration order."""
@@ -210,11 +223,12 @@ def test_a0_bound_is_the_box_maximum(internal, lows, widths, nu, seed):
         assume(False)
     bound = sd.check_A0(eff).bound
     tol = 1e-13 * bound
-    corner = nu**2 * nf.lambda_coefficient([hi for _, hi in box])
+    lam = nf.shift_forms(n)[-1]
+    corner = nu**2 * nf.form_value(lam, [hi for _, hi in box])
     assert bound <= corner + tol
     rng = np.random.default_rng(seed)
     for rho in rng.uniform([lo for lo, _ in box], [hi for _, hi in box], (20, n)):
-        assert nu**2 * nf.lambda_coefficient(rho) <= bound + tol
+        assert nu**2 * nf.form_value(lam, rho) <= bound + tol
 
 
 def test_a1_hyperbolic_block():
@@ -365,7 +379,9 @@ def test_a2_lines_do_not_depend_on_chunk_size(monkeypatch):
 
 
 def test_a2_lines_of_an_empty_table():
-    rep = sd.check_A2(golden_eff("D1"), k_max=0)
+    # check_A2 refuses k_max 0, so the empty report is built from its table
+    table = sd.enumerate_A2_expressions(golden_eff("D1"), 0)
+    rep = sd.HypothesisReport(1e-4, 0, table, np.zeros(0, dtype=np.int8), {})
     assert len(rep.table) == 0
     assert a2_lines(rep) == "\n"
 
@@ -595,9 +611,7 @@ def test_resident_mask_by_index_matches_the_scan():
             for k in ks:
                 scan = (lattice == k).all(axis=1) | (lattice == [-x for x in k]).all(axis=1)
                 assert np.array_equal(sd._resident(k, k_max, len(lattice)), scan), (k, k_max)
-    rep = sd.check_A2(golden_eff("D1"), k_max=-1)
-    assert len(rep.table) == 0
-    assert a2_lines(rep) == "\n"
+    assert len(sd.enumerate_A2_expressions(golden_eff("D1"), -1)) == 0
 
 
 def test_a2_b_forms_follow_the_witness():
@@ -616,7 +630,7 @@ def test_a2_b_forms_follow_the_witness():
               if table.expression(r).block == table.labels[b] and not table.filtered[r]
               and table.expression(r).kind == sd.OMEGA_K_PLUS_PLUS
               and table.expression(r).modes == blk.modes}
-    got = sum(c * rho[i] * rho[j] for c, (i, j) in zip(table.fam_coef[fam], sd._pairs(3)))
+    got = sum(c * rho[i] * rho[j] for c, (i, j) in zip(table.fam_coef[fam], nf.pairs(3)))
     assert got == pytest.approx(want, rel=1e-12)  # 633.3; 844.98 in witness order
 
 
@@ -630,11 +644,11 @@ def _witness_k(internal, blk):
 
 
 def _witness_gap_form(internal, blk):
-    """``b_gap_coefficient``'s matrix, stated over the block's witness, moved
-    to the internal order."""
+    """The matrix of the gap a / nu^2, half the twice-gap form stated over
+    the block's witness, moved to the internal order."""
     idx = [internal.index(m) for m in blk.witness]
     Q = np.empty((3, 3))
-    Q[np.ix_(idx, idx)] = nf.rho_form(nf.b_gap_coefficient, 3)
+    Q[np.ix_(idx, idx)] = _matrix(nf.twice_gap_form(rs.RESONANT_EXPONENTS["B"]), 3) / 2
     return Q
 
 
@@ -644,7 +658,7 @@ def test_a2_block_facts_over_the_instability_net():
     # A2's pair-creation families carry the gap form and the coupling bound
     # stated over the witness
     rng = random.Random(20261020)
-    lam = nf.rho_form(nf.lambda_coefficient, 3)
+    lam = _matrix(nf.shift_forms(3)[-1], 3)
     sets, b_blocks = 0, 0
     kinds = set()
     for internal in itertools.combinations(range(-15, 16), 3):
@@ -676,7 +690,7 @@ def test_a2_block_facts_over_the_instability_net():
             single = mine & (table.fam_kind == sd.KINDS.index(sd.OMEGA_K_PLUS_LAMBDA))
             assert single.sum() == 2
             for coef in table.fam_coef[single]:
-                assert np.array_equal(coef, sd._coef(lam - gap)), (internal, blk)
+                assert np.array_equal(coef, _coef(lam - gap)), (internal, blk)
             r1, r2, r3 = (domain[internal.index(m)][1] for m in blk.witness)
             cmax = nf.coupling_count("B", blk.witness, *blk.modes) * nu2 * r1 * math.sqrt(r2 * r3)
             amax = max(abs(v) for v in _interval(gap, domain)) * nu2
@@ -740,6 +754,15 @@ def test_non_finite_delta_is_refused(delta):
     assert all(v.passed for v in sd.check_A1(eff, delta=-1.0))
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_empty_lattice_is_refused(k_max):
+    # with no lattice point there is no divisor, and nothing is certified
+    eff = flagship_eff(domain="D2")
+    for check in (sd.check_A2, sd.measure_scan):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            check(eff, k_max=k_max)
+
+
 # ---------------------------------------------------------------------------
 # interval enclosure
 
@@ -749,7 +772,7 @@ def test_non_finite_delta_is_refused(delta):
 def test_interval_encloses_samples(entries, lows):
     Q = np.array(entries).reshape(3, 3)
     box = [(lo, lo + 0.1) for lo in lows]
-    lo, hi = sd._enclose(sd._coef(Q), box)
+    lo, hi = sd._enclose(_coef(Q), box)
     assert (lo, hi) == _interval(Q, box)
     rng = np.random.default_rng(0)
     pts = np.array([[rng.uniform(a, b) for a, b in box] for _ in range(20)])
