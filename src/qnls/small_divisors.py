@@ -349,15 +349,14 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
             return A1Verdict(f"{name} (vacuous)", True, math.inf)
         return A1Verdict(name, m >= delta, m - delta)
 
-    cross = min((abs(la - lb) for la, ka in elliptic for lb, kb in elliptic if ka < kb),
-                default=math.inf)
-    tail_gap = (_A1_MODE_CUTOFF + 1)**2 - _A1_MODE_CUTOFF**2 - 2 * _a0_bound(spec)
+    cross = least("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)",
+                  (abs(la - lb) for la, ka in elliptic for lb, kb in elliptic if ka < kb))
+    # the tail beyond the cutoff holds whether or not any cluster pair is left
+    cross.passed &= (_A1_MODE_CUTOFF + 1)**2 - _A1_MODE_CUTOFF**2 - 2 * _a0_bound(spec) > delta
     sums = [abs(la + lb) for i, (la, _) in enumerate(elliptic) for lb, _ in elliptic[i:]]
     return [least("abs(Lambda) for elliptic modes", [abs(l) for l, _ in elliptic]),
             least("abs(Im Lambda) for hyperbolic modes", hyperbolic_im),
-            A1Verdict("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)",
-                      cross >= delta and tail_gap > delta, cross - delta),
-            least("abs(Lambda_a + Lambda_b)", sums)]
+            cross, least("abs(Lambda_a + Lambda_b)", sums)]
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +550,13 @@ def _quads(Q: np.ndarray, grid: np.ndarray) -> np.ndarray:
 def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTable:
     """Every divisor family in one pass over the lattice.
 
-    The lattice with its mass sum(k), momentum, integer part and Omega form
-    is built once as arrays.  Each family is a mask over it, combined with
+    Each family draws on the points of one mass class sum(k), combined with
     spectral atoms: scalar Lambda_j (integer part j^2, the lambda form of
-    ``shift_forms``, no pad) or a coupled block's eigenvalue branches
-    (role, form, pad).  Rows are sorted into nested-loop order: base
-    families interleaved per k, then each block's families in ``eff.blocks``
-    order; j ascends in a family.  External modes range over
+    ``shift_forms``, no pad) or a coupled block's eigenvalue branches (role,
+    form, pad).  Rows are in nested-loop order: base families interleaved
+    per k, then each block's families in ``eff.blocks`` order; j ascends in
+    a family.  A base row's place is counted from the rows of the points
+    before it; only block rows are sorted.  External modes range over
     |j| <= ``default_bound(internal)``, the default catalog bound.
     """
     spec = eff.spec
@@ -567,84 +566,106 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
     *omegas, lam = (np.array(f, dtype=float) for f in shift_forms(n))
     omega_coef = np.array(omegas)
     none = np.zeros_like(lam)
-    iset = list(set(internal))
     blocked = list({m for blk in eff.blocks for m in blk.modes})
-    skip = iset + blocked
 
-    # every nonzero k with |k|_inf <= k_max, in itertools.product order.
-    # int32 holds any lattice point, lattice index or mode the table can
-    # have, as the lattice and the mode range are arrays that long; sums
-    # and products over them are taken in int64
-    lattice = np.indices((max(2 * k_max + 1, 0),) * n, dtype=np.int32).reshape(n, -1).T - k_max
-    lattice = lattice[lattice.any(axis=1)]
-    L = len(lattice)
-    mass = lattice.sum(axis=1)
-    mom = lattice @ np.array(internal, dtype=np.int64)
-    I0 = lattice @ np.array([m * m for m in internal], dtype=np.int64)
+    # every nonzero k with |k|_inf <= k_max, in itertools.product order: the
+    # cube of side 2 k_max + 1 less its centre, zero.  int32 holds any lattice
+    # point, lattice index or mode the table can have; sums and products over
+    # them are taken in int64
+    side = np.arange(-max(k_max, 0), max(k_max, 0) + 1)
+    L = len(side)**n - 1
+
+    def over_cube(values, out):  # fill out with values broadcast over the cube, less its centre
+        values = np.broadcast_to(values, (len(side),) * n).ravel()
+        out[:L // 2], out[L // 2:] = values[:L // 2], values[L // 2 + 1:]
+        return out
+
+    axes = np.ix_(*[side] * n)  # k_i along axis i of the cube
+    lattice = np.empty((L, n), dtype=np.int32)
+    for i, axis in enumerate(axes):
+        over_cube(axis.astype(np.int32), lattice[:, i])
+    I0 = over_cube(sum(m * m * axis for m, axis in zip(internal, axes)), np.empty(L, np.int64))
+    # every family but OmegaK's draws on the points of mass -2, -1 or 0
+    mass = over_cube(sum(axes), np.empty(L, np.int32))
+    points = {c: np.flatnonzero(mass == c) for c in (-2, -1, 0)}
+    moms = {c: lattice[idx] @ np.array(internal, dtype=np.int64) for c, idx in points.items()}
+
+    def on(c, momentum):
+        return points[c][moms[c] == momentum]
+
+    # scalar[j] says what Lambda_j is: 0 free, 1 internal, 2 blocked, for
+    # every j a family tests (|j| <= reach; a negative j wraps to the end)
+    reach = max([mode_max, *map(abs, blocked)]) + max(k_max, 0) * sum(map(abs, internal))
+    scalar = np.zeros(2 * reach + 1, dtype=np.int8)
+    scalar[blocked] = 2
+    scalar[list(internal)] = 1
+
     families = []  # (kind, n_modes, block, pad, filtered, Lambda coefficients)
-    # per family, its row count and its entry of each column: an array over
-    # its rows, or one number shared by all of them
-    sizes = []
-    parts = {name: [] for name in ("key", "lat", "mode0", "mode1", "int_part")}
+    # per family, its rows' offsets from their point's first base row (block rows: sort
+    # keys) and its entry of each column: an array over its rows, or one shared number
+    parts = []
 
-    def emit(idx, kind, modes, int_part=None, coef=None, pad=0.0, slot=0, sub=0, block=-1):
-        """A family of rows over lattice indices ``idx``; int_part None
-        marks them filtered."""
+    def emit(at, idx, kind, modes, int_part=None, coef=None, pad=0.0, block=-1):
+        """A family of rows over lattice indices ``idx``; int_part None marks them filtered."""
         filtered = int_part is None
-        sizes.append(len(idx))
-        key = (((block + 1) * L + idx.astype(np.int64)) * 8 + slot) * (2 * mode_max + 1) + sub
-        m = (*modes, 0, 0)
-        for name, v in zip(parts, (key, idx, m[0], m[1], 0 if filtered else int_part)):
-            parts[name].append(v)
+        at = at if block < 0 else (block * L + idx) * 8 + at
+        parts.append((at, idx, len(families), *(*modes, 0, 0)[:2], 0 if filtered else int_part))
         families.append((KINDS.index(kind), len(modes), block, pad, filtered,
                          none if filtered else coef))
 
-    def emit_with_scalar(idx, j, kind, lead, int_part, coef, pad, slot, block=-1):
-        """Rows ending in scalar Lambda_j: filtered if j is internal, absent if blocked."""
-        inner = np.isin(j, iset)
-        emit(idx[inner], kind, (*lead, j[inner]), slot=slot, block=block)
-        keep = ~np.isin(j, skip)
-        emit(idx[keep], kind, (*lead, j[keep]), int_part[keep], coef, pad, slot, block=block)
+    def emit_with_scalar(at, idx, j, kind, lead, int_part, coef, pad, block=-1):
+        """Rows ending in scalar Lambda_j, filtered if j is internal; returns where j is blocked."""
+        what = scalar[j]
+        inner, keep = what == 1, what == 0
+        emit(at, idx[inner], kind, (*lead, j[inner]), block=block)
+        emit(at, idx[keep], kind, (*lead, j[keep]), int_part[keep], coef, pad, block)
+        return what == 2
 
-    # slots order the families of one k: OmegaK 0, single 1 (block branches
-    # 0-1 by role), pairs 2, differences 3, block branch +- Lambda_j 4-7
-    every = np.arange(L, dtype=np.int32)
-    emit(every, OMEGA_K, (), I0, none)
+    # a point's base rows: its OmegaK row, its single row (none when its
+    # mode is blocked), and its pair rows, j ascending
+    count, every = np.full(L, 2), np.arange(L, dtype=np.int32)
+    emit(0, every, OMEGA_K, (), I0, none)
 
     # Omega.k + Lambda_j : a single eta factor, mass forces sum(k) = -1
     # and momentum then pins j.
-    one = every[mass == -1]
-    emit(every[mass != -1], OMEGA_K_PLUS_LAMBDA, (), slot=1)
-    j = -mom[one]
-    emit_with_scalar(one, j, OMEGA_K_PLUS_LAMBDA, (), I0[one] + j * j, lam, 0.0, slot=1)
+    one, j = points[-1], -moms[-1]
+    emit(1, np.delete(every, one), OMEGA_K_PLUS_LAMBDA, ())
+    count[one[emit_with_scalar(1, one, j, OMEGA_K_PLUS_LAMBDA, (), I0[one] + j * j, lam, 0.0)]] = 1
 
     # Omega.k + Lambda_j + Lambda_l : two eta factors on the momentum line;
     # Omega.k + Lambda_j - Lambda_l : one eta, one zeta; the scalar shifts
-    # cancel exactly, and same-|mode| pairs share a cluster.
-    jj = np.arange(-mode_max, mode_max + 1)
-    for sgn, mask, kind, coef, slot in ((1, mass == -2, OMEGA_K_PLUS_PLUS, 2 * lam, 2),
-                                        (-1, (mass == 0) & (mom != 0), OMEGA_K_PLUS_MINUS,
-                                         none, 3)):
-        idx = every[mask]
-        ll = -sgn * (mom[idx, None] + jj)  # momentum: mom + j + sgn * l = 0
-        ok = (jj <= ll) if sgn > 0 else (np.abs(jj) != np.abs(ll))
-        ok &= (np.abs(ll) <= mode_max) & ~np.isin(jj, skip) & ~np.isin(ll, skip)
-        r, c = np.nonzero(ok)
-        j, l = jj[c], ll[r, c]
-        emit(idx[r], kind, (j, l), I0[idx[r]] + j * j + sgn * l * l, coef, slot=slot, sub=c)
-    del ll, ok
+    # cancel exactly, and same-|mode| pairs share a cluster.  At momentum mu
+    # the j with |j|, |l| <= mode_max are one interval, for sums cut at j <= l
+    for sgn, c, kind, coef in ((1, -2, OMEGA_K_PLUS_PLUS, 2 * lam),
+                               (-1, 0, OMEGA_K_PLUS_MINUS, none)):
+        idx, mu = points[c], moms[c]
+        lo = -mode_max - np.minimum(mu, 0)
+        hi = np.minimum(mode_max - np.maximum(mu, 0), -mu // 2 if sgn > 0 else mode_max)
+        width = np.maximum(hi - lo + 1, 0)
+        p = np.repeat(np.arange(len(idx)), width)
+        j = np.arange(len(p)) + np.repeat(lo - np.cumsum(width) + width, width)
+        l = -sgn * (mu[p] + j)  # momentum: mu + j + sgn * l = 0
+        ok = ((scalar[j] | scalar[l]) == 0) & ((sgn > 0) | (np.abs(j) != np.abs(l)))
+        p, j, l = p[ok], j[ok], l[ok]
+        width = np.bincount(p, minlength=len(idx))
+        count[idx] += width
+        emit(2 + np.arange(len(p)) - (np.cumsum(width) - width)[p], idx[p], kind, (j, l),
+             I0[idx][p] + j * j + sgn * l * l, coef)
+    start, base_rows = np.cumsum(count) - count, int(count.sum())
+    del mass, p, j, l
 
-    # coupled-block divisor families
+    # coupled-block divisor families, keyed by point, then slot: branches
+    # 0-1 by role, pair sum 2, difference 3, branch +- Lambda_j 4-7
     for b, blk in enumerate(eff.blocks):
         # the block's own monomial is carried by the normal form (its divisor
         # vanishes identically), so its families must not test it
         resident = _resident(blk.k, k_max, L)
 
-        def pair(mask, kind, modes, int_part, coef, pad, slot):
+        def pair(idx, kind, modes, int_part, coef, pad, slot):
             """A block's own pair family; its defining monomial is filtered."""
-            emit(every[mask & resident], kind, modes, slot=slot, block=b)
-            idx = every[mask & ~resident]
-            emit(idx, kind, modes, I0[idx] + int_part, coef, pad, slot, block=b)
+            hit = np.isin(idx, resident)
+            emit(slot, idx[hit], kind, modes, block=b)
+            emit(slot, idx[~hit], kind, modes, I0[idx[~hit]] + int_part, coef, pad, b)
 
         # blk.modes is (s_role, t_role); an E block's one mode plays both
         s_role, t_role = blk.modes[0], blk.modes[-1]
@@ -660,10 +681,10 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
             slack = 2 * amax
             branch_coef, branch_pad = lam - gap, pad1 + slack
             # eigenvalue pair sum: trace of the block, creation pair
-            pair((mass == -2) & (mom + s_role + t_role == 0), OMEGA_K_PLUS_PLUS, blk.modes,
+            pair(on(-2, -s_role - t_role), OMEGA_K_PLUS_PLUS, blk.modes,
                  s_role**2 + t_role**2, 2 * (lam - gap), slack, 2)
             # eigenvalue pair difference: >= 2|Im| when hyperbolic
-            pair((mass == 0) & (mom == 0), OMEGA_K_PLUS_MINUS, blk.modes, 0, none, 2 * pad1, 3)
+            pair(on(0, 0), OMEGA_K_PLUS_MINUS, blk.modes, 0, none, 2 * pad1, 3)
         else:
             # energy-conserving blocks (elliptic couplings): eigenvalue pairs
             # perturb (s_role^2, t_role^2); pad covers the rotation of the
@@ -672,46 +693,47 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
                                             + 2 * abs(blk.coupling))
             if blk.kind == "E":
                 # creation pair (s, s): divisor 2 Lambda_s + Omega.k
-                pair((mass == -2) & (mom + 2 * s_role == 0), OMEGA_K_PLUS_PLUS,
+                pair(on(-2, -2 * s_role), OMEGA_K_PLUS_PLUS,
                      (s_role, s_role), 2 * s_role * s_role, 2 * lam, branch_pad, 2)
             elif s_role != t_role:
                 # zeta_s eta_t pair difference within the block
-                pair((mass == 0) & (mom - s_role + t_role == 0), OMEGA_K_PLUS_MINUS,
+                pair(on(0, s_role - t_role), OMEGA_K_PLUS_MINUS,
                      (s_role, t_role), t_role * t_role - s_role * s_role, none, 2 * branch_pad, 3)
 
         for r, role in enumerate(roles):
             # single branches, one family per momentum content (for the
             # even-gap two-mode torus these force half-integer lattice
             # components, removing the families entirely)
-            idx = every[(mass == -1) & (mom + role == 0)]
-            emit(idx, OMEGA_K_PLUS_LAMBDA, (role,), I0[idx] + role * role, branch_coef,
-                 branch_pad, r, block=b)
+            idx = on(-1, -role)
+            emit(r, idx, OMEGA_K_PLUS_LAMBDA, (role,), I0[idx] + role * role,
+                 branch_coef, branch_pad, b)
             # mixed: eigenvalue branch +- scalar Lambda_j
             for slot, sgn in ((4 + r, 1), (6 + r, -1)):
-                idx = every[mass == -1 - sgn]
-                j = -sgn * (mom[idx] + role)
-                emit_with_scalar(idx, j, OMEGA_K_PLUS_PLUS if sgn > 0 else OMEGA_K_PLUS_MINUS,
+                idx = points[-1 - sgn]
+                j = -sgn * (moms[-1 - sgn] + role)
+                emit_with_scalar(slot, idx, j, OMEGA_K_PLUS_PLUS if sgn > 0 else OMEGA_K_PLUS_MINUS,
                                  (role,), I0[idx] + role * role + sgn * j * j,
-                                 branch_coef + sgn * lam, branch_pad, slot, block=b)
+                                 branch_coef + sgn * lam, branch_pad, b)
 
-    del mass, mom, I0  # I0 now lives on only as a family's integer part
-    order = np.argsort(np.concatenate(parts.pop("key")), kind="stable")
-
-    def column(entries, dtype):
-        """A column in row order, from one entry per family."""
-        pieces = [np.broadcast_to(v, (size,)) for v, size in zip(entries, sizes)]
-        return np.concatenate(pieces, dtype=dtype, casting="same_kind")[order]
-
-    # each column is gathered once, releasing its per-family entries as it
-    # goes, widest first
-    int_part = column(parts.pop("int_part"), np.int64)
-    modes = np.empty((len(order), 2), dtype=np.int32)
-    modes[:, 0] = column(parts.pop("mode0"), np.int32)
-    modes[:, 1] = column(parts.pop("mode1"), np.int32)
-    lat = column(parts.pop("lat"), np.int32)
+    # a base row sits at its point's first row plus its offset, block rows in key order (no
+    # two share a key); a row's lattice index is its point's, which a block row's key holds
+    keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                  + [at for (at, *_), fam in zip(parts, families) if fam[2] >= 0]))
+    lat = np.empty(base_rows + len(keys), dtype=np.int32)
+    lat[:base_rows], lat[base_rows:] = np.repeat(every, count), keys // 8 % L
+    int_part = np.zeros(len(lat), dtype=np.int64)
+    int_part[start] = I0  # family 0, OmegaK, at every point's first row: written first to free it
+    del count, every, I0, parts[0]
+    family, modes = np.zeros(len(lat), dtype=np.int32), np.zeros((len(lat), 2), dtype=np.int32)
+    for fam in families[:0:-1]:  # each column is written once, freeing family by family
+        offset, idx, *entries = parts.pop()
+        at = start[idx] + offset if fam[2] < 0 else base_rows + np.searchsorted(keys, offset)
+        for column, v in zip((family, modes[:, 0], modes[:, 1], int_part), entries):
+            if np.ndim(v) or v:  # zero entries need no write
+                column[at] = v
     kind, n_modes, block, pad, filtered, coef = zip(*families)
     return DivisorTable(
-        lattice, lat=lat, family=column(range(len(families)), np.int32), modes=modes,
+        lattice, lat=lat, family=family, modes=modes,
         int_part=int_part, labels=tuple(f"{blk.kind}{blk.modes}" for blk in eff.blocks),
         omega_coef=omega_coef, fam_kind=np.array(kind, dtype=np.int8),
         fam_n_modes=np.array(n_modes, dtype=np.int8), fam_block=np.array(block),
@@ -720,17 +742,15 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
 
 
 def _resident(k: tuple[int, ...], k_max: int, L: int) -> np.ndarray:
-    """Mask of +-k over the L-point lattice of ``enumerate_A2_expressions``,
-    found by index: the lattice is the product-order cube of side
-    2 k_max + 1 with its centre, zero, removed, so a point past the centre
-    sits one place earlier than in the cube."""
-    mask = np.zeros(L, dtype=bool)
-    if 0 < max(abs(x) for x in k) <= k_max:
-        side = (2 * k_max + 1,) * len(k)
-        for s in (1, -1):
-            at = int(np.ravel_multi_index([s * x + k_max for x in k], side))
-            mask[at - (at > L // 2)] = True
-    return mask
+    """Lattice indices of +-k over the L-point lattice of
+    ``enumerate_A2_expressions``, none when k is zero or beyond k_max: that
+    lattice is the product-order cube of side 2 k_max + 1 less its centre,
+    zero, so a point past the centre sits one place earlier than in the cube."""
+    if not 0 < max(abs(x) for x in k) <= k_max:
+        return np.zeros(0, dtype=np.intp)
+    at = np.ravel_multi_index([[s * x + k_max for s in (1, -1)] for x in k],
+                              (2 * k_max + 1,) * len(k))
+    return at - (at > L // 2)
 
 
 def _pad_b_root(spec: TorusSpec, blk, amax: float) -> float:

@@ -525,7 +525,8 @@ def test_classify_refuses_a_negative_band(tmp_path, capsys):
 
 def test_hypotheses_band_without_elliptic_modes(tmp_path, capsys):
     # band 0 around (0, 1) leaves no scalar mode and no block: A1's
-    # elliptic clauses are vacuous, as its hyperbolic clause is
+    # elliptic clauses are vacuous, as its hyperbolic clause is; the
+    # cross-cluster clause still passes only on A0's tail gap
     code = cli.main(["hypotheses", "-p", "0", "-q", "1", "--band", "0", "--kmax", "2",
                      "--out", str(tmp_path)])
     assert code == cli.EXIT_OK, capsys.readouterr().err
@@ -533,7 +534,7 @@ def test_hypotheses_band_without_elliptic_modes(tmp_path, capsys):
     assert [(v["name"], v["passed"], v["margin"]) for v in a1] == [
         ("abs(Lambda) for elliptic modes (vacuous)", True, "inf"),
         ("abs(Im Lambda) for hyperbolic modes (vacuous)", True, "inf"),
-        ("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0)", True, "inf"),
+        ("abs(Lambda_a - Lambda_b) across clusters (tail certified by A0) (vacuous)", True, "inf"),
         ("abs(Lambda_a + Lambda_b) (vacuous)", True, "inf"),
     ]
 
