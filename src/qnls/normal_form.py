@@ -55,6 +55,8 @@ class TorusSpec:
     rho: tuple
     nu: float
     domain: tuple[tuple[float, float], ...] = ()
+    # nu^2 in nu's own arithmetic: exact for a Fraction nu
+    nu2: float = field(init=False, repr=False, compare=False)
     rho_float: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # internal frequencies m_i^2 + nu^2 Omega_i(rho), Omega_i from shift_forms
     omega: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -88,6 +90,8 @@ class TorusSpec:
         dom = tuple((float(a), float(b)) for a, b in self.domain or ())
         if dom and len(dom) != n:
             raise ValueError("domain length must match internal modes")
+        if not all(math.isfinite(x) for edge in dom for x in edge):
+            raise ValueError("domain must be finite")
         # interval bounds of forms in rho multiply the box's edges, which
         # holds only on a positive box
         if any(lo <= 0 for lo, _ in dom):
@@ -95,6 +99,7 @@ class TorusSpec:
         if any(not lo <= r <= hi for r, (lo, hi) in zip(self.rho, dom)):
             raise ValueError("domain must contain rho")
         put = object.__setattr__
+        put(self, "nu2", self.nu**2)
         put(self, "rho_float", rho_float)
         put(self, "domain", dom or tuple((r, r) for r in rho_float))
         exact = [(r.numerator, r.denominator) if isinstance(r, (int, Fraction))
@@ -102,11 +107,10 @@ class TorusSpec:
         den = math.lcm(*(d for _, d in exact))
         put(self, "_rho_num", tuple(n * (den // d) for n, d in exact))
         put(self, "_rho_den", den)
-        nu2 = self.nu**2
         *omega, lam = shift_forms(n)
-        put(self, "omega", tuple(m * m + nu2 * self.float_of(w)
+        put(self, "omega", tuple(m * m + self.nu2 * self.float_of(w)
                                  for m, w in zip(self.internal, omega)))
-        put(self, "lambda_shift", nu2 * self.float_of(lam))
+        put(self, "lambda_shift", self.nu2 * self.float_of(lam))
 
     def float_of(self, coef: Sequence[int]) -> float:
         """float of the form ``coef`` at rho: its value at the integers
@@ -274,7 +278,8 @@ class SpectralBlock:
     and ``k`` is that monomial's net exponent vector over the internal
     modes, in internal order.  ``margin`` is (C^2 - a^2) / nu^4 of a B or E
     block, exact and then rounded once (its sign is the classification),
-    None for a Hermitian pair; ``nu2`` is the spec's nu^2.
+    None for a Hermitian pair.  ``max_im`` is a hyperbolic block's rate
+    nu^2 sqrt(margin), 0.0 for an elliptic one.
     """
 
     kind: str
@@ -286,7 +291,7 @@ class SpectralBlock:
     witness: tuple[int, ...]
     k: tuple[int, ...]
     margin: float | None
-    nu2: object
+    max_im: float
 
     @property
     def coeff(self) -> np.ndarray:
@@ -296,16 +301,6 @@ class SpectralBlock:
     @property
     def hyperbolic(self) -> bool:
         return self.classification == HYPERBOLIC
-
-    @property
-    def max_im(self) -> float:
-        """The largest |Im| of the spectrum; for a hyperbolic block whose
-        imaginary parts fell below the spectrum's snap, nu^2 sqrt(margin),
-        its exact rate rounded."""
-        im = max(abs(l.imag) for l in self.eigenvalues)
-        if im == 0.0 and self.hyperbolic:
-            return float(self.nu2) * math.sqrt(self.margin)
-        return im
 
 
 def _pair_coeff(lam_s: float, lam_t: float, c: float, sign: int) -> np.ndarray:
@@ -353,29 +348,16 @@ def coupling_count(kind: str, witness: Sequence[int], s: int, t: int) -> int:
     return _ordered_count(j_side + [s, t][:n], l_side + [s, t][n:])
 
 
-def block_coupling(spec: TorusSpec, kind: str, s: int, t: int, witness: Sequence[int]) -> float:
-    """The coupling of the block of ``kind`` over ``witness`` with external
-    modes s and t: ``coupling_count`` times nu^2 prod rho_m^{|k_m|/2}, that
-    is nu^2 rho_a rho_b for two second-order factors and
-    nu^2 rho_a sqrt(rho_b rho_c) for one second- and two first-order ones,
-    taken at ``spec``'s rho."""
-    k = RESONANT_EXPONENTS[kind]
-    full = [spec.internal.index(m) for e, m in zip(k, witness) if abs(e) == 2]
-    half = [spec.internal.index(m) for e, m in zip(k, witness) if abs(e) == 1]
-    coupling = coupling_count(kind, witness, s, t) * spec.nu**2
-    num, den2 = spec._rho_num, spec._rho_den**2
-    if half:
-        return coupling * spec.rho_float[full[0]] * math.sqrt(
-            _rounded(num[half[0]] * num[half[1]], den2))
-    return coupling * _rounded(num[full[0]] * num[full[1]], den2)
-
-
 def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...]) -> SpectralBlock:
     """The block of the resonant monomial of ``kind`` over ``witness``,
     coupling the external modes s and t (s = t for E).
 
     The monomial's exponents k fix every entry:
-    - coupling: ``block_coupling``;
+    - coupling: ``coupling_count`` times nu^2 prod rho_m^{|k_m|/2}, that is
+      nu^2 rho_a rho_b for two second-order factors (a, b) and
+      nu^2 rho_a sqrt(rho_b rho_c) for a second-order factor a and two
+      first-order ones (b, c); the rho products are the exact products
+      rounded once;
     - diagonal: Lambda_t = t^2 + nu^2 lambda.  A zeta_s eta_t pair (A, C,
       TwoMode) orders its roles so that k.witness = s - t and moves
       Lambda_s = s^2 + nu^2 lambda by the frame shift -k.Omega.  The
@@ -383,12 +365,12 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
       self block E Lambda_s = nu^2 (lambda + k.omega/2);
     - classification, by structure: a zeta_s eta_t pair is a Hermitian form,
       always elliptic.  B and E are hyperbolic iff C^2 > a^2, with C the
-      coupling count nu^2 rho_a sqrt(rho_b rho_c) over witness (a, b, c) and
-      the gap a = (Lambda_t - Lambda_s)/2 for B, Lambda_s for E, which is
-      nu^2 T / 2 with T the form ``twice_gap_form(k)``.  So the sign of the
-      integer 4 (C^2 - a^2) d^4 / nu^4 = 4 count^2 n_a^2 n_b n_c - T(n)^2
-      decides, over the integers n = d rho and free of nu; C^2 = a^2 exactly
-      raises DegenerateBlock;
+      coupling and the gap a = (Lambda_t - Lambda_s)/2 for B, Lambda_s for
+      E, which is nu^2 T / 2 with T the form ``twice_gap_form(k)``.  So the
+      sign of the integer 4 (C^2 - a^2) d^4 / nu^4 = 4 count^2 n_a^2 n_b n_c
+      - T(n)^2 decides, over the integers n = d rho and free of nu; C^2 = a^2
+      exactly raises DegenerateBlock.  A hyperbolic block's rate is
+      nu^2 sqrt(margin);
     - spectrum: ``generic_block_spectrum`` of ``block_hessian``, reported
       only.
     """
@@ -397,36 +379,42 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
     net = [0] * len(spec.internal)
     for e, i in zip(k, idx):
         net[i] += e
-    nu2 = spec.nu**2
     conserving = kind in _ENERGY_CONSERVING
     if conserving and s - t != sum(e * m for e, m in zip(k, witness)):
         s, t = t, s
-    coupling = block_coupling(spec, kind, s, t, witness)
+    count = coupling_count(kind, witness, s, t)
+    num, den2 = spec._rho_num, spec._rho_den**2
+    # every kind's first witness factor is second-order (|k| = 2); the
+    # others are one more second-order factor or two first-order ones
+    n_a, *rest = (num[i] for i in idx)
+    if len(rest) == 2:
+        coupling = count * spec.nu2 * spec.rho_float[idx[0]] * math.sqrt(
+            _rounded(rest[0] * rest[1], den2))
+    else:
+        coupling = count * spec.nu2 * _rounded(n_a * rest[0], den2)
 
     lam_t = t * t + spec.lambda_shift
-    cls, margin = ELLIPTIC, None
+    cls, margin, rate = ELLIPTIC, None, 0.0
     if conserving:
         frame_shift = sum(-e * spec.omega[i] for e, i in zip(k, idx))
         diag = (s * s + spec.lambda_shift + frame_shift, lam_t)
     else:
-        num, den2 = spec._rho_num, spec._rho_den**2
         twice = form_value(twice_gap_form(tuple(net)), num)
         if kind == "B":
             lam = form_value(shift_forms(len(num))[-1], num)
-            diag = (t * t + nu2 * _rounded(lam - twice, den2), lam_t)
+            diag = (t * t + spec.nu2 * _rounded(lam - twice, den2), lam_t)
         else:
-            diag = (nu2 * _rounded(twice, den2) / 2,)
-        ra, rb, rc = (num[i] for i in idx)
-        excess = 4 * coupling_count(kind, witness, s, t) ** 2 * ra * ra * rb * rc - twice * twice
+            diag = (spec.nu2 * _rounded(twice, den2) / 2,)
+        excess = 4 * count**2 * n_a * n_a * rest[0] * rest[1] - twice * twice
         if excess == 0:
             raise DegenerateBlock(f"set-{kind} coupling equals its gap, C^2 = a^2, "
                                   f"for modes {(s, t)}")
-        if excess > 0:
-            cls = HYPERBOLIC
         margin = _rounded(excess, 4 * den2 * den2, f"the {kind} block's margin")
+        if excess > 0:
+            cls, rate = HYPERBOLIC, float(spec.nu2) * math.sqrt(margin)
     eig = generic_block_spectrum(block_hessian(kind, diag, coupling))
     return SpectralBlock(kind, (s,) if kind == "E" else (s, t), tuple(eig), cls,
-                         diag, coupling, tuple(witness), tuple(net), margin, nu2)
+                         diag, coupling, tuple(witness), tuple(net), margin, rate)
 
 
 # The builders classify_torus calls, one per catalog family, each through
@@ -546,7 +534,5 @@ def classify_torus(spec: TorusSpec, catalog: ResonanceCatalog,
     eff = EffectiveHamiltonian(spec, constant_metadata(spec), band, blocks)
     hyp = sorted({m for b in blocks if b.hyperbolic for m in b.modes})
     max_im = max((b.max_im for b in blocks), default=0.0)
-    if not hyp:
-        max_im = 0.0
     cls = Classification("Unstable" if hyp else "Stable", hyp, max_im)
     return eff, cls

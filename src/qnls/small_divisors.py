@@ -20,7 +20,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .normal_form import (EffectiveHamiltonian, TorusSpec, block_coupling, pairs, shift_forms,
+from .normal_form import (EffectiveHamiltonian, TorusSpec, coupling_count, pairs, shift_forms,
                           twice_gap_form)
 from .resonance import default_bound
 
@@ -270,9 +270,12 @@ def _a0_bound(spec: TorusSpec) -> float:
 
     The maximum is the enclosure's upper end: every coefficient of the
     lambda form is nonnegative, so on the positive box it is lambda at the
-    box's upper corner, exactly."""
+    box's upper corner, exactly.  ValueError when it overflows a float."""
     _, hi = _enclose(np.array(shift_forms(len(spec.internal))[-1], dtype=float), spec.domain)
-    return spec.nu**2 * float(hi)
+    bound = spec.nu2 * float(hi)
+    if not math.isfinite(bound):
+        raise ValueError("rho too large: A0's bound overflows a float")
+    return bound
 
 
 def check_A0(eff: EffectiveHamiltonian) -> A0Result:
@@ -312,7 +315,7 @@ def _delta(spec: TorusSpec, delta: float | None) -> float:
     """The separation threshold of A1, A2 and ``measure_scan``: ``delta``,
     or nu^2 when it is None.  A NaN or infinite delta is refused."""
     if delta is None:
-        return spec.nu**2
+        return spec.nu2
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
     return delta
@@ -336,7 +339,7 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
             elliptic.append((lam, abs(j)))
     for blk in eff.blocks:
         if blk.hyperbolic:
-            hyperbolic_im.extend(abs(lam.imag) for lam in blk.eigenvalues)
+            hyperbolic_im.append(blk.max_im)
             continue
         for lam in blk.eigenvalues:
             key = min((abs(m) for m in blk.modes), key=lambda a: abs(lam.real - a * a))
@@ -434,7 +437,7 @@ class DivisorTable:
         for a in range(0, len(rows), size):
             batch = rows[a:a + size]
             Q = self.forms(batch)
-            yield batch, Q, self.int_part[batch, None] + spec.nu**2 * _quads(Q, grid)
+            yield batch, Q, self.int_part[batch, None] + spec.nu2 * _quads(Q, grid)
 
     def coefs(self, rows: np.ndarray) -> np.ndarray:
         """The form coefficients of ``rows`` over ``pairs``; 0 for a filtered row."""
@@ -448,7 +451,7 @@ class DivisorTable:
         """Interval enclosure over the rho domain of the divisors of ``rows``:
         the integer part, nu^2 times ``_enclose`` of the form, and the pad."""
         lo, hi = _enclose(self.coefs(rows), spec.domain)
-        int_part, pad, nu2 = self.int_part[rows], self.fam_pad[self.family[rows]], spec.nu**2
+        int_part, pad, nu2 = self.int_part[rows], self.fam_pad[self.family[rows]], spec.nu2
         return int_part + nu2 * lo - pad, int_part + nu2 * hi + pad
 
     def reach(self, spec: TorusSpec) -> np.ndarray:
@@ -456,14 +459,17 @@ class DivisorTable:
         integer part: nu^2 (max over the lattice of sum_p |(k.omega_coef)_p|
         big_p, plus sum_p |fam_coef_p| big_p) + pad, with big_p the product of
         the upper edges of pair p.  On a positive box every term of the
-        enclosure, c * small_p or c * big_p, is at most |c| big_p in size."""
+        enclosure, c * small_p or c * big_p, is at most |c| big_p in size.
+        ValueError when some big_p overflows a float."""
         big = np.array([spec.domain[i][1] * spec.domain[j][1]
                         for i, j in pairs(len(spec.domain))])
+        if not np.isfinite(big).all():
+            raise ValueError("rho too large: A2's enclosure overflows a float")
         k_reach = 0.0
         for a in range(0, len(self.lattice), _CHUNK_ROWS):
             kC = self.lattice[a:a + _CHUNK_ROWS] @ self.omega_coef
             k_reach = max(k_reach, np.max(np.abs(kC, out=kC) @ big))
-        return spec.nu**2 * (k_reach + np.abs(self.fam_coef) @ big) + self.fam_pad
+        return spec.nu2 * (k_reach + np.abs(self.fam_coef) @ big) + self.fam_pad
 
     def open_rows(self, spec: TorusSpec, delta: float, strict: bool = False) -> np.ndarray:
         """Ascending indices of the unfiltered rows the interval certificate
@@ -516,20 +522,19 @@ def _judge(k: tuple[int, ...], Q: np.ndarray, vals: np.ndarray, spec: TorusSpec,
     """(verdict, witness) of an expression the interval certificate left
     open, from its form Q and its divisor ``vals`` at the grid points: grid
     minimum first, then transversality along candidate directions."""
-    nu2 = spec.nu**2
     avals = np.abs(vals)
     if float(avals.min()) >= delta:
         return LOWER_BOUNDED, "grid minimum"
     imin = int(np.argmin(avals))
     cands = _candidate_directions(len(spec.internal), k)
-    g = 2.0 * nu2 * (Q @ grid[imin])
+    g = 2.0 * spec.nu2 * (Q @ grid[imin])
     ng = np.linalg.norm(g)
     if ng > 0:
         cands.append(g / ng)
         cands.append(-g / ng)
     grid_Q = grid @ Q
     for z in cands:
-        d = 2.0 * nu2 * (grid_Q @ z)
+        d = 2.0 * spec.nu2 * (grid_Q @ z)
         if float(np.min(d)) >= delta:
             return TRANSVERSAL, [float(x) for x in z]
     return VIOLATED, [float(x) for x in grid[imin]]
@@ -674,7 +679,7 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
             # a = (Lambda_t - Lambda_s)/2 = nu^2 (lambda + k.omega/2) and
             # b = Lambda_t - a, over nu^2
             gap = np.array(twice_gap_form(blk.k), dtype=float) / 2
-            amax = spec.nu**2 * float(np.max(np.abs(_enclose(gap, spec.domain))))
+            amax = spec.nu2 * float(np.max(np.abs(_enclose(gap, spec.domain))))
             pad1 = _pad_b_root(spec, blk, amax)
             # slack for the frame ambiguity of chart-dependent nu^2 shifts:
             # the bound on |2a|, exactly twice amax
@@ -756,10 +761,12 @@ def _resident(k: tuple[int, ...], k_max: int, L: int) -> np.ndarray:
 def _pad_b_root(spec: TorusSpec, blk, amax: float) -> float:
     """Uniform bound on |sqrt(a^2 - c^2)| of the pair-creation block over the
     domain (covers both the real and the imaginary branch); ``amax`` bounds
-    |a| there, and the coupling c, increasing in every rho, is bounded by
-    its value at the domain's upper corner."""
-    corner = TorusSpec(spec.internal, tuple(hi for _, hi in spec.domain), spec.nu)
-    return math.hypot(amax, block_coupling(corner, blk.kind, *blk.modes, blk.witness))
+    |a| there, and the coupling c = count nu^2 rho_a sqrt(rho_b rho_c) over
+    the witness (a, b, c), increasing in every rho, is bounded by its value
+    at the domain's upper corner."""
+    hi_a, hi_b, hi_c = (spec.domain[spec.internal.index(m)][1] for m in blk.witness)
+    count = coupling_count(blk.kind, blk.witness, *blk.modes)
+    return math.hypot(amax, count * spec.nu2 * hi_a * math.sqrt(hi_b * hi_c))
 
 
 def _a2_inputs(eff: EffectiveHamiltonian, delta: float | None, k_max: int,

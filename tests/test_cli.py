@@ -280,11 +280,13 @@ def test_hypotheses_streamed_lines_golden(tmp_path):
 
 
 # sha256 of hypotheses.json for the flagship at k_max 4 on the point box,
-# D1 and D2; recorded when A0's bound was the maximum over an 8-per-side grid
+# D1 and D2; recorded when A0's bound was the maximum over an 8-per-side
+# grid, and point and D2 again when A1's hyperbolic clause read the exact
+# rate nu^2 sqrt(margin) in place of the eigensolve's imaginary parts
 HYPOTHESES_JSON_SHA256 = {
-    "point": ("2,1,9", "11fdd1f9e26042424bf8af0190b5c77f2b0506be91abd3e814f9386367078564"),
+    "point": ("2,1,9", "fe21cb99f322feca30b3a78da0b5499be527cfa55b2146b4fb3b40af598a28c5"),
     "D1": ("1.5,1.2,1.8", "6e3a508128070016cb5eda12e0ef3f191b5ada658129286f36601bb69547c385"),
-    "D2": ("2,1,9", "4b78cab815afdf4fd0cba24ae8ca1e0222d8a9cdeedaab858eda61887e7b8bc2"),
+    "D2": ("2,1,9", "12526f6187eb14689db83ea932d886c0d724ed47b058fe3506f00fbfc4af9fa5"),
 }
 
 

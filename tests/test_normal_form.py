@@ -84,6 +84,13 @@ def test_domain_given_must_be_positive():
     nf.TorusSpec(FLAGSHIP, (1.5, 1.2, 1.8), 0.01, domain=((1e-300, 2.0), (1.0, 2.0), (1.0, 2.0)))
 
 
+def test_domain_given_must_be_finite():
+    # an infinite edge made A0's bound inf, which passed and certified nothing
+    for box in (((1, math.inf), (0.5, 2), (8, 10)), ((1, 3), (0.5, 2), (8, math.nan))):
+        with pytest.raises(ValueError, match="domain must be finite"):
+            nf.TorusSpec(FLAGSHIP, (2, 1, 9), 0.01, domain=box)
+
+
 def test_non_dyadic_exact_rho_classifies():
     # the default point box is float(rho); it no longer has to contain the
     # exact 7/3, which no float equals
@@ -381,10 +388,11 @@ def test_near_parabolic_e_block_is_decided_exactly(kind):
 
 def test_hyperbolic_rate_survives_the_spectrum_snap():
     # 1 to 5 ulps below X0 the E block is hyperbolic, but its imaginary parts
-    # (under 1e-10) fall below generic_block_spectrum's 1e-10 snap; the
-    # reported rate is then nu^2 sqrt(margin), the exact (C^2 - a^2) / nu^4
-    # rounded once.  From 6 ulps on the eigensolve's rate clears the snap.
-    # A float x and the same x as a Fraction are the same torus.
+    # (under 1e-10) fall below generic_block_spectrum's 1e-10 snap; from 6
+    # ulps on they clear it, a few 1e-3 off, as the eigensolve of a nearly
+    # defective J.H is.  The reported rate reads no eigenvalue: it is
+    # nu^2 sqrt(margin) at every offset, the exact (C^2 - a^2) / nu^4
+    # rounded once.  A float x and the same x as a Fraction are the same torus.
     internal = (-2, -1, 2)
     cat = rs.enumerate_sets(internal)
     x = X0
@@ -402,11 +410,10 @@ def test_hyperbolic_rate_survives_the_spectrum_snap():
             excess = (nf.coupling_count("E", blk.witness, *blk.modes, *blk.modes) ** 2
                       * ra * ra * rb * rc - _e_lambda_s_ref((ra, rb, rc)) ** 2)
             assert blk.margin == float(excess) > 0
-            if im == 0.0:
-                assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
-            else:
-                # the eigensolve of a nearly defective J.H is a few 1e-3 off
-                assert blk.max_im == im == pytest.approx(1e-4 * math.sqrt(excess), rel=5e-3)
+            assert blk.max_im == 1e-4 * math.sqrt(blk.margin)
+            assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
+            if im:
+                assert im == pytest.approx(blk.max_im, rel=5e-3)
 
 
 @pytest.mark.parametrize("internal,rho,kind", [
@@ -536,32 +543,47 @@ def test_hyperbolicity_criterion_matches_discriminant(r1, r2, r3):
 # ---------------------------------------------------------------------------
 # exact-rho golden
 
-def _exact_rho_sweep_digest() -> str:
-    """sha256 over every sorted 2- and 3-mode set with |m| <= 6, classified
-    at non-dyadic Fraction rho drawn from a fixed seed, nu = 1/100."""
+@functools.cache
+def _exact_rho_sweep() -> list:
+    """Every sorted 2- and 3-mode set with |m| <= 6, classified at
+    non-dyadic Fraction rho drawn from a fixed seed, nu = 1/100: one
+    (internal, rho, outcome) per torus, outcome the (eff, cls) pair or the
+    refusal's exception."""
     import random
     from itertools import combinations
 
     rng = random.Random(20261018)
-    h = hashlib.sha256()
+    tori = []
     for n in (2, 3):
         for internal in combinations(range(-6, 7), n):
             rho = []
             for _ in range(n):
                 d = rng.choice((3, 5, 7, 11, 13))
                 rho.append(Fraction(d * rng.randint(1, 2) + rng.randint(1, d - 1), d))
-            h.update(f"{internal}|{rho}\n".encode())
             try:
                 spec = nf.TorusSpec(internal, tuple(rho), Fraction(1, 100))
-                eff, cls = nf.classify_torus(spec, rs.enumerate_sets(internal))
+                outcome = nf.classify_torus(spec, rs.enumerate_sets(internal))
             except (rs.BoundTooSmall, nf.PreconditionViolated, nf.DegenerateBlock) as exc:
-                h.update(f"refused {type(exc).__name__}\n".encode())
-                continue
-            h.update(eff.to_json().encode())
-            h.update(cls.to_json().encode())
-            for b in eff.blocks:
-                h.update(repr((b.kind, b.modes, b.witness, b.diag, b.coupling,
-                               b.eigenvalues)).encode())
+                outcome = exc
+            tori.append((internal, rho, outcome))
+    return tori
+
+
+def _exact_rho_sweep_digest() -> str:
+    """sha256 over ``_exact_rho_sweep``: per torus its JSON, verdict and
+    each block's entries, or the refusal."""
+    h = hashlib.sha256()
+    for internal, rho, outcome in _exact_rho_sweep():
+        h.update(f"{internal}|{rho}\n".encode())
+        if isinstance(outcome, Exception):
+            h.update(f"refused {type(outcome).__name__}\n".encode())
+            continue
+        eff, cls = outcome
+        h.update(eff.to_json().encode())
+        h.update(cls.to_json().encode())
+        for b in eff.blocks:
+            h.update(repr((b.kind, b.modes, b.witness, b.diag, b.coupling,
+                           b.eigenvalues)).encode())
     return h.hexdigest()
 
 
@@ -667,15 +689,17 @@ def test_net_spectra_golden():
 
 @pytest.mark.parametrize("as_float", [False, True], ids=["fraction", "float"])
 def test_net_classification_agrees_with_reported_max_im(as_float):
-    # the exact decision and the eigensolve agree wherever both can speak:
-    # no net block is near C^2 = a^2, and a hyperbolic one's max_im is at
-    # least 1.5e-4, far above the eigensolve's noise
+    # the exact decision and rate agree with the eigensolve wherever both
+    # can speak: no net block is near C^2 = a^2, and a hyperbolic one's
+    # max_im is at least 1.5e-4, far above the eigensolve's noise
     blocks = 0
     for internal, rho, outcome in _net(as_float):
         assert not isinstance(outcome, Exception), (internal, rho, outcome)
         for b in outcome[0].blocks:
             blocks += 1
-            assert b.hyperbolic == (b.max_im > 0), (internal, rho, b)
+            im = max(abs(l.imag) for l in b.eigenvalues)
+            assert b.hyperbolic == (im > 0) == (b.max_im > 0), (internal, rho, b)
+            assert im == pytest.approx(b.max_im, rel=1e-9), (internal, rho, b)
     assert blocks == 20860
 
 

@@ -19,7 +19,9 @@ from qnls import resonance as rs
 from qnls import small_divisors as sd
 
 import a2_reference
+import coupling_reference
 import paper_appendix as pa
+from test_normal_form import _exact_rho_sweep, _net
 
 FLAGSHIP = (-3, 10, -6)
 
@@ -202,6 +204,21 @@ def test_a0_two_mode_bound():
     assert res.passed
 
 
+@pytest.mark.parametrize("internal,rho", [(FLAGSHIP, (2, 1, 9)), ((0, 2), (1, 1))])
+def test_hypotheses_refuse_a_box_that_overflows(internal, rho):
+    # a finite edge of 1e200 squares to inf: A0's bound was inf and passed,
+    # and A2 failed on a corner spec or judged inf enclosures
+    box = ((1, 1e200), *((r / 2, 2 * r) for r in rho[1:]))
+    spec = nf.TorusSpec(internal, rho, 0.01, domain=box)
+    eff, _ = nf.classify_torus(spec, rs.enumerate_sets(internal))
+    for check in (sd.check_A0, sd.check_A1):
+        with pytest.raises(ValueError, match="rho too large: A0's bound overflows a float"):
+            check(eff)
+    for check in (sd.check_A2, sd.measure_scan):
+        with pytest.raises(ValueError, match="rho too large: A2's enclosure overflows a float"):
+            check(eff)
+
+
 _A0_CATALOGS = {}
 
 
@@ -239,7 +256,7 @@ def test_a1_hyperbolic_block():
     assert all(v.passed for v in verdicts)
     hyp = next(v for v in verdicts if "Im" in v.name and "vacuous" not in v.name)
     # at a=0 the imaginary part is 108 nu^2, far above delta = nu^2
-    assert hyp.margin == pytest.approx(107 * 0.01**2, rel=1e-6)
+    assert hyp.margin == pytest.approx(107 * 0.01**2, rel=1e-12)
 
 
 def test_a1_elliptic_all_pass():
@@ -769,6 +786,47 @@ def test_a2_block_facts_over_the_instability_net():
             assert pads == {slack, 2 * root, root + slack}, (internal, blk)
     assert (sets, b_blocks) == (714, 504)
     assert kinds == {"A", "B", "C", "E"}
+
+
+def _coupling_tori():
+    """The tori whose couplings and B pads are checked against
+    ``coupling_reference``: the instability net at Fraction and at float
+    rho, the exact-rho sweep, the flagship on D1 and D2, and a seeded box
+    around a seeded Fraction rho of every B- or E-bearing net set."""
+    rng = random.Random(20261031)
+    for outcomes in (_net(False), _net(True), _exact_rho_sweep()):
+        yield from (out[0] for _, _, out in outcomes if not isinstance(out, Exception))
+    yield flagship_eff(domain="D1")
+    yield flagship_eff(domain="D2")
+    for internal in sorted({internal for internal, _, _ in _net(False)}):
+        rho = tuple(Fraction(rng.randint(30, 300), rng.choice((7, 10, 64))) for _ in internal)
+        box = tuple((float(r) * rng.uniform(0.8, 0.99), float(r) * rng.uniform(1.01, 1.3))
+                    for r in rho)
+        spec = nf.TorusSpec(internal, rho, Fraction(1, 100), domain=box)
+        try:
+            yield nf.classify_torus(spec, rs.enumerate_sets(internal))[0]
+        except nf.DegenerateBlock:
+            continue
+
+
+def test_couplings_and_b_pads_match_the_corner_spec_reference():
+    # _block evaluates each coupling once, and A2 bounds a B block's
+    # coupling from the box's upper edges: both must give the bits of
+    # block_coupling, at the spec and at a TorusSpec made at the corner
+    blocks = pads = 0
+    for eff in _coupling_tori():
+        spec = eff.spec
+        for blk in eff.blocks:
+            blocks += 1
+            want = coupling_reference.block_coupling(spec, blk.kind, blk.modes[0],
+                                                     blk.modes[-1], blk.witness)
+            assert blk.coupling.hex() == want.hex(), (spec, blk)
+            if blk.kind == "B":
+                pads += 1
+                for amax in (0.0, 1e-3):
+                    got = sd._pad_b_root(spec, blk, amax)
+                    assert got.hex() == coupling_reference._pad_b_root(spec, blk, amax).hex()
+    assert (blocks, pads) == (44300, 10618)
 
 
 # ---------------------------------------------------------------------------
