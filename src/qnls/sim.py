@@ -7,8 +7,8 @@ energy = sum j^2 |a_j|^2 + (1/3) * mean_x |u|^6, so a single mode a_j = c has
 mass |c|^2 and energy j^2 |c|^2 + |c|^6 / 3.
 
 Layout: ``FourierState.a`` stores the band |j| <= K with mode j at position
-j + K.  Only the kernel, which ``step``, ``conserved`` and ``evolve`` share,
-holds the spectrum as an N-point array in FFT order (mode j at index j mod N,
+j + K.  Only the kernel, which ``conserved`` and ``evolve`` share, holds
+the spectrum as an N-point array in FFT order (mode j at index j mod N,
 numpy's ``spec[j]``); it steps and samples in preallocated buffers.  Its
 linear phase factors vanish outside the band, so the multiplication that
 applies them is also the band projection.
@@ -218,8 +218,8 @@ def prepare_torus_state(spec: TorusSpec, seed_modes: Sequence[int],
 
 def _step_count(grid: GridSpec, t_end: float, sample_every: int = 1) -> int:
     """The steps ``evolve`` takes to ``t_end``, once it has refused dt < 0
-    (which ``step`` accepts), ``sample_every < 1``, a non-finite ``t_end``
-    and one shorter than a step."""
+    (which the kernel itself would step backward), ``sample_every < 1``, a
+    non-finite ``t_end`` and one shorter than a step."""
     if grid.dt < 0:
         raise ValueError("evolve integrates forward in time: dt must be positive")
     if sample_every < 1:
@@ -293,8 +293,8 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
 def fit_growth_rate(traj: Trajectory, nu: float, rho: Sequence[float],
                     grow_factor: float = 100.0) -> GrowthFit:
     """Amplitude growth rate (1/2) d log(ext mass)/dt on the automatic window
-    [first sample with ext mass >= grow_factor * initial,
-     first sample with ext mass >= SATURATION_FRACTION * nu * min rho].
+    [first evolved sample with ext mass >= grow_factor * the first evolved
+     sample's, first sample with ext mass >= SATURATION_FRACTION * nu * min rho].
 
     When the growth threshold is never reached the trajectory is declared
     stable: rate 0 with flag WindowNotFound.

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,24 +75,21 @@ class HypothesisReport:
         return [(self.table.expression(i), w) for i, w in self.witnesses.items()
                 if VERDICTS[self.codes[i]] == VIOLATED]
 
-    def write_json_lines(self, f: TextIO) -> None:
-        """Write one JSON object per row, each line ending in "\\n", to the
-        text file ``f`` chunk by chunk, so the whole text is never held at
-        once; an empty table writes "\\n"."""
-        if not len(self.table):
-            f.write("\n")
-        f.writelines(self._line_chunks())
+    def json_lines(self) -> Iterator[str]:
+        """One JSON object per row, each line ending in "\\n", ``_CHUNK_ROWS``
+        lines at a time, so the whole text is never held at once; an empty
+        table gives "\\n".
 
-    def _line_chunks(self) -> Iterator[str]:
-        """The JSON lines, ``_CHUNK_ROWS`` at a time, each line ending in "\\n".
-
-        Line r is three pieces gathered from text tables built once per write:
+        Line r is three pieces gathered from text tables built once per call:
         '{"kind": K, "k": [a, b, ' by kind and all k components but the last,
         'c], "modes": [j, ' by the last and a two-mode list's first mode, and
         'l], "block": B, "verdict": V, "witness": W}' by last mode, block and
         verdict (index -1: no mode, block null); a judged row's holds its own
         witness.  A chunk is joined once: no array but the table's spans all rows."""
         t = self.table
+        if not len(t):
+            yield "\n"
+            return
         n = t.lattice.shape[1]
         judged = np.array(sorted(self.witnesses), dtype=np.int64)
         k_lo, k_num = _numerals(t.lattice)

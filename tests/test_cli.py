@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, exit codes, config handling."""
 
 import ast
+import errno
 import hashlib
 import importlib
 import json
@@ -361,16 +362,88 @@ def test_print_config_round_trip(case, tmp_path, capsys):
     assert capsys.readouterr().out == want.print_config()
 
 
-def test_reruns_byte_identical():
-    args = ("classify", "-p", "-3", "-q", "10", "-m", "-6",
-            "--rho", "2,1,9", "--nu", "0.05")
-    runs = [run_cli(*args) for _ in range(2)]
-    for res in runs:
-        assert res.returncode == cli.EXIT_UNSTABLE
-        data = json.loads(res.stdout)
+def artifacts(out):
+    """{name: bytes} of every file in the directory ``out``."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+FLAGSHIP_D2 = ("hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "2,1,9",
+               "--domain", "D2", "--grid-resolution", "8")
+
+
+def test_reruns_byte_identical(tmp_path):
+    # a rerun into the same --out prints the same text and writes every
+    # artifact again with the same bytes
+    out = tmp_path / "out"
+    classify = ("classify", "-p", "-3", "-q", "10", "-m", "-6",
+                "--rho", "2,1,9", "--nu", "0.05", "--out", str(out))
+    hypotheses = (*FLAGSHIP_D2, "--kmax", "4", "--out", str(out))
+    runs, written = [], []
+    for _ in range(2):
+        runs.append([run_cli(*classify), run_cli(*hypotheses)])
+        written.append(artifacts(out))
+    for cls, hyp in runs:
+        assert cls.returncode == cli.EXIT_UNSTABLE
+        data = json.loads(cls.stdout)
         assert isinstance(data, dict) and data
         assert data["verdict"] == "Unstable"
-    assert runs[0].stdout == runs[1].stdout
+        assert hyp.returncode == cli.EXIT_OK, hyp.stderr
+    assert [r.stdout for r in runs[0]] == [r.stdout for r in runs[1]]
+    assert list(written[0]) == ["a2_verdicts.jsonl", "classification.json", "hypotheses.json"]
+    assert written[0] == written[1]
+
+
+def test_rerun_replaces_a_hard_linked_artifact(tmp_path, capsys):
+    # an artifact is replaced by a new file, not rewritten in place, so a
+    # hard link to the old one keeps the old bytes
+    out = tmp_path / "out"
+    assert cli.main([*FLAGSHIP_D2, "--kmax", "2", "--out", str(out)]) == cli.EXIT_OK
+    old = artifacts(out)
+    for name in old:
+        os.link(out / name, tmp_path / name)
+    assert cli.main([*FLAGSHIP_D2, "--kmax", "3", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    new = artifacts(out)
+    for name, data in old.items():
+        assert (tmp_path / name).read_bytes() == data
+        assert new[name] != data
+
+
+def test_failed_write_keeps_the_previous_artifacts(tmp_path, capsys, monkeypatch):
+    # a run whose A2 lines fail partway through the file (here the disk
+    # filling after the first chunk) leaves every artifact of the run before
+    # byte for byte, and no temporary file
+    out = tmp_path / "out"
+    assert cli.main([*FLAGSHIP_D2, "--kmax", "2", "--out", str(out)]) == cli.EXIT_OK
+    before = artifacts(out)
+    lines = sd.HypothesisReport.json_lines
+
+    def disk_full(rep):
+        yield next(lines(rep))
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(sd.HypothesisReport, "json_lines", disk_full)
+    capsys.readouterr()
+    assert cli.main([*FLAGSHIP_D2, "--kmax", "3", "--out", str(out)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert artifacts(out) == before
+
+
+@pytest.mark.parametrize("as_chunks", [False, True], ids=["text", "chunks"])
+def test_writer_leaves_no_stale_tail(as_chunks, tmp_path):
+    # a shorter artifact leaves nothing of the longer one it replaces; the
+    # bytes are the text's UTF-8, line ends as given, on every OS
+    cfg = cli.RunConfig(out=str(tmp_path / "out"))
+    for text in ("x" * 5000 + "\n", "\u03bd = 0.01\r\n\u03c1\n"):
+        path = cli._write(cfg, "a.txt", [text[:3], text[3:]] if as_chunks else text)
+        assert path.read_bytes() == text.encode("utf-8")
+    assert os.listdir(tmp_path / "out") == ["a.txt"]
+
+
+def test_writer_removes_its_temporary_file_when_the_name_is_taken(tmp_path):
+    (tmp_path / "a.txt").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._write(cli.RunConfig(out=str(tmp_path)), "a.txt", "text\n")
+    assert os.listdir(tmp_path) == ["a.txt"]
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qnls import cli
 from qnls import normal_form as nf
 from qnls import resonance as rs
 from qnls import small_divisors as sd
@@ -336,9 +336,7 @@ def test_a2_every_admissible_expression_once():
 
 def a2_lines(rep):
     """The a2_verdicts.jsonl text that ``qnls hypotheses`` writes for ``rep``."""
-    f = io.StringIO()
-    rep.write_json_lines(f)
-    return f.getvalue()
+    return "".join(rep.json_lines())
 
 
 def test_a2_json_lines():
@@ -418,14 +416,14 @@ def test_a2_lines_of_an_empty_table():
 
 
 def test_a2_lines_stream_in_less_memory_than_the_file(tmp_path):
-    # D1 at k_max 20 writes 178,471 lines (~24 MB); the streamed writer never
-    # holds the whole text, so its traced peak stays below the file size
+    # D1 at k_max 20 writes 178,471 lines (~24 MB); the CLI's writer streams
+    # the chunks and never holds the whole text, so its traced peak stays
+    # below the file size
     rep = sd.check_A2(flagship_eff(domain="D1"), k_max=20)
-    path = tmp_path / "a2_verdicts.jsonl"
     tracemalloc.start()
     try:
-        with path.open("w") as f:
-            rep.write_json_lines(f)
+        path = cli._write(cli.RunConfig(out=str(tmp_path)), "a2_verdicts.jsonl",
+                          rep.json_lines())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
