@@ -1,8 +1,13 @@
 """Command-line front end: reproducible experiment orchestration.
 
-Exit codes: 0 success/stable, 1 I/O error, 2 enumeration bound too small,
-3 unstable classification, 4 precondition refused or degenerate block,
-5 violated nonresonance verdicts.
+Exit codes: 0 success/stable, 1 I/O error, bad value or usage error,
+2 enumeration bound too small (only), 3 unstable classification,
+4 precondition refused or degenerate block, 5 violated nonresonance verdicts.
+
+A run's RunConfig is the defaults, then the ``--config`` file's keys (its
+``preset`` first), then the flags (``--preset`` first), all text parsed by
+``_apply_strings``: a bad value exits 1 from either source.  seed_amp_scale,
+grow_factor, scaling_nus and scaling_grow_factor are config-file keys only.
 
 Every artifact is written whole as a new file that then takes its name in
 the out directory (``_write``): a file at its final name is complete.
@@ -90,6 +95,10 @@ PRESETS = {
 }
 
 
+# the box of each --domain: none at "point", else a box of rho
+DOMAINS = {"point": None, "D1": nf.domain_D1(), "D2": nf.domain_D2()}
+
+
 def _parser(tp):
     """Parser of one config value of type ``tp``: the type itself for int,
     float and str, comma-separated items for a tuple (empty text is ()), and
@@ -98,11 +107,7 @@ def _parser(tp):
     args = get_args(tp)
     if type(None) in args:
         (inner,) = (a for a in args if a is not type(None))
-        parse = _parser(inner)
-
-        def optional(text: str):
-            return None if text.lower() == "none" else parse(text)
-        return optional
+        return _optional(_parser(inner))
     if get_origin(tp) is tuple:
         item = args[0]
 
@@ -112,14 +117,37 @@ def _parser(tp):
     return tp
 
 
-PARSERS = {name: _parser(tp) for name, tp in get_type_hints(RunConfig).items()}
+def _optional(parse):
+    def optional(text: str):
+        return None if text.lower() == "none" else parse(text)
+    return optional
+
+
+def _one_of(names):
+    def choice(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of {', '.join(names)}")
+        return text
+    return choice
+
+
+PARSERS = {name: _parser(tp) for name, tp in get_type_hints(RunConfig).items()} | {
+    "domain": _one_of(DOMAINS), "preset": _optional(_one_of(PRESETS))}
+
+# the command line's flags, in --help's order, each with the RunConfig field
+# it sets: its name with "_" for "-", but --kmax sets k_max
+FLAGS = {flag: "k_max" if flag == "--kmax" else flag.lstrip("-").replace("-", "_") for flag in (
+    "-p", "-q", "-m", "--rho", "--nu", "--delta", "--kmax", "--band", "--bound",
+    "--grid-resolution", "--domain", "--K", "--N", "--dt", "--t-end", "--seed",
+    "--seed-modes", "--sample-every", "--mass-tol", "--out", "--preset")}
 
 
 def load_config(path: str) -> dict:
-    """key = value lines; a comment is a line starting with '#' or the text
-    from a whitespace-preceded '#' on, so values such as runs/#3 survive."""
+    """key = value lines of a UTF-8 file; a comment is a line starting with
+    '#' or the text from a whitespace-preceded '#' on, so values such as
+    runs/#3 survive."""
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = re.sub(r"(^|\s)#.*", "", raw, count=1).strip()
         if not line:
             continue
@@ -129,38 +157,33 @@ def load_config(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The defaults, then the config file's keys, then the flags given."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = _apply_strings(cfg, load_config(args.config))
-    if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise ValueError(f"unknown preset {args.preset!r}")
-        cfg = replace(cfg, preset=args.preset, **PRESETS[args.preset])
-    overrides = {}
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None and f.name not in ("preset",):
-            overrides[f.name] = v
-    return replace(cfg, **overrides)
+    return _apply_strings(cfg, {name: v for name in FLAGS.values()
+                                if (v := getattr(args, name)) is not None})
 
 
 def _apply_strings(cfg: RunConfig, kv: dict) -> RunConfig:
+    """``cfg`` with the fields named in ``kv`` parsed from their text: the
+    preset named there (none: no preset) first, then the other keys over
+    it.  ValueError, naming the field, for an unknown key or a bad value."""
     unknown = sorted(set(kv) - set(PARSERS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return replace(cfg, **{name: PARSERS[name](raw) for name, raw in kv.items()})
+    values = {}
+    for name, raw in kv.items():
+        try:
+            values[name] = PARSERS[name](raw)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    cfg = replace(cfg, **PRESETS.get(values.get("preset"), {}))
+    return replace(cfg, **values)
 
 
 def _spec(cfg: RunConfig, domain=None) -> nf.TorusSpec:
     return nf.TorusSpec(cfg.internal, cfg.rho, cfg.nu, domain=domain)
-
-
-def _domain(cfg: RunConfig):
-    if cfg.domain == "D1":
-        return nf.domain_D1()
-    if cfg.domain == "D2":
-        return nf.domain_D2()
-    return None
 
 
 def _write(cfg: RunConfig, name: str, chunks: str | Iterable[str]) -> Path:
@@ -189,7 +212,7 @@ def _classified(cfg: RunConfig) -> tuple[rs.ResonanceCatalog, nf.EffectiveHamilt
     """The catalog, effective Hamiltonian and classification of the
     configured torus on the configured domain."""
     cat = rs.enumerate_sets(cfg.internal, bound=cfg.bound)
-    eff, cls = nf.classify_torus(_spec(cfg, _domain(cfg)), cat, band=cfg.band)
+    eff, cls = nf.classify_torus(_spec(cfg, DOMAINS[cfg.domain]), cat, band=cfg.band)
     return cat, eff, cls
 
 
@@ -250,14 +273,10 @@ def _hypotheses(cfg: RunConfig, eff: nf.EffectiveHamiltonian) -> tuple[dict, sd.
     return summary, rep
 
 
-def _grid(cfg: RunConfig) -> sim.GridSpec:
-    return sim.GridSpec(cfg.K, cfg.N, cfg.dt)
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
-    traj = sim.growth_run(_spec(cfg), _grid(cfg), _seed_modes(cfg), cfg.sample_every,
-                          cfg.mass_tol, t_end=cfg.t_end, seed_amp_scale=cfg.seed_amp_scale,
-                          seed=cfg.seed)
+    traj = sim.growth_run(_spec(cfg), sim.GridSpec(cfg.K, cfg.N, cfg.dt), _seed_modes(cfg),
+                          cfg.sample_every, cfg.mass_tol, t_end=cfg.t_end,
+                          seed_amp_scale=cfg.seed_amp_scale, seed=cfg.seed)
     fit = sim.fit_growth_rate(traj, cfg.nu, cfg.rho, grow_factor=cfg.grow_factor)
     _write(cfg, "trajectory.csv", traj.to_csv())
     _write(cfg, "growth_fit.json", fit.to_json() + "\n")
@@ -279,10 +298,9 @@ def _seed_modes(cfg: RunConfig) -> tuple[int, ...]:
 
 def cmd_scaling(cfg: RunConfig) -> int:
     slope, fits, _ = sim.scaling_experiment(
-        cfg.internal, cfg.rho, cfg.scaling_nus, _grid(cfg), _seed_modes(cfg),
-        seed_amp_scale=cfg.seed_amp_scale, sample_every=cfg.sample_every,
-        grow_factor=cfg.scaling_grow_factor, mass_tol=cfg.mass_tol,
-        seed=cfg.seed)
+        cfg.internal, cfg.rho, cfg.scaling_nus, sim.GridSpec(cfg.K, cfg.N, cfg.dt),
+        _seed_modes(cfg), seed_amp_scale=cfg.seed_amp_scale, sample_every=cfg.sample_every,
+        grow_factor=cfg.scaling_grow_factor, mass_tol=cfg.mass_tol, seed=cfg.seed)
     rates = {str(nu): fits[nu].rate for nu in cfg.scaling_nus}
     text = json.dumps({"slope": slope, "rates": rates}, indent=2)
     _write(cfg, "scaling.json", text + "\n")
@@ -329,40 +347,26 @@ COMMANDS = ("resonances", "normal-form", "classify", "hypotheses", "simulate", "
             "report")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_IO with one ``error:`` line, not argparse's 2 (EXIT_BOUND)."""
+
+    def error(self, message):
+        self.exit(EXIT_IO, f"error: {message}\n")
+
+
 @functools.cache
 def _arg_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process."""
-    parser = argparse.ArgumentParser(
+    """The argument tree, built once per process.  Every flag is text, parsed
+    with the config file's keys by ``build_config``."""
+    parser = _ArgumentParser(
         prog="qnls",
         description="Invariant-torus stability toolkit for the quintic NLS")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("-p", type=int, default=None)
-        p.add_argument("-q", type=int, default=None)
-        p.add_argument("-m", type=int, default=None)
-        p.add_argument("--rho", type=PARSERS["rho"], default=None)
-        p.add_argument("--nu", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--kmax", dest="k_max", type=int, default=None)
-        p.add_argument("--band", type=int, default=None)
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--grid-resolution", dest="grid_resolution", type=int,
-                       default=None)
-        p.add_argument("--domain", choices=["point", "D1", "D2"], default=None)
-        p.add_argument("--K", type=int, default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--seed-modes", dest="seed_modes", type=PARSERS["seed_modes"],
-                       default=None)
-        p.add_argument("--sample-every", dest="sample_every", type=int,
-                       default=None)
-        p.add_argument("--mass-tol", dest="mass_tol", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--preset", type=str, default=None)
-        p.add_argument("--config", type=str, default=None)
+        for flag, field in FLAGS.items():
+            p.add_argument(flag, dest=field)
+        p.add_argument("--config")
         p.add_argument("--print-config", action="store_true")
     return parser
 
@@ -371,16 +375,11 @@ def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if args.print_config:
-        print(cfg.print_config(), end="")
-        return EXIT_OK
-    # looked up when called, so that a wrapped cmd_* is the one that runs
-    command = globals()["cmd_" + args.command.replace("-", "_")]
-    try:
-        return command(cfg)
+        if args.print_config:
+            print(cfg.print_config(), end="")
+            return EXIT_OK
+        # looked up when called, so that a wrapped cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg)
     except rs.BoundTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -62,10 +62,6 @@ class HypothesisReport:
     witnesses: dict[int, object]
     tail_note: str = ""
 
-    def verdict(self, i: int) -> tuple[str, object]:
-        v = VERDICTS[self.codes[i]]
-        return v, self.witnesses.get(i, INTERVAL if v == LOWER_BOUNDED else None)
-
     def counts(self) -> dict[str, int]:
         """Verdict counts, keyed in order of first appearance."""
         codes, first, counts = np.unique(self.codes, return_index=True, return_counts=True)
@@ -252,7 +248,6 @@ class A0Result:
     passed: bool
     supremum: float
     bound: float
-    note: str = ""
 
 
 def _domain_grid(spec: TorusSpec, resolution: int) -> np.ndarray:
@@ -286,16 +281,13 @@ def check_A0(eff: EffectiveHamiltonian) -> A0Result:
     spec = eff.spec
     bound = _a0_bound(spec)
     sup = spec.lambda_shift
-    note = ""
     for blk in eff.blocks:
         if blk.kind != "B":
             continue
         refs = [m * m for m in blk.modes]
         for lam in blk.eigenvalues:
             sup = max(sup, min(abs(lam.real - w) for w in refs))
-        if blk.hyperbolic:
-            note = "hyperbolic block real parts included; imaginary parts belong to A1"
-    return A0Result(sup <= bound + 1e-12 * max(1.0, bound), sup, bound, note)
+    return A0Result(sup <= bound + 1e-12 * max(1.0, bound), sup, bound)
 
 
 @dataclass

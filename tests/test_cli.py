@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,18 +28,20 @@ _SCRATCH = tempfile.mkdtemp(prefix="qnls-cli-")
 _PKG_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_python(*args):
+def run_python(*args, env=None):
     # run in a scratch directory so default --out artifacts stay out of the repo;
     # put the tested package first on the child's path, as an absolute entry,
-    # so it runs this code whether or not another qnls is installed
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")])))
+    # so it runs this code whether or not another qnls is installed; ``env``
+    # sets more variables, and unsets those it maps to None
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")])), **(env or {}))
+    child = {k: v for k, v in child.items() if v is not None}
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, cwd=_SCRATCH, env=env)
+                          text=True, encoding="utf-8", cwd=_SCRATCH, env=child)
 
 
-def run_cli(*args):
-    return run_python("-m", "qnls.cli", *args)
+def run_cli(*args, env=None):
+    return run_python("-m", "qnls.cli", *args, env=env)
 
 
 def test_import_loads_no_scipy():
@@ -330,6 +333,130 @@ def test_warnings_reach_stderr():
 
 def test_argument_tree_built_once():
     assert cli._arg_parser() is cli._arg_parser()
+
+
+# every command's options, as its --help listed them before the flags became text
+HELP_OPTIONS = ["-h", "-p", "-q", "-m", "--rho", "--nu", "--delta", "--kmax", "--band",
+                "--bound", "--grid-resolution", "--domain", "--K", "--N", "--dt", "--t-end",
+                "--seed", "--seed-modes", "--sample-every", "--mass-tol", "--out", "--preset",
+                "--config", "--print-config"]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_lists_the_options(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "-h"])
+    assert done.value.code == cli.EXIT_OK
+    help_text = capsys.readouterr().out
+    options = help_text[help_text.index("\noptions:"):]
+    assert re.findall(r"^  (-[-\w]+)", options, re.M) == HELP_OPTIONS
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["classify", "--frob", "1"], "unrecognized arguments: --frob 1"),
+], ids=["no-command", "unknown-flag"])
+def test_usage_error_is_one_error_line(argv, message, capsys):
+    # exit 2, argparse's own code, is the enumeration bound's (EXIT_BOUND)
+    with pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == cli.EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name,flag,value,message", [
+    ("domain", "--domain", "d1", "'d1' is not one of point, D1, D2"),
+    ("domain", "--domain", "D3", "'D3' is not one of point, D1, D2"),
+    ("k_max", "--kmax", "x", "invalid literal for int() with base 10: 'x'"),
+    ("rho", "--rho", "1,x", "could not convert string to float: 'x'"),
+    ("preset", "--preset", "thm9",
+     "'thm9' is not one of thm2-stable, thm3-unstable, paper-appendixA-setA"),
+], ids=["domain-d1", "domain-D3", "k_max", "rho", "preset"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_value_is_the_same_error_from_either_source(source, name, flag, value, message,
+                                                         tmp_path, capsys):
+    # a config-file domain = d1 used to fall through to the point box and
+    # exit 0, and the flags used to exit 2 with argparse's usage text
+    argv = ["hypotheses", "-p", "-3", "-q", "10", "-m", "-6", "--rho", "1.5,1.2,1.8",
+            "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{name} = {value}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {name}: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def resolved_config(argv, capsys):
+    """``--print-config`` of ``argv`` as {key: text}."""
+    assert cli.main(["classify", *argv, "--print-config"]) == cli.EXIT_OK
+    return parse_kv(capsys.readouterr().out)
+
+
+def test_config_file_preset_goes_in_beneath_its_keys(tmp_path, capsys):
+    # a config-file preset used to be recorded and not applied: p=0, q=1
+    (tmp_path / "run.cfg").write_text("nu = 0.02\npreset = thm3-unstable\nseed = 7\n")
+    cfg = resolved_config(["--config", str(tmp_path / "run.cfg")], capsys)
+    assert (cfg["p"], cfg["q"], cfg["m"], cfg["rho"]) == ("-3", "10", "-6", "2.0,1.0,9.0")
+    assert (cfg["mass_tol"], cfg["nu"], cfg["seed"]) == ("0.001", "0.02", "7")
+    assert cfg["preset"] == "thm3-unstable"
+
+
+def test_config_file_conic_preset_runs_the_conic_search(tmp_path):
+    # it used to switch to the conic search with none of the preset's values
+    (tmp_path / "run.cfg").write_text("preset = paper-appendixA-setA\nbound = 1000\n")
+    argv = ("hypotheses", "--config", str(tmp_path / "run.cfg"))
+    res = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    assert res.stdout == run_cli("hypotheses", "--preset", "paper-appendixA-setA",
+                                 "--bound", "1000", "--out", str(tmp_path / "flag")).stdout
+    cfg = parse_kv(run_cli(*argv, "--print-config").stdout)
+    assert (cfg["p"], cfg["q"], cfg["m"], cfg["rho"]) == ("-3", "10", "-6", "2.0,1.0,9.0")
+
+
+def test_preset_flag_beats_the_config_file(tmp_path, capsys):
+    # defaults, then the file (its preset first), then the command line
+    # (--preset first): the flag's preset overrides the file's keys, a key
+    # the preset leaves alone keeps the file's value, and a flag beats both
+    (tmp_path / "run.cfg").write_text("preset = thm3-unstable\np = 5\nK = 8\nseed = 7\n")
+    cfg = resolved_config(["--config", str(tmp_path / "run.cfg"), "--preset", "thm2-stable",
+                           "--N", "64"], capsys)
+    assert (cfg["p"], cfg["K"], cfg["seed"], cfg["N"]) == ("0", "16", "7", "64")
+    assert (cfg["m"], cfg["preset"]) == ("None", "thm2-stable")
+    # none is no preset: the file's preset values stay, its name does not
+    cfg = resolved_config(["--config", str(tmp_path / "run.cfg"), "--preset", "none"], capsys)
+    assert (cfg["p"], cfg["q"], cfg["K"], cfg["preset"]) == ("5", "10", "8", "None")
+
+
+def test_print_config_round_trips_a_preset_run(tmp_path, capsys):
+    argv = ["--preset", "thm3-unstable", "--nu", "0.02"]
+    assert cli.main(["classify", *argv, "--print-config"]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    (tmp_path / "run.cfg").write_text(text)
+    assert cli.main(["classify", "--config", str(tmp_path / "run.cfg"),
+                     "--print-config"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == text
+    assert parse_kv(text)["nu"] == "0.02" and parse_kv(text)["p"] == "-3"
+
+
+@pytest.mark.parametrize("utf8_mode", [None, "0"], ids=["utf8-mode-unset", "utf8-mode-off"])
+def test_config_file_is_read_as_utf8_in_the_c_locale(utf8_mode, tmp_path):
+    # under the C locale with UTF-8 mode off the locale's encoding is ASCII,
+    # so a file read in it failed on its first non-ASCII byte; the file is
+    # UTF-8, as the artifacts are.  A non-ASCII out path needs a UTF-8
+    # filesystem encoding, which UTF-8 mode (on by default in the C locale) gives
+    text = "# \u03bd doubled\npreset = thm3-unstable\nnu = 0.02\n"
+    if utf8_mode is None:
+        text += "out = runs/\u03bd\n"
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    res = run_cli("classify", "--config", str(tmp_path / "run.cfg"), "--print-config",
+                  env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": utf8_mode})
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    cfg = parse_kv(res.stdout)
+    assert (cfg["p"], cfg["nu"]) == ("-3", "0.02")
+    assert cfg["out"] == ("runs/\u03bd" if utf8_mode is None else ".")
 
 
 def parse_kv(text):

@@ -68,8 +68,12 @@ def _matrix(form, n):
 
 def verdict_rows(rep):
     """(DivisorExpression, verdict, witness) per row of an A2 report, in
-    enumeration order."""
-    return [(rep.table.expression(i), *rep.verdict(i)) for i in range(len(rep.table))]
+    enumeration order: a row with no witness of its own has the interval
+    certificate's name when lower-bounded, else None."""
+    verdicts = [sd.VERDICTS[c] for c in rep.codes]
+    return [(rep.table.expression(i), v,
+             rep.witnesses.get(i, sd.INTERVAL if v == sd.LOWER_BOUNDED else None))
+            for i, v in enumerate(verdicts)]
 
 
 def flagship_eff(rho=(1.5, 1.2, 1.8), nu=0.01, domain="D1", band=20):
