@@ -8,8 +8,8 @@ frequencies Omega, the external shift lambda and the block's resonant
 monomial, and classifies the torus as elliptic or hyperbolic.  A block's
 type follows from its structure (zeta_s eta_t pairs are Hermitian, so
 elliptic) or from the exact sign of C^2 - a^2, its coupling against its gap
-(the pair-creation and self-coupled blocks).  The spectrum, a direct
-eigensolve of the linearized flow, is reported and decides nothing.
+(the pair-creation and self-coupled blocks).  The spectrum is reported only:
+an eigensolve run when it is read, so classifying a torus runs none.
 
 Every frequency is a rho-form, one vector of integer coefficients counted
 from the resonant sextic terms (``shift_forms``, ``twice_gap_form``), and is
@@ -273,7 +273,7 @@ class SpectralBlock:
 
     ``diag`` holds the uncoupled Lambda entries entering the matrix (trace
     check), ``coupling`` the off-diagonal strength; with ``kind`` they fix
-    the matrix, so it is derived on access rather than held by every block.
+    the matrix and its spectrum, both computed on each read, not stored.
     ``witness`` lists the internal modes the kind's resonant exponents act on,
     and ``k`` is that monomial's net exponent vector over the internal
     modes, in internal order.  ``margin`` is (C^2 - a^2) / nu^4 of a B or E
@@ -284,7 +284,6 @@ class SpectralBlock:
 
     kind: str
     modes: tuple[int, ...]
-    eigenvalues: tuple[complex, ...]
     classification: str
     diag: tuple[float, ...]
     coupling: float
@@ -297,6 +296,11 @@ class SpectralBlock:
     def coeff(self) -> np.ndarray:
         """The real Hessian of the block's quadratic form (``block_hessian``)."""
         return block_hessian(self.kind, self.diag, self.coupling)
+
+    @property
+    def eigenvalues(self) -> tuple[complex, ...]:
+        """The reported spectrum, ``generic_block_spectrum`` of ``coeff``."""
+        return tuple(generic_block_spectrum(self.coeff))
 
     @property
     def hyperbolic(self) -> bool:
@@ -371,8 +375,7 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
       - T(n)^2 decides, over the integers n = d rho and free of nu; C^2 = a^2
       exactly raises DegenerateBlock.  A hyperbolic block's rate is
       nu^2 sqrt(margin);
-    - spectrum: ``generic_block_spectrum`` of ``block_hessian``, reported
-      only.
+    - spectrum: none; ``SpectralBlock.eigenvalues`` eigensolves when read.
     """
     k = RESONANT_EXPONENTS[kind]
     idx = [spec.internal.index(m) for m in witness]
@@ -412,8 +415,7 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
         margin = _rounded(excess, 4 * den2 * den2, f"the {kind} block's margin")
         if excess > 0:
             cls, rate = HYPERBOLIC, float(spec.nu2) * math.sqrt(margin)
-    eig = generic_block_spectrum(block_hessian(kind, diag, coupling))
-    return SpectralBlock(kind, (s,) if kind == "E" else (s, t), tuple(eig), cls,
+    return SpectralBlock(kind, (s,) if kind == "E" else (s, t), cls,
                          diag, coupling, tuple(witness), tuple(net), margin, rate)
 
 
@@ -500,7 +502,8 @@ class Classification:
 
 def classify_torus(spec: TorusSpec, catalog: ResonanceCatalog,
                    band: int | None = None) -> tuple[EffectiveHamiltonian, Classification]:
-    """Assemble every external block and scalar shift, classify the torus.
+    """Assemble every external block and scalar shift, classify the torus,
+    from exact block types alone: no block's spectrum is computed.
 
     Refuses (PreconditionViolated) when the catalog families overlap or,
     for 3-mode specs, when single-external-mode resonances exist: the
@@ -513,22 +516,15 @@ def classify_torus(spec: TorusSpec, catalog: ResonanceCatalog,
     if len(spec.internal) == 3 and catalog.one_mode_solutions:
         raise PreconditionViolated("single-external-mode resonances present")
 
-    blocks: list[SpectralBlock] = []
     if len(spec.internal) == 2:
-        for pair in catalog.set_A:
-            blocks.append(block_two_mode_case2(spec, pair))
+        blocks = [block_two_mode_case2(spec, pair) for pair in catalog.set_A]
     else:
-        for pair in catalog.set_A:
-            blocks.append(block_set_A(spec, pair))
-        for pair in catalog.set_B:
-            blocks.append(block_set_B(spec, pair))
-        for pair in catalog.set_C:
-            blocks.append(block_set_C(spec, pair))
-        for pair in catalog.set_E:
-            blocks.append(block_set_E(spec, pair.s, pair.internal_witness))
+        blocks = ([block_set_A(spec, pair) for pair in catalog.set_A]
+                  + [block_set_B(spec, pair) for pair in catalog.set_B]
+                  + [block_set_C(spec, pair) for pair in catalog.set_C]
+                  + [block_set_E(spec, pair.s, pair.internal_witness) for pair in catalog.set_E])
 
-    if band is None:
-        band = catalog.bound
+    band = catalog.bound if band is None else band
     if band < 0:
         raise ValueError(f"band must be nonnegative, got {band}")
     eff = EffectiveHamiltonian(spec, constant_metadata(spec), band, blocks)

@@ -195,24 +195,31 @@ def conserved(state: FourierState, grid: GridSpec) -> ConservedSnapshot:
     return _SplitStep(grid, state.a).sample()[1]
 
 
+def _band_positions(modes: Sequence[int], K: int, role: str) -> np.ndarray:
+    """The positions j + K of ``modes`` in the band layout; ValueError for a
+    mode outside |j| <= K, whose position would wrap or overrun."""
+    for m in modes:
+        if abs(m) > K:
+            raise ValueError(f"{role} mode {m} outside the band |j| <= {K}")
+    return np.array([m + K for m in modes], dtype=int)
+
+
 def prepare_torus_state(spec: TorusSpec, seed_modes: Sequence[int],
                         seed_amp: float, grid: GridSpec,
                         seed: int = 0) -> FourierState:
     """Torus point |a_m|^2 = nu * rho_i plus a small perturbation on the seed
-    modes.  ``seed`` picks deterministic pseudorandom phases."""
+    modes.  ``seed`` picks deterministic pseudorandom phases.  Internal and
+    seed modes must lie in the band."""
     if seed_amp < 0:
         raise ValueError("seed_amp must be nonnegative")
-    K = grid.K
-    a = np.zeros(2 * K + 1, dtype=complex)
-    for m, r in zip(spec.internal, spec.rho):
-        a[m + K] = np.sqrt(spec.nu * float(r))
+    if any(m in spec.internal for m in seed_modes):
+        raise ValueError("seed modes must be external")
+    a = np.zeros(2 * grid.K + 1, dtype=complex)
+    for i, r in zip(_band_positions(spec.internal, grid.K, "internal"), spec.rho):
+        a[i] = np.sqrt(spec.nu * float(r))
     phases = np.random.default_rng(seed).uniform(0, 2 * np.pi, len(seed_modes))
-    for m, phi in zip(seed_modes, phases):
-        if m in spec.internal:
-            raise ValueError("seed modes must be external")
-        if abs(m) > K:
-            raise ValueError("seed mode outside band")
-        a[m + K] = seed_amp * np.exp(1j * phi)
+    for i, phi in zip(_band_positions(seed_modes, grid.K, "seed"), phases):
+        a[i] = seed_amp * np.exp(1j * phi)
     return FourierState(a, 0.0)
 
 
@@ -248,14 +255,16 @@ def evolve(state: FourierState, grid: GridSpec, t_end: float,
     phase algebra).  Aborts with BlowUp when a sample's mass is not finite
     or its relative drift exceeds ``mass_tol`` (inf: no drift guard); stops
     early once the external mass passes ``stop_ext_mass`` (saturation cut
-    for growth runs).  Integrates forward only: what ``_step_count`` refuses
-    and a NaN or negative ``mass_tol`` are refused up front.
+    for growth runs).  Integrates forward only: what ``_step_count`` refuses,
+    a NaN or negative ``mass_tol`` and an internal or watched mode outside
+    the band are refused up front.
     """
     n_steps = _step_count(grid, t_end, sample_every)
     if not mass_tol >= 0:
         raise ValueError(f"mass_tol must be nonnegative, got {mass_tol}")
     K = grid.K
-    iidx = np.array([m + K for m in internal], dtype=int)
+    iidx = _band_positions(internal, K, "internal")
+    _band_positions(watch, K, "watched")
     mask_ext = np.ones(2 * K + 1, dtype=bool)
     mask_ext[iidx] = False
     kernel = _SplitStep(grid, state.a)

@@ -683,8 +683,8 @@ def enumerate_A2_expressions(eff: EffectiveHamiltonian, k_max: int) -> DivisorTa
             # energy-conserving blocks (elliptic couplings): eigenvalue pairs
             # perturb (s_role^2, t_role^2); pad covers the rotation of the
             # block eigenvalues away from the scalar shifts.
-            branch_coef, branch_pad = lam, (abs(blk.eigenvalues[-1].real - blk.eigenvalues[0].real)
-                                            + 2 * abs(blk.coupling))
+            eig = blk.eigenvalues
+            branch_coef, branch_pad = lam, abs(eig[-1].real - eig[0].real) + 2 * abs(blk.coupling)
             if blk.kind == "E":
                 # creation pair (s, s): divisor 2 Lambda_s + Omega.k
                 pair(on(-2, -2 * s_role), OMEGA_K_PLUS_PLUS,

@@ -682,6 +682,18 @@ def test_simulate_non_finite_run_is_an_error(rho, config, message, tmp_path):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("p", ["10", "-10"])
+def test_simulate_internal_mode_outside_the_band_is_an_error(p, tmp_path):
+    # at K = 8 mode 10 overran the band with a traceback, and mode -10
+    # wrapped onto mode 7
+    res = run_cli("simulate", "-p", p, "-q", "1", "--rho", "1,1", "--K", "8", "--N", "64",
+                  "--dt", "0.01", "--t-end", "1", "--sample-every", "1", "--seed-modes", "2",
+                  "--out", str(tmp_path))
+    assert res.returncode == cli.EXIT_IO
+    assert res.stderr == f"error: internal mode {p} outside the band |j| <= 8\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_overflow_is_one_error_line(tmp_path):
     # at rho = 1e120 the shifts are finite but the Z6 constant overflows
     res = run_cli("classify", "-p", "0", "-q", "1", "--rho", "1e120,1e120",

@@ -720,6 +720,56 @@ def test_net_hyperbolic_rate_is_the_exact_margin(as_float):
     assert hyperbolic == 211
 
 
+class _Eigensolved(Exception):
+    pass
+
+
+def _decided(outcome):
+    """What classifying decides: the verdict, hyperbolic modes, rate and
+    each block's type, margin and rate; for a refusal, its type."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__
+    eff, cls = outcome
+    return (cls.verdict, cls.hyperbolic_modes, cls.max_im,
+            [(b.kind, b.modes, b.classification, b.margin, b.max_im) for b in eff.blocks])
+
+
+def _classified(internal, rho, nu):
+    try:
+        return nf.classify_torus(nf.TorusSpec(internal, rho, nu), _catalog(internal))
+    except (nf.PreconditionViolated, nf.DegenerateBlock) as exc:
+        return exc
+
+
+@functools.cache
+def _catalog(internal):
+    return rs.enumerate_sets(internal)
+
+
+def test_classify_runs_no_eigensolve(monkeypatch):
+    # the flagship (hyperbolic B), (-2, -1, 2) below its E parabola
+    # (hyperbolic E), a two-mode torus and the instability net classify the
+    # same with the eigensolve made to raise; only reading a spectrum raises
+    tori = [(FLAGSHIP, (2.0, 1.0, 9.0), 0.01),
+            ((-2, -1, 2), (Fraction(27, 5), 1, 1), Fraction(1, 100)),
+            ((0, 2), (1.3, 0.7), 0.05)]
+    tori += [(internal, rho, Fraction(1, 100)) for internal, rho, _ in _net(False)]
+    want = [_decided(_classified(*torus)) for torus in tori]
+    assert [w[:2] for w in want[:3]] == [("Unstable", [1, 9]), ("Unstable", [1]), ("Stable", [])]
+
+    def eigensolve(coeff):
+        raise _Eigensolved
+    monkeypatch.setattr(nf, "generic_block_spectrum", eigensolve)
+    outcomes = [_classified(*torus) for torus in tori]
+    assert [_decided(o) for o in outcomes] == want
+    for eff, _ in outcomes[:3]:
+        for blk in eff.blocks:
+            with pytest.raises(_Eigensolved):
+                blk.eigenvalues
+        with pytest.raises(_Eigensolved):
+            eff.to_json()
+
+
 # ---------------------------------------------------------------------------
 # rho-polynomial oracle: plain-Fraction copies of the coefficient formulas
 

@@ -323,6 +323,19 @@ def test_evolve_stops_on_non_finite_mass():
         sim.evolve(single_mode(grid, 1, 1e80), grid, t_end=1.0, mass_tol=float("inf"))
 
 
+@pytest.mark.parametrize("internal,watch,message", [
+    ((), (-6,), "watched mode -6 outside the band"),
+    ((5,), (), "internal mode 5 outside the band"),
+    ((-5, 1), (1,), "internal mode -5 outside the band"),
+], ids=["watched", "internal", "negative-internal"])
+def test_evolve_rejects_modes_outside_the_band(internal, watch, message):
+    # a negative position j + K used to wrap: mode -6 at K = 4 wrote mode
+    # 3's column under the header mode_-6
+    grid = sim.GridSpec(4, 32, 0.01)
+    with pytest.raises(ValueError, match=message):
+        sim.evolve(single_mode(grid, 1, 0.1), grid, t_end=0.1, internal=internal, watch=watch)
+
+
 @pytest.mark.parametrize("every", [0, -3])
 def test_evolve_rejects_nonpositive_sample_every(every):
     # a step count below one per sample would never reach t_end
@@ -362,6 +375,15 @@ def test_prepare_torus_rejects_bad_seeds():
         sim.prepare_torus_state(spec, (0,), 1e-8, grid)  # internal mode
     with pytest.raises(ValueError):
         sim.prepare_torus_state(spec, (99,), 1e-8, grid)  # out of band
+
+
+@pytest.mark.parametrize("internal", [(-10, 1), (10, 1)], ids=["negative", "positive"])
+def test_prepare_torus_rejects_internal_modes_outside_the_band(internal):
+    # mode -10 at K = 8 used to wrap onto mode 7, and mode 10 to overrun
+    grid = sim.GridSpec(8, 64, 0.01)
+    spec = nf.TorusSpec(internal, (1.0, 1.0), 0.01)
+    with pytest.raises(ValueError, match=f"internal mode {internal[0]} outside the band"):
+        sim.prepare_torus_state(spec, (2,), 1e-8, grid)
 
 
 def test_grid_validation():
