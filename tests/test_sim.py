@@ -1,6 +1,7 @@
 """Split-step integrator: conservation, convergence, symmetry, growth fits."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from qnls import normal_form as nf
 from qnls import resonance as rs
 from qnls import sim
+
+import split_step_reference
 
 
 def step(state, grid):
@@ -162,8 +165,10 @@ def oracle_step(a, grid):
 
 # the thm3-unstable and thm2-stable grids, a backward step, and the tightest
 # dealiased grid of test_evolve_mass_tolerance_guard (N = 32 >= 6K+1 = 31)
-@pytest.mark.parametrize("K,N,dt", [(32, 256, 5e-3), (16, 128, 0.05),
-                                    (16, 128, -0.01), (5, 32, 0.05)])
+KERNEL_GRIDS = [(32, 256, 5e-3), (16, 128, 0.05), (16, 128, -0.01), (5, 32, 0.05)]
+
+
+@pytest.mark.parametrize("K,N,dt", KERNEL_GRIDS)
 def test_kernel_matches_oracle(K, N, dt):
     grid = sim.GridSpec(K, N, dt)
     # the whole band is occupied, so the truncation discards mass every step
@@ -195,6 +200,48 @@ def test_fft_binding_matches_numpy_fft(N):
     inv = sim._pfu.ifft(x, 1.0, out=np.empty_like(x))
     assert np.array_equal(fwd, np.fft.fft(x, norm="forward"))
     assert np.array_equal(inv, np.fft.ifft(x, norm="forward"))
+
+
+@pytest.mark.parametrize("K,N,dt", KERNEL_GRIDS)
+def test_kernel_matches_the_eleven_call_reference(K, N, dt):
+    # unlike the sha256 goldens, exact on every numpy: both kernels run on
+    # the same numpy, chunked as evolve chunks them (1, 3, 10, 50 steps)
+    grid = sim.GridSpec(K, N, dt)
+    a = band_state(grid, support=K).a
+    kernel, ref = sim._SplitStep(grid, a), split_step_reference.ElevenCallSplitStep(grid, a)
+    for n in (1, 2, 7, 40):
+        kernel.run(n)
+        ref.run(n)
+        assert np.array_equal(kernel.spec, ref.spec)
+        (mags, snap), (ref_mags, ref_snap) = kernel.sample(), ref.sample()
+        assert np.array_equal(mags, ref_mags)
+        assert snap == ref_snap
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_kernel_refuses_fewer_than_one_step(n):
+    # it used to apply a linear half phase and take no step
+    grid = sim.GridSpec(8, 64, 0.1)
+    kernel = sim._SplitStep(grid, single_mode(grid, 1, 1.0).a)
+    with pytest.raises(ValueError, match="at least one step"):
+        kernel.run(n)
+    assert np.array_equal(kernel.coefficients(), single_mode(grid, 1, 1.0).a)
+
+
+def test_stepping_allocates_no_arrays():
+    # only view objects: one leaked N = 256 temporary is 2,048 B (float) or
+    # 4,096 B (complex); the warm-up run keeps one-time allocations out
+    grid = sim.GridSpec(32, 256, 5e-3)
+    kernel = sim._SplitStep(grid, band_state(grid, support=32).a)
+    kernel.run(1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kernel.run(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2048
 
 
 # sha256 of Trajectory.to_csv() for 2,000 steps of the growth-unstable and
