@@ -8,8 +8,9 @@ frequencies Omega, the external shift lambda and the block's resonant
 monomial, and classifies the torus as elliptic or hyperbolic.  A block's
 type follows from its structure (zeta_s eta_t pairs are Hermitian, so
 elliptic) or from the exact sign of C^2 - a^2, its coupling against its gap
-(the pair-creation and self-coupled blocks).  The spectrum is reported only:
-an eigensolve run when it is read, so classifying a torus runs none.
+(the pair-creation and self-coupled blocks).  The spectrum is reported only,
+from a closed form of each block's stored entries when it is read; no
+eigensolve runs, and a hyperbolic block's imaginary part is its exact rate.
 
 Every frequency is a rho-form, one vector of integer coefficients counted
 from the resonant sextic terms (``shift_forms``, ``twice_gap_form``), and is
@@ -210,51 +211,6 @@ def constant_metadata(spec: TorusSpec) -> float:
 # ---------------------------------------------------------------------------
 # Spectral blocks.
 
-@cache
-def standard_symplectic_form(dim: int) -> np.ndarray:
-    """J on coordinates (x_1..x_n, y_1..y_n), read-only."""
-    if dim % 2:
-        raise ValueError("dimension must be even")
-    n = dim // 2
-    J = np.zeros((dim, dim))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    J.flags.writeable = False
-    return J
-
-
-def generic_block_spectrum(coeff: np.ndarray) -> list[complex]:
-    """Frequencies of the quadratic Hamiltonian with Hessian ``coeff``.
-
-    Eigenvalues mu of J*coeff come in (mu, -mu) pairs; the frequencies are
-    Lambda = i*mu, one representative per pair, chosen with Re > 0 (or
-    Im >= 0 on the imaginary axis) and sorted by (real, imaginary) part.
-    Parts below 1e-10 of the spectral scale are snapped to zero; the
-    snapped values then pair up as (Lambda, -Lambda) across the middle of
-    their (real, imaginary) order, so the upper half is the representatives.
-    A defective repeated eigenvalue that the eigensolver splits past the
-    snap can break that pairing.
-
-    The values are reported only: no block's classification reads them, so
-    such a split can move a reported eigenvalue but not a verdict.
-    """
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.ndim != 2 or coeff.shape[0] != coeff.shape[1] or coeff.shape[0] % 2:
-        raise ValueError("coeff must be square with even dimension")
-    mu = np.linalg.eigvals(standard_symplectic_form(coeff.shape[0]) @ coeff)
-    lam = 1j * mu
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    tol = 1e-10 * scale
-
-    def snap(z: complex) -> complex:
-        re = 0.0 if abs(z.real) < tol else z.real
-        im = 0.0 if abs(z.imag) < tol else z.imag
-        return complex(re, im)
-
-    vals = sorted((snap(z) for z in lam), key=lambda z: (z.real, z.imag))
-    return vals[coeff.shape[0] // 2:]
-
-
 ELLIPTIC = "Elliptic"
 HYPERBOLIC = "Hyperbolic"
 # kinds whose zeta_s eta_t coupling conserves energy: Hermitian 2x2 forms,
@@ -273,7 +229,8 @@ class SpectralBlock:
 
     ``diag`` holds the uncoupled Lambda entries entering the matrix (trace
     check), ``coupling`` the off-diagonal strength; with ``kind`` they fix
-    the matrix and its spectrum, both computed on each read, not stored.
+    the matrix and, with ``max_im``, its spectrum, both computed on each
+    read, not stored.
     ``witness`` lists the internal modes the kind's resonant exponents act on,
     and ``k`` is that monomial's net exponent vector over the internal
     modes, in internal order.  ``margin`` is (C^2 - a^2) / nu^4 of a B or E
@@ -299,8 +256,42 @@ class SpectralBlock:
 
     @property
     def eigenvalues(self) -> tuple[complex, ...]:
-        """The reported spectrum, ``generic_block_spectrum`` of ``coeff``."""
-        return tuple(generic_block_spectrum(self.coeff))
+        """The block's frequencies Lambda, one per (Lambda, -Lambda) pair:
+        Re > 0, or Im >= 0 on the imaginary axis, sorted by (Re, Im).
+
+        The Hessian is diag(M1, M2) with no x-y cross terms, so Lambda^2 is
+        an eigenvalue of the 2x2 product M2 M1, and each kind has a closed
+        form in ``diag`` = (Lambda_s, Lambda_t) and the coupling C, with
+        m = (Lambda_s + Lambda_t)/2 and a = (Lambda_t - Lambda_s)/2:
+        - A, C, TwoMode: |m -+ sqrt(a^2 + C^2)|;
+        - B: m -+ sqrt(a^2 - C^2), or (m - i r, m + i r) when hyperbolic;
+        - E: sqrt((Lambda_s + C)(Lambda_s - C)), or i r when hyperbolic.
+        A hyperbolic block's root r is its rate ``max_im``, so Im is 0
+        exactly when the block is elliptic.  Only + - * /, math.sqrt and
+        exact scalings by powers of two run, so the bits are the same on
+        every IEEE platform."""
+        c = self.coupling
+        if self.kind == "E":
+            (lam_s,) = self.diag
+            if self.hyperbolic:
+                return (complex(0.0, self.max_im),)
+            return (complex(math.sqrt(max(0.0, (lam_s + c) * (lam_s - c))), 0.0),)
+        lam_s, lam_t = self.diag
+        m, a = (lam_s + lam_t) / 2, (lam_t - lam_s) / 2
+        if self.kind != "B":
+            # a and C in units of a power of two, an exact scaling, so that
+            # a^2 + C^2 cannot overflow
+            e = math.frexp(max(abs(a), abs(c)))[1]
+            a, c = math.ldexp(a, -e), math.ldexp(c, -e)
+            root = math.ldexp(math.sqrt(a * a + c * c), e)
+        elif self.hyperbolic:
+            # representatives of m +- i r; on the imaginary axis both are i r
+            re, r = abs(m), self.max_im
+            return (complex(re, r if m == 0 else -r), complex(re, r))
+        else:
+            # elliptic by the exact sign; rounding can still leave a^2 - C^2 <= 0
+            root = math.sqrt(max(0.0, (a - c) * (a + c)))
+        return tuple(complex(x, 0.0) for x in sorted((abs(m - root), abs(m + root))))
 
     @property
     def hyperbolic(self) -> bool:
@@ -375,7 +366,8 @@ def _block(spec: TorusSpec, kind: str, s: int, t: int, witness: tuple[int, ...])
       - T(n)^2 decides, over the integers n = d rho and free of nu; C^2 = a^2
       exactly raises DegenerateBlock.  A hyperbolic block's rate is
       nu^2 sqrt(margin);
-    - spectrum: none; ``SpectralBlock.eigenvalues`` eigensolves when read.
+    - spectrum: none; ``SpectralBlock.eigenvalues`` computes its closed
+      form when read.
     """
     k = RESONANT_EXPONENTS[kind]
     idx = [spec.internal.index(m) for m in witness]

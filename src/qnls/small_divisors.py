@@ -274,9 +274,12 @@ def check_A0(eff: EffectiveHamiltonian) -> A0Result:
     """Sup of |Lambda - (matched mode)^2| against C = ``_a0_bound``.
 
     Scalar shifts are identical for every mode; pair-creation blocks
-    contribute their eigenvalue real parts (matched against the nearest
-    block-mode square).  Energy-conserving couplings live in the
-    perturbation, not the normal form, so their modes enter as scalars.
+    contribute the real parts of their closed-form spectrum
+    (``SpectralBlock.eigenvalues``), matched against the nearest block-mode
+    square: m -+ sqrt(a^2 - C^2) for an elliptic block and the half sum
+    m = (Lambda_s + Lambda_t)/2 for a hyperbolic one.  Energy-conserving
+    couplings live in the perturbation, not the normal form, so their modes
+    enter as scalars.
     """
     spec = eff.spec
     bound = _a0_bound(spec)
@@ -314,9 +317,12 @@ def check_A1(eff: EffectiveHamiltonian, delta: float | None = None) -> list[A1Ve
     """The four separation inequalities over scalar and block eigenvalues.
 
     Scalars cluster by |j| (their shifts are identical, so Lambda_j =
-    Lambda_{-j} exactly); block eigenvalues cluster with the mode whose
-    square they perturb.  Beyond ``_A1_MODE_CUTOFF`` the gap |a^2 - b^2| - 2C
-    grows without bound, certifying the tail from A0.
+    Lambda_{-j} exactly); an elliptic block's eigenvalues, the closed forms
+    of ``SpectralBlock.eigenvalues``, cluster with the mode whose square
+    they perturb, and a hyperbolic block enters with its exact rate
+    ``max_im``, which is also its spectrum's imaginary part.  Beyond
+    ``_A1_MODE_CUTOFF`` the gap |a^2 - b^2| - 2C grows without bound,
+    certifying the tail from A0.
     """
     spec = eff.spec
     delta = _delta(spec, delta)

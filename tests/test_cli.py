@@ -286,11 +286,13 @@ def test_hypotheses_streamed_lines_golden(tmp_path):
 # sha256 of hypotheses.json for the flagship at k_max 4 on the point box,
 # D1 and D2; recorded when A0's bound was the maximum over an 8-per-side
 # grid, and point and D2 again when A1's hyperbolic clause read the exact
-# rate nu^2 sqrt(margin) in place of the eigensolve's imaginary parts
+# rate nu^2 sqrt(margin) in place of the eigensolve's imaginary parts, and
+# when the B block's closed-form spectrum moved A0's supremum from
+# 0.18180000000016605 to 0.18180000000000002
 HYPOTHESES_JSON_SHA256 = {
-    "point": ("2,1,9", "fe21cb99f322feca30b3a78da0b5499be527cfa55b2146b4fb3b40af598a28c5"),
+    "point": ("2,1,9", "08a44041d1fd7a1536d1b631595eefe07aa07e54bab3248eccb5fddf4e383076"),
     "D1": ("1.5,1.2,1.8", "6e3a508128070016cb5eda12e0ef3f191b5ada658129286f36601bb69547c385"),
-    "D2": ("2,1,9", "12526f6187eb14689db83ea932d886c0d724ed47b058fe3506f00fbfc4af9fa5"),
+    "D2": ("2,1,9", "f9fa7d671dcf7c3e4080934e4417adcc337a68f36e4d5327f10df1fcfb149677"),
 }
 
 

@@ -9,10 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qnls import normal_form as nf
 from qnls import resonance as rs
+from qnls import small_divisors as sd
+from spectrum_reference import (generic_block_spectrum, nearest_partner_spectrum,
+                                spectrum_deviation, standard_symplectic_form)
 
 
 FLAGSHIP = (-3, 10, -6)
@@ -156,52 +159,20 @@ def test_constant_metadata_two_mode():
 
 
 # ---------------------------------------------------------------------------
-# generic block spectrum
+# the eigensolve oracle (tests/spectrum_reference.py)
 
 def test_generic_spectrum_harmonic_pair():
     # decoupled modes with frequencies 2 and 5
     coeff = np.diag([2.0, 5.0, 2.0, 5.0])
-    lams = nf.generic_block_spectrum(coeff)
+    lams = generic_block_spectrum(coeff)
     assert lams == pytest.approx([2.0, 5.0])
 
 
 def test_generic_spectrum_hyperbolic():
     # inverted pair: H = (x^2 - y^2)/2-like, coeff diag(1, -1)
     coeff = np.diag([1.0, -1.0])
-    (lam,) = nf.generic_block_spectrum(coeff)
+    (lam,) = generic_block_spectrum(coeff)
     assert lam.real == 0.0 and lam.imag == pytest.approx(1.0)
-
-
-def nearest_partner_spectrum(coeff: np.ndarray) -> list[complex]:
-    """The oracle for ``generic_block_spectrum``: the same eigensolve and
-    snap, then each value in (re, im) order takes the closest unused value
-    to its negative as partner, and the larger of the two in (re, im) order
-    represents the pair."""
-    mu = np.linalg.eigvals(nf.standard_symplectic_form(coeff.shape[0]) @ coeff)
-    lam = 1j * mu
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
-
-    def snap(z: complex) -> complex:
-        return complex(0.0 if abs(z.real) < tol else z.real,
-                       0.0 if abs(z.imag) < tol else z.imag)
-
-    vals = sorted((snap(z) for z in lam), key=lambda z: (z.real, z.imag))
-    picked = []
-    used = [False] * len(vals)
-    for i in range(len(vals)):
-        if used[i]:
-            continue
-        used[i] = True
-        target = -vals[i]
-        j_best, d_best = -1, math.inf
-        for j in range(i + 1, len(vals)):
-            if not used[j]:
-                d = abs(vals[j] - target)
-                if d < d_best:
-                    j_best, d_best = j, d
-        used[j_best] = True
-        picked.append(max(vals[i], vals[j_best], key=lambda z: (z.real, z.imag)))
-    return sorted(picked, key=lambda z: (z.real, z.imag))
 
 
 def _bits(vals) -> list[tuple[str, str]]:
@@ -209,9 +180,9 @@ def _bits(vals) -> list[tuple[str, str]]:
 
 
 def assert_same_spectrum(coeff: np.ndarray) -> None:
-    """generic_block_spectrum equals the oracle bit for bit, signs of zero
-    included."""
-    assert _bits(nf.generic_block_spectrum(coeff)) == _bits(nearest_partner_spectrum(coeff))
+    """generic_block_spectrum equals the pairing oracle bit for bit, signs
+    of zero included."""
+    assert _bits(generic_block_spectrum(coeff)) == _bits(nearest_partner_spectrum(coeff))
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,7 +210,7 @@ def test_generic_spectrum_matches_nearest_partner_on_parabolic_blocks(lam_s, lam
 def test_generic_spectrum_of_zero_matrix(dim):
     zero = np.zeros((dim, dim))
     assert_same_spectrum(zero)
-    assert _bits(nf.generic_block_spectrum(zero)) == _bits([0j] * (dim // 2))
+    assert _bits(generic_block_spectrum(zero)) == _bits([0j] * (dim // 2))
 
 
 def test_trace_invariant():
@@ -247,7 +218,7 @@ def test_trace_invariant():
     for blk in eff.blocks:
         n = len(blk.eigenvalues)
         # symplectic trace: sum of Lambda equals half the J-weighted trace
-        J = nf.standard_symplectic_form(2 * n)
+        J = standard_symplectic_form(2 * n)
         mu = np.linalg.eigvals(J @ blk.coeff)
         assert abs(mu.sum()) < 1e-9 * max(1.0, np.abs(mu).max())
 
@@ -317,8 +288,9 @@ def test_case2_block_elliptic():
 
 def test_blocks_derive_matrix_and_closed_form_from_diag_and_coupling():
     # the builder solves block_hessian(kind, diag, coupling); the stored
-    # fields must rebuild that matrix bit for bit, and an energy-conserving
-    # block's spectrum is the Hermitian closed form mean -+ hypot(a, coupling)
+    # fields rebuild that matrix, whose eigensolve the reported spectrum
+    # matches, and an energy-conserving block's spectrum is the Hermitian
+    # closed form mean -+ hypot(a, coupling)
     internal = (-5, -3, 3)
     spec = nf.TorusSpec(internal, (1.5, 1.25, 1.75), 0.01)
     blocks = [*nf.classify_torus(spec, rs.enumerate_sets(internal), band=12)[0].blocks,
@@ -327,12 +299,23 @@ def test_blocks_derive_matrix_and_closed_form_from_diag_and_coupling():
                                  rs.enumerate_sets((0, 2)), band=10)[0].blocks]
     assert {b.kind for b in blocks} == {"A", "B", "C", "E", "TwoMode"}
     for blk in blocks:
-        assert tuple(nf.generic_block_spectrum(blk.coeff)) == blk.eigenvalues
+        assert spectrum_deviation(blk.eigenvalues, blk.coeff) <= 1e-12, blk
         if blk.kind in ("A", "C"):
             lam_s, lam_t = blk.diag
             mean, shift = (lam_s + lam_t) / 2, math.hypot((lam_t - lam_s) / 2, blk.coupling)
             assert [mean - shift, mean + shift] == pytest.approx(
                 [l.real for l in blk.eigenvalues], rel=1e-12)
+
+
+def test_spectrum_of_a_block_whose_entries_square_past_the_float_range():
+    # at rho = 1e100 the two-mode block's half gap and coupling are ~1e197,
+    # whose squares overflow a float; its spectrum stays finite and matches
+    # the eigensolve
+    spec = nf.TorusSpec((0, 2), (1e100, 1e100), 0.05)
+    (blk,) = nf.classify_torus(spec, rs.enumerate_sets((0, 2)), band=10)[0].blocks
+    assert abs(blk.coupling) > 1e190
+    assert all(math.isfinite(l.real) for l in blk.eigenvalues)
+    assert spectrum_deviation(blk.eigenvalues, blk.coeff) <= 1e-12
 
 
 def test_case2_mixing_matches_derived_alpha():
@@ -386,34 +369,36 @@ def test_near_parabolic_e_block_is_decided_exactly(kind):
         assert cls.verdict == ("Unstable" if offset > 0 else "Stable"), offset
 
 
-def test_hyperbolic_rate_survives_the_spectrum_snap():
-    # 1 to 5 ulps below X0 the E block is hyperbolic, but its imaginary parts
-    # (under 1e-10) fall below generic_block_spectrum's 1e-10 snap; from 6
-    # ulps on they clear it, a few 1e-3 off, as the eigensolve of a nearly
-    # defective J.H is.  The reported rate reads no eigenvalue: it is
-    # nu^2 sqrt(margin) at every offset, the exact (C^2 - a^2) / nu^4
-    # rounded once.  A float x and the same x as a Fraction are the same torus.
+def test_spectrum_agrees_with_the_verdict_next_to_the_e_parabola():
+    # 1 to 7 ulps below X0 the E block is hyperbolic, with imaginary parts
+    # under 1e-10 that an eigensolve reads as 0 (5 ulps and less) or a few
+    # 1e-3 off; from X0 up it is elliptic.  The reported spectrum's
+    # imaginary part is the rate nu^2 sqrt(margin) itself, the exact
+    # (C^2 - a^2) / nu^4 rounded once, so it is 0 exactly on the elliptic
+    # side.  A float x and the same x as a Fraction are the same torus.
     internal = (-2, -1, 2)
     cat = rs.enumerate_sets(internal)
-    x = X0
-    for ulps in range(1, 8):
-        x = math.nextafter(x, 0)
+    ladder = [X0]
+    for _ in range(7):
+        ladder = [math.nextafter(ladder[0], 0), *ladder, math.nextafter(ladder[-1], math.inf)]
+    for x in ladder:
         rho = dict(zip(internal, (Fraction(x), 1, 1)))
         for kind in (Fraction, float):
             spec = nf.TorusSpec(internal, (kind(x), 1, 1), Fraction(1, 100))
             eff, cls = nf.classify_torus(spec, cat)
             (blk,) = [b for b in eff.blocks if b.kind == "E"]
-            im = max(abs(l.imag) for l in blk.eigenvalues)
-            assert (im == 0.0) == (ulps <= 5), (ulps, kind)
-            assert cls.verdict == "Unstable" and cls.max_im == blk.max_im > 0
+            (lam,) = blk.eigenvalues
+            assert blk.hyperbolic == (x < X0), (x, kind)
+            assert (lam.imag == 0) == (not blk.hyperbolic), (x, kind)
+            assert abs(lam.imag).hex() == blk.max_im.hex() == cls.max_im.hex(), (x, kind)
             ra, rb, rc = (rho[m] for m in blk.witness)
             excess = (nf.coupling_count("E", blk.witness, *blk.modes, *blk.modes) ** 2
                       * ra * ra * rb * rc - _e_lambda_s_ref((ra, rb, rc)) ** 2)
-            assert blk.margin == float(excess) > 0
-            assert blk.max_im == 1e-4 * math.sqrt(blk.margin)
-            assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
-            if im:
-                assert im == pytest.approx(blk.max_im, rel=5e-3)
+            assert blk.margin == float(excess), (x, kind)
+            if blk.hyperbolic:
+                assert cls.verdict == "Unstable" and blk.max_im > 0
+                assert blk.max_im == 1e-4 * math.sqrt(blk.margin)
+                assert blk.max_im == pytest.approx(1e-4 * math.sqrt(excess), rel=1e-12)
 
 
 @pytest.mark.parametrize("internal,rho,kind", [
@@ -482,10 +467,11 @@ def test_scalar_lambdas_view_is_lambda_external(rho):
 # sha256 of EffectiveHamiltonian.to_json() for the flagship at rho=(2,1,9),
 # nu=0.01, band 20, and the (0, 2) torus at rho=(1.3, 0.7), nu=0.05, band 10
 # (constant Z6 + H2 for both mode counts; the float rho is read exactly, so
-# the two-mode Omega_0 is the correctly rounded 0.06465000000000001)
+# the two-mode Omega_0 is the correctly rounded 0.06465000000000001), and
+# the spectra in closed form
 EFF_JSON_SHA256 = {
-    "flagship": "65e8c0ec60ff1c113169e30a506c7a9718ec1acd70607ae631dc7459bd9c1338",
-    "two-mode": "c360f44baaacdd8a60e311b9bdf0d4edc128430ba6079f73a98567b2b4916d6b",
+    "flagship": "69000bc5b16f85c0685f2d6257b679b88a0a99acb15bb593790ab997aecfbf8e",
+    "two-mode": "7db2b5ea134a6ff8f536f387e41309dd5d85bd84e35aefc244063c2bcaf4e6a8",
 }
 
 
@@ -519,7 +505,7 @@ def test_effective_hamiltonian_json_shape():
 def test_eigenvalues_in_conjugate_pairs(r1, r2, r3, nu):
     eff, _ = flagship_eff(rho=(r1, r2, r3), nu=nu)
     for blk in eff.blocks:
-        J = nf.standard_symplectic_form(blk.coeff.shape[0])
+        J = standard_symplectic_form(blk.coeff.shape[0])
         mu = np.linalg.eigvals(J @ blk.coeff)
         tol = 1e-9 * max(1.0, np.abs(mu).max())
         for v in mu:
@@ -588,9 +574,10 @@ def _exact_rho_sweep_digest() -> str:
 
 
 # recorded with every block assembled from Omega, lambda and its resonant
-# monomial, and the constant Z6 + H2 for both mode counts; the Fraction path
-# must keep every float, eigenvalue and verdict bit for bit
-EXACT_RHO_SWEEP_SHA256 = "d6cae1d4d7d6e15c038fb8b58d09362ea0fe967307970e50c745bdf1f2a76443"
+# monomial, and the constant Z6 + H2 for both mode counts, and again with
+# the spectra in closed form; the Fraction path must keep every float,
+# eigenvalue and verdict bit for bit
+EXACT_RHO_SWEEP_SHA256 = "68f13929073da5166088cf10ec8fe331c6731f2db14476030f2279c840b40f6e"
 
 
 def test_exact_rho_sweep_golden():
@@ -677,10 +664,11 @@ def _net_spectra() -> str:
     return h.hexdigest()
 
 
-# recorded while the classification still read the eigenvalues, through a
-# 1e-3 nu^2 band on their imaginary parts: deciding by the exact sign of
-# C^2 - a^2 instead must leave every reported value as it was
-NET_SPECTRA_SHA256 = "c0c30cf32a8a0a8c47f7f812aded6606844a0d10a3d563404b43d0c7c875a6ac"
+# recorded when the spectra became closed forms, which the eigensolve
+# matched as sets to 5e-15 of each block's scale; a hyperbolic B block
+# lists its pair as (m - i r, m + i r), where the eigensolve's order was
+# rounding noise
+NET_SPECTRA_SHA256 = "24d119522d632e1b37f9c130a65bd2b703ce7799b9b92bc2cb40c69d61bb81f1"
 
 
 def test_net_spectra_golden():
@@ -689,17 +677,18 @@ def test_net_spectra_golden():
 
 @pytest.mark.parametrize("as_float", [False, True], ids=["fraction", "float"])
 def test_net_classification_agrees_with_reported_max_im(as_float):
-    # the exact decision and rate agree with the eigensolve wherever both
-    # can speak: no net block is near C^2 = a^2, and a hyperbolic one's
-    # max_im is at least 1.5e-4, far above the eigensolve's noise
+    # the reported spectrum is the verdict: every imaginary part is 0 on an
+    # elliptic block and none is on a hyperbolic one, and the largest |Im|
+    # is the exact rate max_im, bit for bit
     blocks = 0
     for internal, rho, outcome in _net(as_float):
         assert not isinstance(outcome, Exception), (internal, rho, outcome)
         for b in outcome[0].blocks:
             blocks += 1
-            im = max(abs(l.imag) for l in b.eigenvalues)
-            assert b.hyperbolic == (im > 0) == (b.max_im > 0), (internal, rho, b)
-            assert im == pytest.approx(b.max_im, rel=1e-9), (internal, rho, b)
+            lams = b.eigenvalues
+            assert all((l.imag == 0) != b.hyperbolic for l in lams), (internal, rho, b)
+            assert max(abs(l.imag) for l in lams).hex() == b.max_im.hex(), (internal, rho, b)
+            assert b.hyperbolic == (b.max_im > 0), (internal, rho, b)
     assert blocks == 20860
 
 
@@ -720,54 +709,135 @@ def test_net_hyperbolic_rate_is_the_exact_margin(as_float):
     assert hyperbolic == 211
 
 
-class _Eigensolved(Exception):
-    pass
-
-
-def _decided(outcome):
-    """What classifying decides: the verdict, hyperbolic modes, rate and
-    each block's type, margin and rate; for a refusal, its type."""
-    if isinstance(outcome, Exception):
-        return type(outcome).__name__
-    eff, cls = outcome
-    return (cls.verdict, cls.hyperbolic_modes, cls.max_im,
-            [(b.kind, b.modes, b.classification, b.margin, b.max_im) for b in eff.blocks])
-
-
-def _classified(internal, rho, nu):
-    try:
-        return nf.classify_torus(nf.TorusSpec(internal, rho, nu), _catalog(internal))
-    except (nf.PreconditionViolated, nf.DegenerateBlock) as exc:
-        return exc
-
-
 @functools.cache
 def _catalog(internal):
     return rs.enumerate_sets(internal)
 
 
-def test_classify_runs_no_eigensolve(monkeypatch):
-    # the flagship (hyperbolic B), (-2, -1, 2) below its E parabola
-    # (hyperbolic E), a two-mode torus and the instability net classify the
-    # same with the eigensolve made to raise; only reading a spectrum raises
-    tori = [(FLAGSHIP, (2.0, 1.0, 9.0), 0.01),
-            ((-2, -1, 2), (Fraction(27, 5), 1, 1), Fraction(1, 100)),
-            ((0, 2), (1.3, 0.7), 0.05)]
-    tori += [(internal, rho, Fraction(1, 100)) for internal, rho, _ in _net(False)]
-    want = [_decided(_classified(*torus)) for torus in tori]
-    assert [w[:2] for w in want[:3]] == [("Unstable", [1, 9]), ("Unstable", [1]), ("Stable", [])]
+# ---------------------------------------------------------------------------
+# the closed-form spectrum against the eigensolve oracle
 
-    def eigensolve(coeff):
+def _oracle_deviations(blocks):
+    """The largest ``spectrum_deviation`` of each block kind over ``blocks``."""
+    worst = {}
+    for b in blocks:
+        worst[b.kind] = max(worst.get(b.kind, 0.0), spectrum_deviation(b.eigenvalues, b.coeff))
+    return worst
+
+
+def _blocks(outcomes):
+    return [b for outcome in outcomes if not isinstance(outcome, Exception)
+            for b in outcome[0].blocks]
+
+
+@pytest.mark.parametrize("as_float", [False, True], ids=["fraction", "float"])
+def test_closed_form_spectrum_matches_the_eigensolve_on_the_net(as_float):
+    # the closed form and the eigensolve agree as sets within 1e-12 of each
+    # block's scale max(1, max|Lambda|); the net holds 211 hyperbolic B and
+    # E blocks away from the flagship
+    worst = _oracle_deviations(_blocks(o for _, _, o in _net(as_float)))
+    assert set(worst) == {"A", "B", "C", "E"}
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_closed_form_spectrum_matches_the_eigensolve_on_the_exact_rho_sweep():
+    worst = _oracle_deviations(_blocks(o for _, _, o in _exact_rho_sweep()))
+    assert set(worst) == {"A", "B", "C", "E", "TwoMode"}
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_closed_form_spectrum_matches_the_eigensolve_on_every_set():
+    # every 2- and 3-mode set with |m| <= 15, at two float rho in [1/6, 10]
+    # drawn from a fixed seed, nu = 1/100
+    import random
+    from itertools import combinations
+
+    rng = random.Random(20261022)
+    outcomes = []
+    for n in (2, 3):
+        for internal in combinations(range(-15, 16), n):
+            try:
+                cat = rs.enumerate_sets(internal)
+            except rs.BoundTooSmall:
+                continue
+            for _ in range(2):
+                rho = tuple(rng.uniform(1 / 6, 10) for _ in internal)
+                try:
+                    outcomes.append(nf.classify_torus(nf.TorusSpec(internal, rho, 0.01), cat))
+                except (nf.PreconditionViolated, nf.DegenerateBlock):
+                    pass
+    blocks = _blocks(outcomes)
+    assert len(blocks) == 14788
+    worst = _oracle_deviations(blocks)
+    assert set(worst) == {"A", "B", "C", "E", "TwoMode"}
+    assert max(worst.values()) <= 1e-12, worst
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(["A", "B", "C", "E", "TwoMode"]),
+       entries=st.lists(st.floats(-100, 100), min_size=3, max_size=3),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]))
+def test_closed_form_spectrum_matches_the_eigensolve_on_drawn_blocks(kind, entries, scale):
+    # a block of any kind with drawn entries, classified as _block classifies
+    # it, by the exact sign of C^2 - a^2 (at nu = 1, so max_im = sqrt(margin)).
+    # The eigensolve is no oracle within half its digits of the parabola,
+    # nor where its snap zeroes a part under 1e-10 of the scale: drawn
+    # blocks keep clear of both
+    lam_s, lam_t, c = (x * scale for x in entries)
+    size = max(1.0, abs(lam_s), abs(lam_t), abs(c))
+    if kind == "E":
+        diag, a = (lam_s,), Fraction(lam_s)
+    else:
+        diag, a = (lam_s, lam_t), (Fraction(lam_t) - Fraction(lam_s)) / 2
+    margin, hyperbolic = None, False
+    if kind in ("B", "E"):
+        excess = Fraction(c) ** 2 - a * a
+        assume(abs(excess) >= Fraction(1, 10**6) * Fraction(size) ** 2)
+        margin, hyperbolic = float(excess), excess > 0
+    blk = nf.SpectralBlock(kind, (1,) if kind == "E" else (1, 2),
+                           nf.HYPERBOLIC if hyperbolic else nf.ELLIPTIC, diag, c, (), (),
+                           margin, math.sqrt(margin) if hyperbolic else 0.0)
+    lams = blk.eigenvalues
+    assume(all(x == 0 or abs(x) >= 1e-9 * size for z in lams for x in (z.real, z.imag)))
+    assert spectrum_deviation(lams, blk.coeff) <= 1e-12
+    assert lams == tuple(sorted(lams, key=lambda z: (z.real, z.imag)))
+    assert all(z.real > 0 or (z.real == 0 and z.imag >= 0) for z in lams)
+    assert max(abs(z.imag) for z in lams) == blk.max_im
+
+
+class _Eigensolved(Exception):
+    pass
+
+
+def test_classify_runs_no_eigensolve(monkeypatch):
+    # no library path eigensolves: with numpy's eig and eigvals made to
+    # raise, the flagship on D2 (hyperbolic B) and on D1, (-2, -1, 2) below
+    # its E parabola (hyperbolic E) and a two-mode torus classify, report
+    # every spectrum and the JSON, and run A0, A1, A2 and measure_scan; so
+    # does reading every spectrum of the instability net
+    def eigensolve(*args, **kwargs):
         raise _Eigensolved
-    monkeypatch.setattr(nf, "generic_block_spectrum", eigensolve)
-    outcomes = [_classified(*torus) for torus in tori]
-    assert [_decided(o) for o in outcomes] == want
-    for eff, _ in outcomes[:3]:
+    monkeypatch.setattr(np.linalg, "eigvals", eigensolve)
+    monkeypatch.setattr(np.linalg, "eig", eigensolve)
+    tori = [(FLAGSHIP, (2.0, 1.0, 9.0), 0.01, nf.domain_D2()),
+            (FLAGSHIP, (1.5, 1.2, 1.8), 0.01, nf.domain_D1()),
+            ((-2, -1, 2), (Fraction(27, 5), 1, 1), Fraction(1, 100), None),
+            ((0, 2), (1.3, 0.7), 0.05, None)]
+    verdicts = []
+    for internal, rho, nu, domain in tori:
+        spec = nf.TorusSpec(internal, rho, nu, domain=domain)
+        eff, cls = nf.classify_torus(spec, _catalog(internal))
+        verdicts.append((cls.verdict, cls.hyperbolic_modes))
         for blk in eff.blocks:
-            with pytest.raises(_Eigensolved):
-                blk.eigenvalues
-        with pytest.raises(_Eigensolved):
-            eff.to_json()
+            blk.eigenvalues
+        eff.to_json()
+        sd.check_A0(eff)
+        sd.check_A1(eff)
+        sd.check_A2(eff, k_max=4, grid_resolution=8)
+        sd.measure_scan(eff, k_max=4, grid_resolution=8)
+    assert verdicts == [("Unstable", [1, 9]), ("Stable", []), ("Unstable", [1]), ("Stable", [])]
+    for blk in _blocks(o for _, _, o in _net(False)):
+        blk.eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -899,11 +969,6 @@ def test_exact_rho_floats_bit_for_bit(case, nu):
 
 
 _FLOAT_TORI = (FLAGSHIP, (-5, -3, 3), (-2, -1, 2), (0, 2), (0, 1))
-
-
-@functools.cache
-def _catalog(internal):
-    return rs.enumerate_sets(internal)
 
 
 def _classified_text(internal, rho, nu):
